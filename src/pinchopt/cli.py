@@ -9,7 +9,8 @@ Subcommands:
     closed-form  two-user closed-form solution
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 solver anomaly (certified infeasibility where none should exist).
+3 solver anomaly (certified infeasibility where none should exist),
+4 internal error (an unexpected exception; a bug in pinchopt).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -39,20 +41,26 @@ from .maxmin import (
 from .model import ChannelParams, InvalidScenario, Scenario, UserPosition, avg_snr, distance_squared
 from .montecarlo import (
     McConfig,
-    default_threshold_ceiling,
     estimate_avg_snr,
     estimate_ccdf_curve,
     grid_search_maxmin,
     grid_search_outage,
 )
-from .outage import OutageSpec, fixed_antenna_outage_baseline, max_threshold_at, solve_outage
-from .scenario_io import ScenarioBundle, ScenarioFormatError, load_scenario, serialize_scenario
+from .outage import (
+    OutageSpec,
+    default_threshold_ceiling,
+    fixed_antenna_outage_baseline,
+    max_threshold_at,
+    solve_outage,
+)
+from .scenario_io import ScenarioBundle, ScenarioFormatError, load_scenario
 from .special import ccdf_inst_snr
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_SOLVER = 3
+EXIT_INTERNAL = 4
 
 SWEEP_COLUMNS = [
     "scenario_id", "metric", "axis1", "value1", "axis2", "value2", "drops",
@@ -124,17 +132,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_tol_overrides(bundle: ScenarioBundle, args) -> ScenarioBundle:
-    def override(tol: SolverTolerances, inner: float | None) -> SolverTolerances:
-        return SolverTolerances(
-            eps_t=args.eps_t if args.eps_t is not None else tol.eps_t,
-            eps_y=inner if inner is not None else tol.eps_y,
-            max_iter=args.max_iter if args.max_iter is not None else tol.max_iter,
-        )
+    def override(tol: SolverTolerances, inner_flag: str, inner: float | None) -> SolverTolerances:
+        for field, flag, value in (("eps_t", "--eps-t", args.eps_t),
+                                   ("eps_y", inner_flag, inner),
+                                   ("max_iter", "--max-iter", args.max_iter)):
+            if value is not None:
+                try:
+                    tol = replace(tol, **{field: value})
+                except ValueError as exc:
+                    raise ScenarioFormatError(f"{flag}: {exc}") from exc
+        return tol
 
     return replace(
         bundle,
-        tol_avg=override(bundle.tol_avg, args.eps_y),
-        tol_outage=override(bundle.tol_outage, args.eps_u),
+        tol_avg=override(bundle.tol_avg, "--eps-y", args.eps_y),
+        tol_outage=override(bundle.tol_outage, "--eps-u", args.eps_u),
     )
 
 
@@ -199,6 +211,8 @@ def _parse_axis(text: str):
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ScenarioFormatError(f"axis spec '{text}': {exc}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ScenarioFormatError(f"axis '{name}' needs finite bounds, got {lo}:{hi}")
     if n < 1:
         raise ScenarioFormatError(f"axis '{name}' needs at least 1 point")
     if len(parts) == 4:
@@ -211,6 +225,8 @@ def _parse_axis(text: str):
         values = np.unique(np.rint(values).astype(int))
         if np.any(values < 1):
             raise ScenarioFormatError("axis 'm' needs at least one user")
+    if name == "epsilon" and not np.all((values > 0.0) & (values < 1.0)):
+        raise ScenarioFormatError(f"axis 'epsilon' values must lie in (0, 1), got {lo}:{hi}")
     return name, [float(v) if name != "m" else int(v) for v in values]
 
 
@@ -244,29 +260,16 @@ def _drop_scenario(bundle: ScenarioBundle, overrides: dict, seed_key: tuple,
 
 
 def _sweep_point(task: dict) -> list:
-    bundle = load_scenario(task["scenario_path"])
-    bundle = ScenarioBundle(
-        scenario=bundle.scenario, outage=bundle.outage,
-        tol_avg=bundle.tol_avg, tol_outage=bundle.tol_outage,
-        document=bundle.document, name=bundle.name,
-    )
-    overrides = task["overrides"]
+    bundle = task["bundle"]
     metric = task["metric"]
-    redraw = task["redraw_users"]
     start = time.perf_counter()
     t_sum = x_sum = base_sum = gap_sum = iter_sum = 0.0
     for drop in range(task["drops"]):
         scenario, spec = _drop_scenario(
-            bundle, overrides, (task["seed"], task["point_index"], drop), redraw
+            bundle, task["overrides"], (task["seed"], task["point_index"], drop),
+            task["redraw_users"],
         )
-        if metric == "avg-snr":
-            pin = solve_maxmin(scenario, bundle.tol_avg)
-            fix = fixed_antenna_baseline(scenario)
-        else:
-            if spec is None:
-                raise ScenarioFormatError("outage sweep needs an epsilon axis or outage section")
-            pin = solve_outage(scenario, spec, bundle.tol_outage)
-            fix = fixed_antenna_outage_baseline(scenario, spec)
+        pin, fix = _solve_pair(replace(bundle, scenario=scenario, outage=spec), metric)
         t_sum += pin.t_star
         x_sum += pin.x_star
         base_sum += fix.t_star
@@ -276,7 +279,7 @@ def _sweep_point(task: dict) -> list:
     wall = time.perf_counter() - start
     axes = task["axes"]
     return [
-        f"{task['name']}[{task['point_index']}]", metric,
+        f"{bundle.name}[{task['point_index']}]", metric,
         axes[0][0], axes[0][1], axes[1][0], axes[1][1], n,
         t_sum / n, x_sum / n, base_sum / n, gap_sum / n, iter_sum / n, wall,
     ]
@@ -306,8 +309,7 @@ def cmd_sweep(args) -> int:
                 overrides[names[1]] = v2
                 axis_cells[1] = (names[1], v2)
             tasks.append({
-                "scenario_path": args.scenario,
-                "name": bundle.name,
+                "bundle": bundle,
                 "metric": args.metric,
                 "overrides": overrides,
                 "axes": axis_cells,
@@ -340,7 +342,13 @@ def cmd_ccdf(args) -> int:
         raise ScenarioFormatError(f"--x-pin {args.x_pin} outside [0, {scenario.dx}]")
     if args.t_points < 1:
         raise ScenarioFormatError("--t-points must be >= 1")
+    if args.samples < 1:
+        raise ScenarioFormatError("--samples must be >= 1")
+    if not 0.0 <= args.t_min < math.inf:
+        raise ScenarioFormatError(f"--t-min must be finite and >= 0, got {args.t_min}")
     t_max = args.t_max if args.t_max is not None else default_threshold_ceiling(scenario)
+    if not args.t_min <= t_max < math.inf:
+        raise ScenarioFormatError(f"--t-max must be finite and >= --t-min, got {t_max}")
     if args.t_scale == "log":
         if args.t_min <= 0.0:
             raise ScenarioFormatError("--t-scale log needs --t-min > 0")
@@ -494,6 +502,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
+    except Exception as exc:
+        traceback.print_exc()
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
 
 def console_entry():

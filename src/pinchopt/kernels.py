@@ -1,20 +1,11 @@
-"""Hot numeric kernels: numba @njit with a pure-numpy fallback.
+"""Hot numeric kernels: the Monte-Carlo SNR map and Marcum Q1.
 
-Two inner loops dominate the package's runtime and live here in both
-flavors: the Monte-Carlo channel-power map (millions of samples per
-estimate) and the Marcum-Q evaluation (tens of millions of calls inside
-the solvers and grid oracles).
-
-The backend is fixed once at import from the PINCHOPT_BACKEND environment
-variable:
-
-    numba   require numba (ImportError if missing)
-    numpy   force the pure-numpy fallback
-    auto    numba when importable, numpy otherwise (default)
-
-``benchmarks/bench_backends.py`` times one against the other. Results are
-deterministic within a backend; across backends they may differ in the
-last few ulps (different exp/cos code paths).
+Two inner loops dominate the package's runtime and live here: the
+Monte-Carlo channel-power map (millions of samples per estimate), which
+is one vectorized numpy expression, and the Marcum-Q evaluation (tens of
+millions of calls inside the solvers and grid oracles), which has a
+scalar path for the solvers and a batch path over array lanes for the
+grid oracles. Results are deterministic for a given numpy build.
 
 Marcum-Q evaluation strategy: the Poisson-mixture series runs in linear
 space while a*b <= 500 and both exp(-a^2/2), exp(-b^2/2) stay
@@ -27,7 +18,6 @@ is bounded by e^{-(a-b)^2/2} I0_scaled(ab)/(1-min/max) < 1e-40).
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -154,18 +144,6 @@ def _marcum_q1_scalar(a: float, b: float) -> float:
     return _marcum_bessel(a, b)
 
 
-def _snr_samples_numpy(u, z_re, z_im, p_los, los_amp, nlos_scale, cos_ph, sin_ph, rho):
-    """Instantaneous SNR rho*|h|^2 from pre-drawn uniforms and normals.
-
-    gamma = 1{u < p_los} gates a deterministic LoS phasor of magnitude
-    los_amp and phase -phi; the NLoS term is nlos_scale*(z_re + j z_im).
-    """
-    gated = np.where(u < p_los, los_amp, 0.0)
-    re = gated * cos_ph + nlos_scale * z_re
-    im = nlos_scale * z_im - gated * sin_ph
-    return rho * (re * re + im * im)
-
-
 def _marcum_series_numpy(a, b):
     """Vectorized Poisson-mixture series over linear-region lanes."""
     u = 0.5 * a * a
@@ -207,63 +185,16 @@ def _marcum_batch_numpy(a, b):
     return out
 
 
-_env = os.environ.get("PINCHOPT_BACKEND", "auto").strip().lower()
-if _env not in ("auto", "numba", "numpy", ""):
-    raise ValueError(
-        f"PINCHOPT_BACKEND={_env!r} not understood; use 'numba', 'numpy' or 'auto'"
-    )
-
-_numba = None
-if _env in ("auto", "numba", ""):
-    try:
-        import numba as _numba
-    except ImportError:
-        if _env == "numba":
-            raise
-        _numba = None
-
-HAS_NUMBA = _numba is not None
-BACKEND = "numba" if HAS_NUMBA else "numpy"
-
-# Plain-python implementations double as numba sources: rebinding the module
-# globals before first call makes the jitted functions resolve each other.
-_i0_scaled_py = _i0_scaled
-_marcum_q1_scalar_py = _marcum_q1_scalar
-
-if HAS_NUMBA:
-    _i0_scaled = _numba.njit(cache=True)(_i0_scaled)
-    _marcum_series = _numba.njit(cache=True)(_marcum_series)
-    _marcum_bessel = _numba.njit(cache=True)(_marcum_bessel)
-    _marcum_q1_scalar_nb = _numba.njit(cache=True)(_marcum_q1_scalar_py)
-    _marcum_q1_scalar = _marcum_q1_scalar_nb
-
-    @_numba.njit(cache=True)
-    def _marcum_batch_nb(a, b):
-        out = np.empty_like(a)
-        for i in range(a.shape[0]):
-            out[i] = _marcum_q1_scalar_nb(a[i], b[i])
-        return out
-
-    @_numba.njit(cache=True)
-    def _snr_samples_nb(u, z_re, z_im, p_los, los_amp, nlos_scale, cos_ph, sin_ph, rho):
-        n = u.shape[0]
-        out = np.empty(n)
-        for i in range(n):
-            if u[i] < p_los:
-                re = los_amp * cos_ph + nlos_scale * z_re[i]
-                im = nlos_scale * z_im[i] - los_amp * sin_ph
-            else:
-                re = nlos_scale * z_re[i]
-                im = nlos_scale * z_im[i]
-            out[i] = rho * (re * re + im * im)
-        return out
-
-
 def snr_samples(u, z_re, z_im, p_los, los_amp, nlos_scale, cos_ph, sin_ph, rho):
-    """Map pre-drawn (uniform, normal, normal) samples to SNR values."""
-    if HAS_NUMBA:
-        return _snr_samples_nb(u, z_re, z_im, p_los, los_amp, nlos_scale, cos_ph, sin_ph, rho)
-    return _snr_samples_numpy(u, z_re, z_im, p_los, los_amp, nlos_scale, cos_ph, sin_ph, rho)
+    """Instantaneous SNR rho*|h|^2 from pre-drawn uniforms and normals.
+
+    gamma = 1{u < p_los} gates a deterministic LoS phasor of magnitude
+    los_amp and phase -phi; the NLoS term is nlos_scale*(z_re + j z_im).
+    """
+    gated = np.where(u < p_los, los_amp, 0.0)
+    re = gated * cos_ph + nlos_scale * z_re
+    im = nlos_scale * z_im - gated * sin_ph
+    return rho * (re * re + im * im)
 
 
 def marcum_q1_batch(a, b):
@@ -273,11 +204,7 @@ def marcum_q1_batch(a, b):
     shape = np.broadcast_shapes(a.shape, b.shape)
     a = np.broadcast_to(a, shape).ravel()
     b = np.broadcast_to(b, shape).ravel()
-    if HAS_NUMBA:
-        out = _marcum_batch_nb(a, b)
-    else:
-        out = _marcum_batch_numpy(a, b)
-    return out.reshape(shape)
+    return _marcum_batch_numpy(a, b).reshape(shape)
 
 
 def marcum_q1_scalar(a: float, b: float) -> float:

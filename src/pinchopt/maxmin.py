@@ -29,6 +29,8 @@ AUTO_EPS_Y_REL = 1e-9
 # Golden-section shrink factor and relative x tolerance for the final polish.
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _POLISH_XTOL_REL = 1e-11
+# Cap on doublings of an upper bracket that turned out to be feasible.
+_BRACKET_DOUBLINGS = 80
 
 
 class InfeasibleThreshold(Exception):
@@ -97,10 +99,10 @@ class SolverTolerances:
     max_iter: int = 200
 
     def __post_init__(self):
-        if not self.eps_t > 0.0:
-            raise ValueError(f"eps_t must be positive, got {self.eps_t}")
-        if self.eps_y is not None and not self.eps_y > 0.0:
-            raise ValueError(f"eps_y must be positive, got {self.eps_y}")
+        if not 0.0 < self.eps_t < math.inf:
+            raise ValueError(f"eps_t must be finite and positive, got {self.eps_t}")
+        if self.eps_y is not None and not 0.0 < self.eps_y < math.inf:
+            raise ValueError(f"eps_y must be finite and positive, got {self.eps_y}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -153,32 +155,61 @@ def invert_f(params, t: float, rng: SquaredDistanceRange, eps_y: float) -> float
     return lo
 
 
-def user_interval_avg(scenario: Scenario, user_index: int, t: float, tol: SolverTolerances) -> Interval:
-    """Feasible positions for one user at level t: |x_m - x| <= d_m, clipped."""
-    rng = squared_distance_range(scenario, user_index)
-    try:
-        alpha = invert_f(scenario.channels[user_index], t, rng, tol.inner_tol(rng))
-    except InfeasibleThreshold:
+def _interval_from_bound(scenario: Scenario, user_index: int, bound: float | None) -> Interval:
+    """Positions with r_m^2 <= bound: |x_m - x| <= sqrt(bound - C_m), clipped.
+
+    bound None (no position serves the user) gives the empty interval.
+    """
+    if bound is None:
         return Interval.make_empty()
-    return _interval_from_bound(scenario, user_index, alpha)
-
-
-def _interval_from_bound(scenario: Scenario, user_index: int, bound: float) -> Interval:
     c = scenario.c_const(user_index)
     d = math.sqrt(max(bound - c, 0.0))
     x_m = scenario.users[user_index].x
     return Interval(x_m - d, x_m + d).intersect(Interval(0.0, scenario.dx))
 
 
+def _feasible_set(scenario: Scenario, bound, t: float):
+    """Intersection over users of the position intervals at level t.
+
+    bound(m, t) is user m's squared-distance bound, None when no position
+    serves user m. Returns (interval, bounds); bounds is None once the
+    intersection is empty, which ends the scan early.
+    """
+    out = Interval(0.0, scenario.dx)
+    bounds = []
+    for m in range(scenario.n_users):
+        b = bound(m, t)
+        out = out.intersect(_interval_from_bound(scenario, m, b))
+        if out.empty:
+            return out, None
+        bounds.append(b)
+    return out, tuple(bounds)
+
+
+def _avg_bound(scenario: Scenario, tol: SolverTolerances):
+    """Per-user bound alpha_m(t) of the average-SNR metric, and each gamma_max."""
+    ranges = [squared_distance_range(scenario, m) for m in range(scenario.n_users)]
+    inner = [tol.inner_tol(r) for r in ranges]
+    gamma_max = [f_scalar(scenario.channels[m], ranges[m].y_min) for m in range(scenario.n_users)]
+
+    def bound(m: int, t: float) -> float | None:
+        if t > gamma_max[m]:
+            return None
+        return invert_f(scenario.channels[m], t, ranges[m], inner[m])
+
+    return bound, gamma_max
+
+
+def user_interval_avg(scenario: Scenario, user_index: int, t: float, tol: SolverTolerances) -> Interval:
+    """Feasible positions for one user at level t: |x_m - x| <= d_m, clipped."""
+    bound, _ = _avg_bound(scenario, tol)
+    return _interval_from_bound(scenario, user_index, bound(user_index, t))
+
+
 def feasibility_avg(scenario: Scenario, t: float, tol: SolverTolerances | None = None) -> Interval:
     """Intersection of all per-user feasibility intervals at level t."""
-    tol = tol or SolverTolerances()
-    out = Interval(0.0, scenario.dx)
-    for m in range(scenario.n_users):
-        out = out.intersect(user_interval_avg(scenario, m, t, tol))
-        if out.empty:
-            break
-    return out
+    bound, _ = _avg_bound(scenario, tol or SolverTolerances())
+    return _feasible_set(scenario, bound, t)[0]
 
 
 def min_avg_snr(scenario: Scenario, x_pin: float) -> float:
@@ -213,29 +244,46 @@ def _argmax_quasiconcave(objective, lo: float, hi: float) -> float:
     return 0.5 * (a + b)
 
 
-def _bisect_threshold(feasible_at, t_hi_init: float, tol: SolverTolerances):
-    """Shared outer loop: grow t_lo / shrink t_hi on interval emptiness.
+def _solve_nested(scenario: Scenario, bound, objective, t_hi: float,
+                  tol: SolverTolerances, **meta) -> Solution:
+    """Solver shared by both metrics: bound(m, t) as in _feasible_set, the
+    exact objective(x), and a first guess t_hi at an infeasible level.
 
-    feasible_at(t) must return (Interval, bounds) with nested intervals in
-    t. Returns (t_lo, t_hi, interval, bounds, iterations).
+    t_hi doubles until infeasible, bisection on t certifies [t_lo, t_hi] to
+    relative width eps_t, and x_star is the golden-section argmax of the
+    objective over the last nonempty intersection. meta extends
+    Solution.meta.
     """
+    for _ in range(_BRACKET_DOUBLINGS):
+        if _feasible_set(scenario, bound, t_hi)[0].empty:
+            break
+        t_hi *= 2.0
+    else:
+        raise SolverAnomaly("could not bracket an infeasible threshold")
     t_lo = 0.0
-    t_hi = t_hi_init
-    best, bounds = feasible_at(0.0)
+    interval, bounds = _feasible_set(scenario, bound, 0.0)
     iters = 0
     while iters < tol.max_iter:
         if t_lo > 0.0 and t_hi - t_lo <= tol.eps_t * t_lo:
             break
         t_mid = 0.5 * (t_lo + t_hi)
         iters += 1
-        interval, mid_bounds = feasible_at(t_mid)
-        if interval.empty:
+        mid, mid_bounds = _feasible_set(scenario, bound, t_mid)
+        if mid.empty:
             t_hi = t_mid
         else:
-            t_lo, best, bounds = t_mid, interval, mid_bounds
+            t_lo, interval, bounds = t_mid, mid, mid_bounds
     if t_lo <= 0.0:
         raise SolverAnomaly("no positive feasible level found within max_iter")
-    return t_lo, t_hi, best, bounds, iters
+    x_star = _argmax_quasiconcave(objective, interval.lo, interval.hi)
+    return Solution(
+        t_star=objective(x_star),
+        x_star=x_star,
+        feasible=interval,
+        outer_iterations=iters,
+        per_user_bounds=bounds,
+        meta={"bracket_lo": t_lo, "bracket_hi": t_hi, **meta},
+    )
 
 
 def solve_maxmin(scenario: Scenario, tol: SolverTolerances | None = None) -> Solution:
@@ -248,34 +296,10 @@ def solve_maxmin(scenario: Scenario, tol: SolverTolerances | None = None) -> Sol
     final certified interval; Solution.meta carries the bisection bracket.
     """
     tol = tol or SolverTolerances()
-    ranges = [squared_distance_range(scenario, m) for m in range(scenario.n_users)]
-    inner = [tol.inner_tol(r) for r in ranges]
-    gamma_max = [f_scalar(scenario.channels[m], ranges[m].y_min) for m in range(scenario.n_users)]
-
-    def feasible_at(t: float):
-        out = Interval(0.0, scenario.dx)
-        bounds = []
-        for m in range(scenario.n_users):
-            if t > gamma_max[m]:
-                return Interval.make_empty(), None
-            alpha = invert_f(scenario.channels[m], t, ranges[m], inner[m])
-            bounds.append(alpha)
-            out = out.intersect(_interval_from_bound(scenario, m, alpha))
-            if out.empty:
-                return out, None
-        return out, tuple(bounds)
-
-    t_hi_init = 2.0 * max(gamma_max)
-    t_lo, t_hi, interval, bounds, iters = _bisect_threshold(feasible_at, t_hi_init, tol)
-    x_star = _argmax_quasiconcave(lambda x: min_avg_snr(scenario, x), interval.lo, interval.hi)
-    return Solution(
-        t_star=min_avg_snr(scenario, x_star),
-        x_star=x_star,
-        feasible=interval,
-        outer_iterations=iters,
-        per_user_bounds=bounds,
-        meta={"bracket_lo": t_lo, "bracket_hi": t_hi, "t_hi_init": t_hi_init},
-    )
+    bound, gamma_max = _avg_bound(scenario, tol)
+    t_hi = 2.0 * max(gamma_max)
+    return _solve_nested(scenario, bound, lambda x: min_avg_snr(scenario, x), t_hi, tol,
+                         t_hi_init=t_hi)
 
 
 def two_user_closed_form(scenario: Scenario) -> Solution:

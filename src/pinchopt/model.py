@@ -74,12 +74,12 @@ class ChannelParams:
     carrier_wavelength: float
 
     def __post_init__(self):
-        if self.beta < 0.0:
-            raise InvalidScenario(f"beta must be >= 0, got {self.beta}")
+        if not (self.beta >= 0.0 and math.isfinite(self.beta)):
+            raise InvalidScenario(f"beta must be finite and >= 0, got {self.beta}")
         for name in ("eta", "mu_sq", "rho", "guided_wavelength", "carrier_wavelength"):
             value = getattr(self, name)
-            if not value > 0.0:
-                raise InvalidScenario(f"{name} must be positive, got {value}")
+            if not (value > 0.0 and math.isfinite(value)):
+                raise InvalidScenario(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,9 @@ class Scenario:
         object.__setattr__(self, "users", tuple(self.users))
         object.__setattr__(self, "channels", tuple(self.channels))
         for name in ("dx", "dy", "dv"):
-            if not getattr(self, name) > 0.0:
-                raise InvalidScenario(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise InvalidScenario(f"{name} must be finite and positive, got {value}")
         if not self.users:
             raise InvalidScenario("scenario needs at least one user")
         if len(self.users) != len(self.channels):

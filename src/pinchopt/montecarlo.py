@@ -24,7 +24,7 @@ import numpy as np
 from . import kernels
 from .maxmin import Interval, Solution
 from .model import ChannelParams, Scenario, squared_distance_range
-from .outage import OutageSpec, _threshold_root
+from .outage import OutageSpec, _min_threshold
 from .special import ccdf_inst_snr_batch
 
 
@@ -191,15 +191,6 @@ def grid_search_maxmin(scenario: Scenario, grid_points: int) -> Solution:
     )
 
 
-def default_threshold_ceiling(scenario: Scenario) -> float:
-    """Upper end of the threshold search: past the LoS-limited drop."""
-    return 2.0 * max(
-        scenario.channels[m].rho * scenario.channels[m].eta
-        / squared_distance_range(scenario, m).y_min
-        for m in range(scenario.n_users)
-    )
-
-
 def outage_grid_ceiling(scenario: Scenario, spec: OutageSpec) -> float:
     """Tight solver-independent cap on the outage optimum.
 
@@ -208,14 +199,10 @@ def outage_grid_ceiling(scenario: Scenario, spec: OutageSpec) -> float:
     computed by a scalar root on t. Gridding [0, cap] keeps the t-grid
     resolution commensurate with the optimum.
     """
-    spec = spec.for_scenario(scenario)
-    cap = math.inf
-    for m in range(scenario.n_users):
-        params = scenario.channels[m]
-        y = squared_distance_range(scenario, m).y_min
-        seed = 2.0 * params.rho * params.eta / y
-        cap = min(cap, _threshold_root(params, y, spec.epsilons[m], seed))
-    return cap
+    return _min_threshold(
+        scenario, spec,
+        [squared_distance_range(scenario, m).y_min for m in range(scenario.n_users)],
+    )
 
 
 def grid_search_outage(scenario: Scenario, spec: OutageSpec, grid_points: int,

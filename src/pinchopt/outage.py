@@ -10,22 +10,23 @@ design, with the inner scalar inversion now running on the CCDF.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .maxmin import (
+    _BRACKET_DOUBLINGS,
     Interval,
     SolverAnomaly,
     SolverTolerances,
     Solution,
-    _argmax_quasiconcave,
-    _bisect_threshold,
+    _feasible_set,
     _interval_from_bound,
+    _solve_nested,
 )
 from .model import Scenario, distance_squared, squared_distance_range
 from .special import ccdf_inst_snr
 
-_BRACKET_DOUBLINGS = 80
+# Relative width at which the per-position threshold root stops.
+_THRESHOLD_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,35 +78,54 @@ def invert_ccdf(params, t: float, epsilon: float, rng, eps_u: float) -> float | 
     return lo
 
 
+def _outage_bound(scenario: Scenario, epsilons, tol: SolverTolerances):
+    """Per-user bound U_m(t) of the outage metric (None: target missed everywhere)."""
+    ranges = [squared_distance_range(scenario, m) for m in range(scenario.n_users)]
+    inner = [tol.inner_tol(r) for r in ranges]
+
+    def bound(m: int, t: float) -> float | None:
+        return invert_ccdf(scenario.channels[m], t, epsilons[m], ranges[m], inner[m])
+
+    return bound
+
+
 def user_interval_outage(
     scenario: Scenario, user_index: int, t: float, epsilon: float, tol: SolverTolerances
 ) -> Interval:
     """Positions where user user_index meets its outage target at level t."""
-    rng = squared_distance_range(scenario, user_index)
-    bound = invert_ccdf(scenario.channels[user_index], t, epsilon, rng, tol.inner_tol(rng))
-    if bound is None:
-        return Interval.make_empty()
-    return _interval_from_bound(scenario, user_index, bound)
+    bound = _outage_bound(scenario, (epsilon,) * scenario.n_users, tol)
+    return _interval_from_bound(scenario, user_index, bound(user_index, t))
 
 
 def feasibility_outage(
     scenario: Scenario, spec: OutageSpec, t: float, tol: SolverTolerances | None = None
 ) -> Interval:
     """T(t): intersection of all users' outage-feasible intervals."""
-    tol = tol or SolverTolerances()
-    spec = spec.for_scenario(scenario)
-    out = Interval(0.0, scenario.dx)
-    for m in range(scenario.n_users):
-        out = out.intersect(user_interval_outage(scenario, m, t, spec.epsilons[m], tol))
-        if out.empty:
-            break
-    return out
+    bound = _outage_bound(scenario, spec.for_scenario(scenario).epsilons, tol or SolverTolerances())
+    return _feasible_set(scenario, bound, t)[0]
 
 
-def _threshold_root(params, y: float, epsilon: float, t_hi_seed: float, rel_tol: float = 1e-12) -> float:
-    """Largest t with ccdf(y, t) >= 1 - epsilon, by bisection on t."""
+def _los_ceiling(params, y: float) -> float:
+    """2 rho eta / y: a threshold past the LoS-limited outage drop at distance^2 y."""
+    return 2.0 * params.rho * params.eta / y
+
+
+def default_threshold_ceiling(scenario: Scenario) -> float:
+    """max_m of the LoS ceiling at y_{m,min}: a threshold past every user's drop."""
+    return max(
+        _los_ceiling(scenario.channels[m], squared_distance_range(scenario, m).y_min)
+        for m in range(scenario.n_users)
+    )
+
+
+def _threshold_root(params, y: float, epsilon: float) -> float:
+    """Largest t with ccdf(y, t) >= 1 - epsilon, by bisection on t.
+
+    The bracket starts at the LoS ceiling and doubles until the target is
+    missed.
+    """
     target = 1.0 - epsilon
-    hi = max(t_hi_seed, 1e-300)
+    hi = max(_los_ceiling(params, y), 1e-300)
     for _ in range(_BRACKET_DOUBLINGS):
         if ccdf_inst_snr(params, y, hi) < target:
             break
@@ -113,7 +133,7 @@ def _threshold_root(params, y: float, epsilon: float, t_hi_seed: float, rel_tol:
     else:
         raise SolverAnomaly(f"no finite threshold violates the outage target at y={y}")
     lo = 0.0
-    while hi - lo > rel_tol * hi:
+    while hi - lo > _THRESHOLD_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if ccdf_inst_snr(params, y, mid) >= target:
             lo = mid
@@ -122,16 +142,21 @@ def _threshold_root(params, y: float, epsilon: float, t_hi_seed: float, rel_tol:
     return lo
 
 
+def _min_threshold(scenario: Scenario, spec: OutageSpec, ys) -> float:
+    """min_m of the largest threshold user m meets at squared distance ys[m]."""
+    spec = spec.for_scenario(scenario)
+    return min(
+        _threshold_root(scenario.channels[m], ys[m], spec.epsilons[m])
+        for m in range(scenario.n_users)
+    )
+
+
 def max_threshold_at(scenario: Scenario, spec: OutageSpec, x_pin: float) -> float:
     """Exact objective: largest t meeting every outage target at x_pin."""
-    spec = spec.for_scenario(scenario)
-    best = math.inf
-    for m in range(scenario.n_users):
-        params = scenario.channels[m]
-        y = distance_squared(scenario.users[m], scenario.dv, x_pin)
-        seed = 2.0 * params.rho * params.eta / y
-        best = min(best, _threshold_root(params, y, spec.epsilons[m], seed))
-    return best
+    return _min_threshold(
+        scenario, spec,
+        [distance_squared(scenario.users[m], scenario.dv, x_pin) for m in range(scenario.n_users)],
+    )
 
 
 def solve_outage(
@@ -146,44 +171,9 @@ def solve_outage(
     """
     tol = tol or SolverTolerances()
     spec = spec.for_scenario(scenario)
-    ranges = [squared_distance_range(scenario, m) for m in range(scenario.n_users)]
-    inner = [tol.inner_tol(r) for r in ranges]
-
-    def feasible_at(t: float):
-        out = Interval(0.0, scenario.dx)
-        bounds = []
-        for m in range(scenario.n_users):
-            bound = invert_ccdf(scenario.channels[m], t, spec.epsilons[m], ranges[m], inner[m])
-            if bound is None:
-                return Interval.make_empty(), None
-            bounds.append(bound)
-            out = out.intersect(_interval_from_bound(scenario, m, bound))
-            if out.empty:
-                return out, None
-        return out, tuple(bounds)
-
-    t_hi = 2.0 * max(
-        scenario.channels[m].rho * scenario.channels[m].eta / ranges[m].y_min
-        for m in range(scenario.n_users)
-    )
-    for _ in range(_BRACKET_DOUBLINGS):
-        if feasible_at(t_hi)[0].empty:
-            break
-        t_hi *= 2.0
-    else:
-        raise SolverAnomaly("could not bracket an infeasible threshold")
-
-    t_lo, t_hi, interval, bounds, iters = _bisect_threshold(feasible_at, t_hi, tol)
-    x_star = _argmax_quasiconcave(
-        lambda x: max_threshold_at(scenario, spec, x), interval.lo, interval.hi
-    )
-    return Solution(
-        t_star=max_threshold_at(scenario, spec, x_star),
-        x_star=x_star,
-        feasible=interval,
-        outer_iterations=iters,
-        per_user_bounds=bounds,
-        meta={"bracket_lo": t_lo, "bracket_hi": t_hi},
+    return _solve_nested(
+        scenario, _outage_bound(scenario, spec.epsilons, tol),
+        lambda x: max_threshold_at(scenario, spec, x), default_threshold_ceiling(scenario), tol,
     )
 
 

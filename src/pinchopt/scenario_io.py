@@ -23,6 +23,7 @@ Example document:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,7 +79,13 @@ def _require(doc: dict, key: str, where: str):
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ScenarioFormatError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def _channel_from(defaults: dict, noise_dbm: float, mu_sq_db: float) -> ChannelParams:
@@ -177,7 +184,10 @@ def parse_scenario_dict(doc: dict, name: str = "scenario") -> ScenarioBundle:
         if key not in TOLERANCE_DEFAULTS:
             raise ScenarioFormatError(f"tolerances: unknown field '{key}'")
         if key == "max_iter":
-            tols[key] = int(_number(value, "tolerances.max_iter"))
+            max_iter = _number(value, "tolerances.max_iter")
+            if not max_iter.is_integer():
+                raise ScenarioFormatError(f"tolerances.max_iter: expected an integer, got {value!r}")
+            tols[key] = int(max_iter)
         elif value is not None:
             tols[key] = _number(value, f"tolerances.{key}")
     try:

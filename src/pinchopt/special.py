@@ -9,8 +9,8 @@ with a = sqrt(2 eta)/mu and b = sqrt(2) r sqrt(t/rho)/mu. For fixed t > 0
 the mixture is strictly decreasing in r^2, which is what lets the outage
 solver turn each reliability constraint into a distance bound.
 
-The numeric evaluation lives in ``kernels`` (numba/numpy backends); this
-module owns validation and the channel-facing formulas.
+The numeric evaluation lives in ``kernels``; this module owns validation
+and the channel-facing formulas.
 """
 
 from __future__ import annotations

@@ -42,6 +42,6 @@ def random_scenario(rng: np.random.Generator, n_users: int, dx=30.0, dy=10.0, dv
 
 @pytest.fixture(scope="session", autouse=True)
 def _warm_kernels():
-    # One tiny estimate up front so numba JIT time is paid before any
-    # runtime-budgeted acceptance check.
+    # One tiny estimate up front so first-call costs (imports, allocator
+    # warm-up) are paid before any runtime-budgeted acceptance check.
     estimate_avg_snr(make_params(), 150.0, McConfig(samples=256, seed=0))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pinchopt import cli
+from pinchopt import SolverTolerances, cli
 
 # Reference setup (scenario_io.DEFAULTS); no lane of the outage CCDF is in
 # the linear Marcum series region there.
@@ -38,3 +38,128 @@ class TestVerify:
         # only the analytic-vs-Monte-Carlo checks see the scaled eta
         assert failed == {"avg-snr-formula-vs-mc", "ccdf-formula-vs-mc"}
         assert doc["all_pass"] is False
+
+
+def _write(tmp_path, doc):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _csv(path):
+    return [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+class TestSolve:
+    @pytest.mark.parametrize("metric", ["avg-snr", "outage"])
+    def test_solves_reference_scenario(self, tmp_path, metric):
+        doc = dict(TWO_USERS, outage={"epsilon": 0.1})
+        out = tmp_path / "out.json"
+        rc = cli.main(["solve", _write(tmp_path, doc), "--metric", metric, "-o", str(out)])
+        assert rc == cli.EXIT_OK
+        result = json.loads(out.read_text(encoding="utf-8"))
+        assert result["pinching"]["t_star"] >= result["fixed"]["t_star"] > 0.0
+
+    def test_outage_without_outage_section_is_invalid(self, two_user_file, capsys):
+        rc = cli.main(["solve", str(two_user_file), "--metric", "outage"])
+        assert rc == cli.EXIT_INVALID
+        assert "outage" in capsys.readouterr().err
+
+    def test_iteration_cap_without_feasible_level_is_solver_error(self, two_user_file, capsys):
+        # one bisection step probes max_m gamma_m, which two apart users cannot share
+        rc = cli.main(["solve", str(two_user_file), "--metric", "avg-snr", "--max-iter", "1"])
+        assert rc == cli.EXIT_SOLVER
+        assert capsys.readouterr().err.startswith("solver error:")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--eps-t", "-1"), ("--eps-t", "nan"), ("--eps-t", "inf"), ("--eps-y", "0"),
+        ("--eps-u", "nan"), ("--max-iter", "0"),
+    ])
+    def test_bad_tolerance_flag_is_invalid_input(self, two_user_file, capsys, flag, value):
+        rc = cli.main(["solve", str(two_user_file), "--metric", "avg-snr", flag, value])
+        assert rc == cli.EXIT_INVALID
+        assert capsys.readouterr().err.startswith(f"error: {flag}:")
+
+    def test_non_finite_scenario_value_is_invalid_input(self, tmp_path, capsys):
+        path = _write(tmp_path, dict(TWO_USERS, defaults={"beta": float("nan")}))
+        rc = cli.main(["solve", path, "--metric", "avg-snr"])
+        assert rc == cli.EXIT_INVALID
+        assert "defaults.beta" in capsys.readouterr().err
+
+    def test_unexpected_exception_is_internal_error(self, two_user_file, capsys, monkeypatch):
+        def broken(*args):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr(cli, "solve_maxmin", broken)
+        rc = cli.main(["solve", str(two_user_file), "--metric", "avg-snr"])
+        assert rc == cli.EXIT_INTERNAL == 4
+        assert "internal error: ZeroDivisionError: boom" in capsys.readouterr().err
+
+
+class TestSweep:
+    def test_tolerance_flags_reach_every_drop(self, two_user_file, tmp_path):
+        out = tmp_path / "sweep.csv"
+        rc = cli.main(["sweep", str(two_user_file), "--metric", "avg-snr", "--axis",
+                       "beta=0.01:0.01:1", "--drops", "3", "--eps-t", "0.3", "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        header, row = _csv(out)
+        bundle = cli.load_scenario(two_user_file)
+
+        def mean_iterations(eps_t):
+            total = 0.0
+            for drop in range(3):
+                scenario, _ = cli._drop_scenario(bundle, {"beta": 0.01}, (0, 0, drop), True)
+                total += cli.solve_maxmin(scenario, SolverTolerances(eps_t=eps_t)).outer_iterations
+            return total / 3
+
+        iterations = float(row[header.index("iterations")])
+        assert iterations == mean_iterations(0.3)
+        assert iterations < mean_iterations(1e-3)
+
+    def test_workers_write_the_same_rows(self, two_user_file, tmp_path):
+        rows = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"sweep_{workers}.csv"
+            rc = cli.main(["sweep", str(two_user_file), "--metric", "avg-snr", "--axis",
+                           "beta=0.005:0.01:2", "--drops", "2", "--seed", "7",
+                           "--workers", workers, "--out", str(out)])
+            assert rc == cli.EXIT_OK
+            rows[workers] = [row[:-1] for row in _csv(out)]  # drop wall_time_s
+        assert rows["1"][0][-1] == "iterations" and len(rows["1"]) == 3
+        assert rows["1"] == rows["2"]
+
+    @pytest.mark.parametrize("axis", ["beta=nan:nan:1", "dx=10:inf:2", "epsilon=0:0.5:3",
+                                      "epsilon=0.1:1:2", "m=0:0:1", "speed=1:2:2"])
+    def test_bad_axis_is_invalid_input(self, two_user_file, tmp_path, capsys, axis):
+        name = axis.partition("=")[0]
+        rc = cli.main(["sweep", str(two_user_file), "--metric", "avg-snr", "--axis", axis,
+                       "--out", str(tmp_path / "sweep.csv")])
+        assert rc == cli.EXIT_INVALID
+        assert f"axis '{name}'" in capsys.readouterr().err
+
+
+def test_ccdf_table(two_user_file, tmp_path):
+    out = tmp_path / "ccdf.csv"
+    rc = cli.main(["ccdf", str(two_user_file), "--x-pin", "6.0", "--t-points", "5",
+                   "--samples", "2000", "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    header, *rows = _csv(out)
+    assert header == cli.CCDF_COLUMNS and len(rows) == 5
+    assert float(rows[0][1]) == 1.0  # t = 0
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--t-max", "nan"], "--t-max"), (["--t-max", "inf"], "--t-max"),
+    (["--t-min", "-5"], "--t-min"), (["--t-min", "2", "--t-max", "1"], "--t-max"),
+    (["--samples", "0"], "--samples"),
+])
+def test_ccdf_bad_flag_is_invalid_input(two_user_file, tmp_path, capsys, flags, named):
+    rc = cli.main(["ccdf", str(two_user_file), "--x-pin", "6.0", "--out",
+                   str(tmp_path / "ccdf.csv")] + flags)
+    assert rc == cli.EXIT_INVALID
+    assert capsys.readouterr().err.startswith(f"error: {named} ")
+
+
+def test_closed_form(two_user_file, capsys):
+    assert cli.main(["closed-form", str(two_user_file)]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["metric"] == "avg-snr-closed-form"

@@ -1,4 +1,4 @@
-"""Backend checks: the numba kernels and the pure-numpy fallbacks must agree."""
+"""Kernel checks: the Monte-Carlo SNR map, and batch against scalar Marcum Q1."""
 
 import math
 
@@ -14,15 +14,6 @@ def _draws(n=5000, seed=3):
 
 
 class TestSnrSamplesBackends:
-    def test_numpy_path_matches_numba(self):
-        if not kernels.HAS_NUMBA:
-            pytest.skip("numba backend not active")
-        u, z_re, z_im = _draws()
-        args = (u, z_re, z_im, 0.3, 2e-4, 1e-5, 0.8, -0.6, 1e13)
-        a = kernels._snr_samples_numpy(*args)
-        b = kernels._snr_samples_nb(*args)
-        np.testing.assert_allclose(a, b, rtol=1e-12)
-
     def test_no_los_reduces_to_nlos_power(self):
         u, z_re, z_im = _draws()
         out = kernels.snr_samples(u, z_re, z_im, 0.0, 5e-4, 1e-5, 1.0, 0.0, 1.0)
@@ -44,25 +35,15 @@ class TestMarcumBackends:
     def test_batch_matches_python_scalar(self):
         a, b = _random_args(11)
         batch = kernels.marcum_q1_batch(a, b)
-        scalar = np.array([kernels._marcum_q1_scalar_py(ai, bi) for ai, bi in zip(a, b)])
+        scalar = np.array([kernels._marcum_q1_scalar(ai, bi) for ai, bi in zip(a, b)])
         np.testing.assert_allclose(batch, scalar, rtol=0, atol=1e-13)
-
-    def test_numpy_batch_matches_numba_batch(self):
-        if not kernels.HAS_NUMBA:
-            pytest.skip("numba backend not active")
-        a, b = _random_args(12)
-        np.testing.assert_allclose(
-            kernels._marcum_batch_numpy(a, b),
-            kernels._marcum_batch_nb(a, b),
-            rtol=0, atol=1e-13,
-        )
 
     def test_large_argument_lanes(self):
         # noncentrality past the linear-series underflow limit (a^2/2 > 700)
         a = np.full(64, 38.1)
         b = np.geomspace(0.5, 200.0, 64)
         batch = kernels.marcum_q1_batch(a, b)
-        scalar = np.array([kernels._marcum_q1_scalar_py(38.1, bi) for bi in b])
+        scalar = np.array([kernels._marcum_q1_scalar(38.1, bi) for bi in b])
         np.testing.assert_allclose(batch, scalar, rtol=0, atol=1e-12)
         assert batch[0] == 1.0 and batch[-1] == 0.0
 
@@ -78,14 +59,14 @@ class TestMarcumBackends:
         assert np.any(~linear & (np.abs(gap) < kernels.SATURATION_GAP))
         assert np.any(~linear & (gap >= kernels.SATURATION_GAP))
         assert np.any(~linear & (-gap >= kernels.SATURATION_GAP))
-        scalar = np.array([kernels._marcum_q1_scalar_py(ai, bi) for ai, bi in zip(a, b)])
+        scalar = np.array([kernels._marcum_q1_scalar(ai, bi) for ai, bi in zip(a, b)])
         np.testing.assert_allclose(batch(a, b), scalar, rtol=0, atol=1e-13)
 
     def test_numpy_batch_without_linear_lanes(self):
         # all lanes past the series limit, called on the numpy path directly
         a = np.full(5, 38.1)
         b = np.array([10.0, 30.0, 38.1, 45.0, 70.0])
-        scalar = np.array([kernels._marcum_q1_scalar_py(38.1, bi) for bi in b])
+        scalar = np.array([kernels._marcum_q1_scalar(38.1, bi) for bi in b])
         np.testing.assert_allclose(kernels._marcum_batch_numpy(a, b), scalar, rtol=0, atol=1e-13)
 
     def test_numpy_batch_zero_size(self):
@@ -99,8 +80,7 @@ class TestMarcumBackends:
     def test_saturation_shortcut_consistent_with_bessel(self):
         # values just inside / outside the |a-b| >= 14 saturation cut
         for a, b in [(40.0, 26.5), (40.0, 53.5), (38.1, 24.2), (38.1, 52.0)]:
-            full = kernels._marcum_bessel(a, b) if kernels.BACKEND == "numpy" \
-                else kernels._marcum_bessel.py_func(a, b)
+            full = kernels._marcum_bessel(a, b)
             assert kernels.marcum_q1_scalar(a, b) == pytest.approx(full, abs=1e-12)
 
     def test_scalar_edge_identities(self):
@@ -112,7 +92,3 @@ class TestMarcumBackends:
         assert kernels.i0_scaled(0.0) == 1.0
         assert kernels.i0_scaled(1.0) == pytest.approx(0.4657596075936404, rel=1e-12)
 
-
-def test_backend_name_is_consistent():
-    assert kernels.BACKEND in ("numba", "numpy")
-    assert kernels.HAS_NUMBA == (kernels.BACKEND == "numba")

@@ -62,7 +62,9 @@ class TestSolverTolerances:
         rng = squared_distance_range(sc, 0)
         assert TOL.inner_tol(rng) == pytest.approx(1e-9 * rng.y_max)
 
-    @pytest.mark.parametrize("kwargs", [dict(eps_t=0.0), dict(eps_y=-1.0), dict(max_iter=0)])
+    @pytest.mark.parametrize("kwargs", [dict(eps_t=0.0), dict(eps_y=-1.0), dict(max_iter=0),
+                                        dict(eps_t=math.nan), dict(eps_t=math.inf),
+                                        dict(eps_y=math.nan), dict(eps_y=math.inf)])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SolverTolerances(**kwargs)

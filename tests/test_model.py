@@ -190,3 +190,15 @@ class TestScenarioValidation:
             make_params(beta=-0.1)
         with pytest.raises(InvalidScenario):
             make_params(mu_sq=0.0)
+
+    @pytest.mark.parametrize("field", ["beta", "eta", "mu_sq", "rho"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_channel_params(self, field, bad):
+        with pytest.raises(InvalidScenario, match=field):
+            make_params(**{field: bad})
+
+    @pytest.mark.parametrize("field", ["dx", "dy", "dv"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_region(self, field, bad):
+        with pytest.raises(InvalidScenario, match=field):
+            make_scenario([(0.0, 0.0)], **{field: bad})

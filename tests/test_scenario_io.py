@@ -1,0 +1,138 @@
+"""Scenario JSON parsing: round trip through serialize_scenario, and errors
+that name the offending field."""
+
+import copy
+import json
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pinchopt.scenario_io import (
+    ScenarioFormatError,
+    load_scenario,
+    parse_scenario_dict,
+    serialize_scenario,
+)
+
+BASE = {
+    "schema": 1,
+    "region": {"dx": 30.0, "dy": 10.0, "dv": 10.0},
+    "users": [{"x": 6.0, "y": 2.0}, {"x": 21.0, "y": -3.0}],
+    "outage": {"epsilons": [0.1, 0.2]},
+}
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def scenario_docs(draw):
+    dx = draw(_finite(1.0, 100.0))
+    dy = draw(_finite(1.0, 20.0))
+    n_users = draw(st.integers(1, 4))
+    users = []
+    for _ in range(n_users):
+        user = {"x": draw(_finite(0.0, dx)), "y": draw(_finite(-0.5 * dy, 0.5 * dy))}
+        if draw(st.booleans()):
+            user["noise_dbm"] = draw(_finite(-100.0, -60.0))
+        if draw(st.booleans()):
+            user["mu_sq_db"] = draw(_finite(-100.0, -60.0))
+        users.append(user)
+    doc = {
+        "schema": 1,
+        "region": {"dx": dx, "dy": dy, "dv": draw(_finite(1.0, 20.0))},
+        "defaults": {"beta": draw(_finite(0.0, 0.1)), "p_dbm": draw(_finite(0.0, 50.0))},
+        "users": users,
+    }
+    outage = draw(st.sampled_from(["none", "shared", "per-user"]))
+    if outage == "shared":
+        doc["outage"] = {"epsilon": draw(_finite(1e-4, 0.9))}
+    elif outage == "per-user":
+        doc["outage"] = {"epsilons": [draw(_finite(1e-4, 0.9)) for _ in range(n_users)]}
+    if draw(st.booleans()):
+        doc["tolerances"] = {"eps_t": draw(_finite(1e-6, 0.5)),
+                             "eps_u": draw(st.none() | _finite(1e-12, 1e-3)),
+                             "max_iter": draw(st.integers(1, 500))}
+    return doc
+
+
+@settings(max_examples=150)
+@given(scenario_docs())
+def test_parse_serialize_parse_round_trip(doc):
+    first = parse_scenario_dict(doc)
+    again = parse_scenario_dict(json.loads(serialize_scenario(first)))
+    assert again.scenario == first.scenario
+    assert again.outage == first.outage
+    assert again.tol_avg == first.tol_avg
+    assert again.tol_outage == first.tol_outage
+    assert again.document == first.document
+
+
+def _edited(path, value):
+    """BASE with the field at path (a tuple of keys/indices) set to value."""
+    doc = copy.deepcopy(BASE)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc, field", [
+    # unknown keys
+    (_edited(("extra",), 1), "extra"),
+    (_edited(("defaults",), {"bogus": 1.0}), "bogus"),
+    (_edited(("users", 1, "z"), 0.0), "users[1]"),
+    (_edited(("tolerances",), {"eps_x": 1.0}), "eps_x"),
+    # wrong types
+    (_edited(("region", "dx"), "30"), "region.dx"),
+    (_edited(("users", 0, "y"), True), "users[0].y"),
+    (_edited(("users",), {"x": 1.0}), "users"),
+    (_edited(("region",), [30.0]), "region"),
+    (_edited(("defaults",), [1.0]), "defaults"),
+    # non-finite numbers
+    (_edited(("defaults",), {"beta": math.nan}), "defaults.beta"),
+    (_edited(("region", "dv"), math.inf), "region.dv"),
+    (_edited(("users", 1, "x"), -math.inf), "users[1].x"),
+    (_edited(("region", "dx"), 10 ** 400), "region.dx"),
+    # outage section
+    (_edited(("outage", "epsilons"), [0.1]), "outage.epsilons"),
+    (_edited(("outage", "epsilons"), [0.1, 1.5]), "outage"),
+    (_edited(("outage",), {"epsilon": 0.1, "epsilons": [0.1, 0.1]}), "outage"),
+    # schema and required fields
+    (_edited(("schema",), 2), "schema"),
+    ({k: v for k, v in BASE.items() if k != "schema"}, "schema"),
+    ({k: v for k, v in BASE.items() if k != "users"}, "users"),
+    (_edited(("region",), {"dy": 10.0}), "dx"),
+    # values the model rejects
+    (_edited(("users", 0, "x"), 31.0), "users[0].x"),
+    (_edited(("tolerances",), {"eps_t": 0.0}), "eps_t"),
+    (_edited(("tolerances",), {"max_iter": 1.5}), "tolerances.max_iter"),
+])
+def test_format_errors_name_the_field(doc, field):
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario_dict(doc)
+    assert field in str(info.value)
+
+
+def test_top_level_must_be_an_object():
+    with pytest.raises(ScenarioFormatError, match="top level"):
+        parse_scenario_dict([BASE])
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_literals_rejected(tmp_path, literal):
+    # json.loads accepts these JavaScript literals; the parser must not
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(BASE).replace('"dv": 10.0', f'"dv": {literal}'), encoding="utf-8")
+    with pytest.raises(ScenarioFormatError, match="region.dv"):
+        load_scenario(path)
+
+
+def test_invalid_json_names_line_and_column(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"schema": 1,\n "region": }', encoding="utf-8")
+    with pytest.raises(ScenarioFormatError, match="line 2, column"):
+        load_scenario(path)
