@@ -451,6 +451,8 @@ def cmd_verify(args) -> int:
     bundle = _apply_tol_overrides(load_scenario(args.scenario), args)
     if args.samples < 1000:
         raise ScenarioFormatError("--samples below 1000 cannot support the oracle checks")
+    if not (math.isfinite(args.eta_scale) and args.eta_scale > 0.0):
+        raise ScenarioFormatError(f"--eta-scale must be finite and > 0, got {args.eta_scale}")
     checks = _verify_checks(bundle, args.samples, args.seed, args.eta_scale)
     for check in checks:
         status = "PASS" if check["pass"] else "FAIL"

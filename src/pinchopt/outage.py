@@ -6,6 +6,14 @@ bound U_m(t) on r_m^2, hence a position interval J_m(t). The intervals
 are nested in t, so the largest threshold with a nonempty intersection
 T(t) = ∩ J_m(t) is found by the same outer bisection as the average-SNR
 design, with the inner scalar inversion now running on the CCDF.
+
+The per-position objective (the polish of the outage solve) is the
+smallest of the users' threshold roots, but only the users that bind
+need one: the farthest user's root is bisected first, every other user
+is checked once at the running minimum and skipped if it meets its
+target there, and a user that misses it is bisected on [0, running
+minimum]. The result is feasible for every user and within
+_THRESHOLD_REL_TOL (1e-12) relative of the min of independent roots.
 """
 
 from __future__ import annotations
@@ -118,6 +126,22 @@ def default_threshold_ceiling(scenario: Scenario) -> float:
     )
 
 
+def _bisect_threshold(params, y: float, target: float, hi: float) -> float:
+    """Feasible lower end of [0, hi] after bisecting ccdf(y, t) >= target on t.
+
+    hi must miss the target; t = 0 always meets it. Stops at relative
+    width _THRESHOLD_REL_TOL.
+    """
+    lo = 0.0
+    while hi - lo > _THRESHOLD_REL_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        if ccdf_inst_snr(params, y, mid) >= target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def _threshold_root(params, y: float, epsilon: float) -> float:
     """Largest t with ccdf(y, t) >= 1 - epsilon, by bisection on t.
 
@@ -132,23 +156,29 @@ def _threshold_root(params, y: float, epsilon: float) -> float:
         hi *= 2.0
     else:
         raise SolverAnomaly(f"no finite threshold violates the outage target at y={y}")
-    lo = 0.0
-    while hi - lo > _THRESHOLD_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if ccdf_inst_snr(params, y, mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect_threshold(params, y, target, hi)
 
 
 def _min_threshold(scenario: Scenario, spec: OutageSpec, ys) -> float:
-    """min_m of the largest threshold user m meets at squared distance ys[m]."""
+    """min_m of the largest threshold user m meets at squared distance ys[m].
+
+    Only binding users are bisected. Users are visited farthest first (the
+    farthest always binds under shared channels and targets); the first
+    gets a full root, the running minimum cur. Each later user is checked
+    once at cur: meeting its target there, it cannot lower the minimum.
+    Otherwise cur certifies that user infeasible, so its root is bisected
+    on [0, cur] and becomes the new cur. The result meets every target and
+    lies within _THRESHOLD_REL_TOL relative of the min of independent roots.
+    """
     spec = spec.for_scenario(scenario)
-    return min(
-        _threshold_root(scenario.channels[m], ys[m], spec.epsilons[m])
-        for m in range(scenario.n_users)
-    )
+    order = sorted(range(scenario.n_users), key=lambda m: -ys[m])
+    first = order[0]
+    cur = _threshold_root(scenario.channels[first], ys[first], spec.epsilons[first])
+    for m in order[1:]:
+        params, target = scenario.channels[m], 1.0 - spec.epsilons[m]
+        if ccdf_inst_snr(params, ys[m], cur) < target:
+            cur = _bisect_threshold(params, ys[m], target, cur)
+    return cur
 
 
 def max_threshold_at(scenario: Scenario, spec: OutageSpec, x_pin: float) -> float:

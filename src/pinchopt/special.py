@@ -48,6 +48,12 @@ def marcum_q1(a: float, b: float) -> float:
     return kernels.marcum_q1_scalar(a, b)
 
 
+def _marcum_ab(params: ChannelParams, r_sq, t, sqrt=math.sqrt):
+    """a = sqrt(2 eta)/mu and b = sqrt(2 r^2 t/rho)/mu; sqrt=np.sqrt maps arrays."""
+    mu = math.sqrt(params.mu_sq)
+    return math.sqrt(2.0 * params.eta) / mu, sqrt(2.0 * r_sq * t / params.rho) / mu
+
+
 @dataclass(frozen=True)
 class MarcumArgs:
     """Rician-branch arguments: noncentrality a and normalized threshold b."""
@@ -62,9 +68,7 @@ class MarcumArgs:
     @classmethod
     def for_threshold(cls, params: ChannelParams, r_sq: float, t: float) -> "MarcumArgs":
         """a = sqrt(2 eta)/mu, b = sqrt(2) r sqrt(t/rho)/mu for threshold t."""
-        mu = math.sqrt(params.mu_sq)
-        a = math.sqrt(2.0 * params.eta) / mu
-        b = math.sqrt(2.0 * r_sq * t / params.rho) / mu
+        a, b = _marcum_ab(params, r_sq, t)
         return cls(a=a, b=b)
 
 
@@ -81,19 +85,17 @@ def ccdf_inst_snr(params: ChannelParams, r_sq: float, t: float) -> float:
         raise ValueError(f"squared distance must be positive, got {r_sq}")
     if t == 0.0:
         return 1.0  # SNR is almost surely nonnegative
-    args = MarcumArgs.for_threshold(params, r_sq, t)
+    a, b = _marcum_ab(params, r_sq, t)
     p_los = math.exp(-params.beta * r_sq)
     nlos_tail = math.exp(-t * r_sq / (params.rho * params.mu_sq))
-    value = p_los * kernels.marcum_q1_scalar(args.a, args.b) + (1.0 - p_los) * nlos_tail
+    value = p_los * kernels.marcum_q1_scalar(a, b) + (1.0 - p_los) * nlos_tail
     return min(max(value, 0.0), 1.0)
 
 
 def ccdf_inst_snr_batch(params: ChannelParams, r_sq, t) -> np.ndarray:
     """Vectorized ccdf_inst_snr over broadcastable arrays r_sq > 0, t >= 0."""
     r_sq, t = np.broadcast_arrays(np.asarray(r_sq, float), np.asarray(t, float))
-    mu = math.sqrt(params.mu_sq)
-    a = math.sqrt(2.0 * params.eta) / mu
-    b = np.sqrt(2.0 * r_sq * t / params.rho) / mu
+    a, b = _marcum_ab(params, r_sq, t, np.sqrt)
     q1 = kernels.marcum_q1_batch(np.full_like(b, a), b)
     p_los = np.exp(-params.beta * r_sq)
     with np.errstate(under="ignore"):

@@ -39,6 +39,12 @@ class TestVerify:
         assert failed == {"avg-snr-formula-vs-mc", "ccdf-formula-vs-mc"}
         assert doc["all_pass"] is False
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_eta_scale_is_invalid_input(self, two_user_file, capsys, value):
+        rc = cli.main(["verify", str(two_user_file), "--samples", "1000", "--eta-scale", value])
+        assert rc == cli.EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: --eta-scale ")
+
 
 def _write(tmp_path, doc):
     path = tmp_path / "scenario.json"

@@ -5,7 +5,9 @@ import pytest
 
 from pinchopt import (
     OutageSpec,
+    Scenario,
     SolverTolerances,
+    UserPosition,
     ccdf_inst_snr,
     feasibility_outage,
     fixed_antenna_outage_baseline,
@@ -15,9 +17,10 @@ from pinchopt import (
     squared_distance_range,
     user_interval_outage,
 )
+from pinchopt import outage
 
-from conftest import make_params, make_scenario, random_scenario
-from oracles import nlos_only_bound
+from conftest import ETA_28GHZ, make_params, make_scenario, random_scenario
+from oracles import marcum_q1_quad, nlos_only_bound
 
 TOL = SolverTolerances()
 
@@ -207,3 +210,87 @@ class TestFixedOutageBaseline:
         low = fixed_antenna_outage_baseline(make_scenario(users, beta=0.004), spec)
         high = fixed_antenna_outage_baseline(make_scenario(users, beta=0.008), spec)
         assert high.t_star < low.t_star
+
+
+def _heterogeneous_drop(rng, n_users):
+    """Random users with per-user beta, mu^2 and eta, and per-user outage targets."""
+    users = tuple(UserPosition(float(rng.uniform(0.0, 30.0)), float(rng.uniform(-5.0, 5.0)))
+                  for _ in range(n_users))
+    channels = tuple(make_params(beta=float(rng.uniform(1e-3, 1e-2)),
+                                 mu_sq=float(rng.uniform(0.3e-9, 3e-9)),
+                                 eta=ETA_28GHZ * float(rng.uniform(0.5, 2.0)))
+                     for _ in range(n_users))
+    spec = OutageSpec(epsilons=tuple(float(e) for e in rng.uniform(0.02, 0.3, n_users)))
+    return Scenario(dx=30.0, dy=10.0, dv=10.0, users=users, channels=channels), spec
+
+
+def _independent_root(params, y, epsilon):
+    """Largest t with ccdf(y, t) >= 1 - epsilon: doubling bracket, then bisection to 1e-14."""
+    target = 1.0 - epsilon
+    hi = 1.0
+    while ccdf_inst_snr(params, y, hi) >= target:
+        hi *= 2.0
+    lo = 0.0
+    while hi - lo > 1e-14 * hi:
+        mid = 0.5 * (lo + hi)
+        if ccdf_inst_snr(params, y, mid) >= target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _oracle_ccdf(params, y, t):
+    """The CCDF mixture with Q1 from the quadrature oracle."""
+    mu = math.sqrt(params.mu_sq)
+    a = math.sqrt(2.0 * params.eta) / mu
+    b = math.sqrt(2.0 * y * t / params.rho) / mu
+    p_los = math.exp(-params.beta * y)
+    return p_los * marcum_q1_quad(a, b) + (1.0 - p_los) * math.exp(-t * y / (params.rho * params.mu_sq))
+
+
+class TestPrunedObjective:
+    """max_threshold_at bisects only the binding users; it must match the min of all roots."""
+
+    @pytest.mark.parametrize("n_users", [1, 2, 3, 8, 16])
+    def test_matches_min_of_independent_roots(self, n_users):
+        rng = np.random.Generator(np.random.Philox(40 + n_users))
+        for trial in range(4):
+            sc, spec = _heterogeneous_drop(rng, n_users)
+            x_pin = float(rng.uniform(0.0, sc.dx))
+            ys = [(u.x - x_pin) ** 2 + u.y ** 2 + sc.dv ** 2 for u in sc.users]
+            reference = min(_independent_root(sc.channels[m], ys[m], spec.epsilons[m])
+                            for m in range(n_users))
+            t = max_threshold_at(sc, spec, x_pin)
+            assert t == pytest.approx(reference, rel=2e-12, abs=0.0)
+            if trial == 0:
+                # quadrature-oracle CCDF: every user meets its target at t, to the
+                # oracle's 1e-12 accuracy plus the package's Q1 error
+                for m in range(n_users):
+                    assert _oracle_ccdf(sc.channels[m], ys[m], t) >= 1.0 - spec.epsilons[m] - 1e-9
+
+    def test_bisects_only_the_binding_user(self, monkeypatch):
+        rng = np.random.Generator(np.random.Philox(48))
+        sc = random_scenario(rng, 32)
+        spec = OutageSpec.shared(0.1, 32)
+        x_pin = 0.5 * sc.dx
+        calls = 0
+        real = outage.ccdf_inst_snr
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(outage, "ccdf_inst_snr", counted)
+        root_calls = 0
+        for m in range(32):
+            calls = 0
+            y = (sc.users[m].x - x_pin) ** 2 + sc.c_const(m)
+            outage._threshold_root(sc.channels[m], y, 0.1)
+            root_calls = max(root_calls, calls)
+        calls = 0
+        max_threshold_at(sc, spec, x_pin)
+        # one full root for the farthest user (it binds under shared channels)
+        # and one check for each other user; a min of 32 roots costs ~32 roots
+        assert calls <= 3 * root_calls + 32
