@@ -1,12 +1,18 @@
 """Command-line front end.
 
-Subcommands:
+Subcommands and the options each takes besides -h/--help:
 
-    solve        optimize one scenario (avg-snr or outage metric)
-    sweep        parameter sweeps over up to two axes, CSV output
-    ccdf         analytic vs Monte-Carlo CCDF table for one link
-    verify       run the internal oracle suite on a scenario
-    closed-form  two-user closed-form solution
+    solve        one scenario: --metric -o/--out TOL --workers
+    sweep        CSV sweep over up to two axes: --metric --axis --drops --out
+                 TOL --seed --workers
+    ccdf         analytic vs Monte-Carlo CCDF of one link: --user --x-pin
+                 --t-min --t-max --t-points --t-scale --samples --out --seed
+                 --workers
+    verify       the oracle suite: --samples --eta-scale --report TOL --seed
+    closed-form  two-user closed-form solution: -o/--out
+
+TOL is --eps-t --eps-y --max-iter, overrides of the scenario's solver
+tolerances. --workers acts on sweep only; solve and ccdf ignore it.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 solver anomaly (certified infeasibility where none should exist),
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -31,7 +38,6 @@ from . import __version__
 from .maxmin import (
     BoundaryRegime,
     SolverAnomaly,
-    SolverTolerances,
     Solution,
     UnsupportedScenario,
     fixed_antenna_baseline,
@@ -69,13 +75,19 @@ SWEEP_COLUMNS = [
 CCDF_COLUMNS = ["t", "ccdf_analytic", "ccdf_mc", "mc_std_err"]
 
 
-def _common_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    parser.add_argument("--workers", type=int, default=1, help="parallel workers for sweeps")
-    parser.add_argument("--eps-t", type=float, default=None, help="override outer tolerance")
-    parser.add_argument("--eps-y", type=float, default=None, help="override inner m^2 tolerance (avg-snr)")
-    parser.add_argument("--eps-u", type=float, default=None, help="override inner m^2 tolerance (outage)")
-    parser.add_argument("--max-iter", type=int, default=None, help="override iteration cap")
+_FLAGS = {
+    "--eps-t": dict(type=float, help="override the relative outer tolerance on t"),
+    "--eps-y": dict(type=float, help="override the inner tolerance on r^2 in m^2 (both metrics)"),
+    "--max-iter": dict(type=int, help="override the outer iteration cap"),
+    "--seed": dict(type=int, default=0, help="base RNG seed (>= 0)"),
+    "--workers": dict(type=int, default=1, help="worker processes (>= 1); acts on sweep only"),
+}
+_TOLERANCE_FLAGS = ("--eps-t", "--eps-y", "--max-iter")
+
+
+def _add_flags(parser: argparse.ArgumentParser, *flags: str):
+    for flag in flags:
+        parser.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--metric", choices=["avg-snr", "outage"], required=True)
     p.add_argument("-o", "--out", default=None, help="result JSON path (default stdout)")
-    _common_flags(p)
+    _add_flags(p, *_TOLERANCE_FLAGS, "--workers")
 
     p = sub.add_parser("sweep", help="parameter sweep to CSV")
     p.add_argument("scenario")
@@ -101,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--drops", type=int, default=100, help="random user drops per grid point")
     p.add_argument("--out", required=True, help="output CSV path")
-    _common_flags(p)
+    _add_flags(p, *_TOLERANCE_FLAGS, "--seed", "--workers")
 
     p = sub.add_parser("ccdf", help="CCDF table: analytic vs Monte Carlo")
     p.add_argument("scenario")
@@ -113,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-scale", choices=["linear", "log"], default="linear")
     p.add_argument("--samples", type=int, default=200_000)
     p.add_argument("--out", required=True, help="output CSV path")
-    _common_flags(p)
+    _add_flags(p, "--seed", "--workers")
 
     p = sub.add_parser("verify", help="run the oracle suite")
     p.add_argument("scenario")
@@ -121,33 +133,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-scale", type=float, default=1.0,
                    help="negative control: scale eta on the analytic side only")
     p.add_argument("--report", default=None, help="also write a JSON report here")
-    _common_flags(p)
+    _add_flags(p, *_TOLERANCE_FLAGS, "--seed")
 
     p = sub.add_parser("closed-form", help="two-user closed-form solution")
     p.add_argument("scenario")
     p.add_argument("-o", "--out", default=None)
-    _common_flags(p)
 
     return parser
 
 
 def _apply_tol_overrides(bundle: ScenarioBundle, args) -> ScenarioBundle:
-    def override(tol: SolverTolerances, inner_flag: str, inner: float | None) -> SolverTolerances:
-        for field, flag, value in (("eps_t", "--eps-t", args.eps_t),
-                                   ("eps_y", inner_flag, inner),
-                                   ("max_iter", "--max-iter", args.max_iter)):
-            if value is not None:
-                try:
-                    tol = replace(tol, **{field: value})
-                except ValueError as exc:
-                    raise ScenarioFormatError(f"{flag}: {exc}") from exc
-        return tol
+    tol = bundle.tol
+    for field, flag in (("eps_t", "--eps-t"), ("eps_y", "--eps-y"), ("max_iter", "--max-iter")):
+        value = getattr(args, field)
+        if value is not None:
+            try:
+                tol = replace(tol, **{field: value})
+            except ValueError as exc:
+                raise ScenarioFormatError(f"{flag}: {exc}") from exc
+    return replace(bundle, tol=tol)
 
-    return replace(
-        bundle,
-        tol_avg=override(bundle.tol_avg, "--eps-y", args.eps_y),
-        tol_outage=override(bundle.tol_outage, "--eps-u", args.eps_u),
-    )
+
+def _check_seed_and_workers(args):
+    """--seed and --workers, where a subcommand takes them, must be in range."""
+    for flag, least in (("seed", 0), ("workers", 1)):
+        value = getattr(args, flag, least)
+        if value < least:
+            raise ScenarioFormatError(f"--{flag}: must be >= {least}, got {value}")
 
 
 def _solution_dict(sol: Solution) -> dict:
@@ -171,12 +183,12 @@ def _emit(text: str, out_path: str | None):
 
 def _solve_pair(bundle: ScenarioBundle, metric: str):
     if metric == "avg-snr":
-        pin = solve_maxmin(bundle.scenario, bundle.tol_avg)
+        pin = solve_maxmin(bundle.scenario, bundle.tol)
         fix = fixed_antenna_baseline(bundle.scenario)
     else:
         if bundle.outage is None:
             raise ScenarioFormatError("outage metric needs an 'outage' section in the scenario")
-        pin = solve_outage(bundle.scenario, bundle.outage, bundle.tol_outage)
+        pin = solve_outage(bundle.scenario, bundle.outage, bundle.tol)
         fix = fixed_antenna_outage_baseline(bundle.scenario, bundle.outage)
     return pin, fix
 
@@ -299,26 +311,18 @@ def cmd_sweep(args) -> int:
     names = [name for name, _ in axes]
     redraw = args.drops > 1 or "m" in names or "dx" in names
     tasks = []
-    point_index = 0
-    grids = [axes[0][1], axes[1][1] if len(axes) == 2 else [None]]
-    for v1 in grids[0]:
-        for v2 in grids[1]:
-            overrides = {names[0]: v1}
-            axis_cells = [(names[0], v1), ("", "")]
-            if len(axes) == 2:
-                overrides[names[1]] = v2
-                axis_cells[1] = (names[1], v2)
-            tasks.append({
-                "bundle": bundle,
-                "metric": args.metric,
-                "overrides": overrides,
-                "axes": axis_cells,
-                "drops": args.drops,
-                "seed": args.seed,
-                "point_index": point_index,
-                "redraw_users": redraw,
-            })
-            point_index += 1
+    for point_index, values in enumerate(itertools.product(*(grid for _, grid in axes))):
+        overrides = dict(zip(names, values))
+        tasks.append({
+            "bundle": bundle,
+            "metric": args.metric,
+            "overrides": overrides,
+            "axes": list(overrides.items()) + [("", "")] * (2 - len(axes)),
+            "drops": args.drops,
+            "seed": args.seed,
+            "point_index": point_index,
+            "redraw_users": redraw,
+        })
     if args.metric == "outage" and bundle.outage is None and "epsilon" not in names:
         raise ScenarioFormatError("outage sweep needs an epsilon axis or outage section")
     if args.workers > 1:
@@ -334,8 +338,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_ccdf(args) -> int:
-    bundle = _apply_tol_overrides(load_scenario(args.scenario), args)
-    scenario = bundle.scenario
+    scenario = load_scenario(args.scenario).scenario
     if not 0 <= args.user < scenario.n_users:
         raise ScenarioFormatError(f"user index {args.user} out of range")
     if not 0.0 <= args.x_pin <= scenario.dx:
@@ -402,9 +405,9 @@ def _verify_checks(bundle: ScenarioBundle, samples: int, seed: int, eta_scale: f
                    "detail": f"max |analytic-mc| = {worst:.3f} of 3 std errors"})
 
     # Bisection solver vs grid search on the scenario itself.
-    sol = solve_maxmin(scenario, bundle.tol_avg)
+    sol = solve_maxmin(scenario, bundle.tol)
     grid = grid_search_maxmin(scenario, 20_001)
-    slack = bundle.tol_avg.eps_t + grid.meta["t_slack"] / max(grid.t_star, 1e-300) + 1e-9
+    slack = bundle.tol.eps_t + grid.meta["t_slack"] / max(grid.t_star, 1e-300) + 1e-9
     rel = abs(sol.t_star - grid.t_star) / max(sol.t_star, 1e-300)
     checks.append({"name": "maxmin-bisection-vs-grid", "pass": bool(rel <= slack),
                    "detail": f"relative gap {rel:.2e} vs slack {slack:.2e}"})
@@ -416,23 +419,23 @@ def _verify_checks(bundle: ScenarioBundle, samples: int, seed: int, eta_scale: f
     two = Scenario(dx=scenario.dx, dy=scenario.dy, dv=scenario.dv,
                    users=(u0, u1), channels=(scenario.channels[0], scenario.channels[0]))
     closed = two_user_closed_form(two)
-    bisected = solve_maxmin(two, bundle.tol_avg)
+    bisected = solve_maxmin(two, bundle.tol)
     rel = abs(closed.t_star - bisected.t_star) / closed.t_star
-    checks.append({"name": "two-user-closed-form-vs-bisection", "pass": bool(rel <= 10.0 * bundle.tol_avg.eps_t),
-                   "detail": f"relative gap {rel:.2e} vs {10.0 * bundle.tol_avg.eps_t:.2e}"})
+    checks.append({"name": "two-user-closed-form-vs-bisection", "pass": bool(rel <= 10.0 * bundle.tol.eps_t),
+                   "detail": f"relative gap {rel:.2e} vs {10.0 * bundle.tol.eps_t:.2e}"})
 
     # Outage solver vs its grid oracle. The grid can trail the solver by one
     # t-grid step plus the x-discretization loss, measured exactly by the
     # continuous per-position optimum at the grid point nearest x_star.
     spec = bundle.outage or OutageSpec.shared(0.1, scenario.n_users)
-    sol_o = solve_outage(scenario, spec, bundle.tol_outage)
+    sol_o = solve_outage(scenario, spec, bundle.tol)
     grid_o = grid_search_outage(scenario, spec, 2_001, 501)
     x_near = round(sol_o.x_star / grid_o.meta["x_spacing"]) * grid_o.meta["x_spacing"]
     t_at_near = max_threshold_at(scenario, spec, min(x_near, scenario.dx))
     shortfall = sol_o.t_star - grid_o.t_star
     allowed = (sol_o.t_star - t_at_near) + grid_o.meta["t_spacing"] \
-        + bundle.tol_outage.eps_t * sol_o.t_star
-    overshoot = grid_o.t_star - sol_o.t_star * (1.0 + bundle.tol_outage.eps_t)
+        + bundle.tol.eps_t * sol_o.t_star
+    overshoot = grid_o.t_star - sol_o.t_star * (1.0 + bundle.tol.eps_t)
     ok_o = shortfall <= allowed + 1e-12 * sol_o.t_star and overshoot <= 0.0
     checks.append({"name": "outage-bisection-vs-grid", "pass": bool(ok_o),
                    "detail": f"shortfall {shortfall:.3e} vs allowed {allowed:.3e}"})
@@ -468,7 +471,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_closed_form(args) -> int:
-    bundle = _apply_tol_overrides(load_scenario(args.scenario), args)
+    bundle = load_scenario(args.scenario)
     sol = two_user_closed_form(bundle.scenario)
     doc = {
         "schema": 1,
@@ -491,19 +494,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # usage error (2), --help or --version (0)
+        return exc.code
+    try:
+        _check_seed_and_workers(args)
         return _COMMANDS[args.command](args)
-    except (ScenarioFormatError, InvalidScenario, UnsupportedScenario) as exc:
+    except (ScenarioFormatError, InvalidScenario, UnsupportedScenario, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
     except (SolverAnomaly, BoundaryRegime) as exc:
         sys.stderr.write(f"solver error: {exc}\n")
         return EXIT_SOLVER
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
     except Exception as exc:
         traceback.print_exc()
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")

@@ -30,8 +30,8 @@ EXP_ARG_LIMIT = 700.0
 SATURATION_GAP = 14.0
 
 
-def _i0_scaled(x: float) -> float:
-    """e^{-x} I0(x) for x >= 0: Taylor series to 15, asymptotic beyond."""
+def i0_scaled(x: float) -> float:
+    """Scalar e^{-x} I0(x) for x >= 0: Taylor series to 15, asymptotic beyond."""
     if x <= 15.0:
         q = 0.25 * x * x
         term = 1.0
@@ -97,7 +97,7 @@ def _marcum_bessel(a: float, b: float) -> float:
     pref = math.exp(-0.5 * (a - b) * (a - b))
     if a <= b:
         ratio = a / b
-        ik = _i0_scaled(x)
+        ik = i0_scaled(x)
         rk = 1.0
         s = 0.0
         for k in range(k_max + 1):
@@ -110,7 +110,7 @@ def _marcum_bessel(a: float, b: float) -> float:
         out = pref * s
         return 1.0 if out > 1.0 else out
     ratio = b / a
-    ik = _i0_scaled(x) * ratios[0]
+    ik = i0_scaled(x) * ratios[0]
     rk = ratio
     s = 0.0
     for k in range(1, k_max + 1):
@@ -128,8 +128,8 @@ def _marcum_bessel(a: float, b: float) -> float:
     return out
 
 
-def _marcum_q1_scalar(a: float, b: float) -> float:
-    """Full Q1 dispatch; assumes a, b >= 0 (validated by the public API)."""
+def marcum_q1_scalar(a: float, b: float) -> float:
+    """Scalar Q1 (full dispatch; arguments assumed nonnegative)."""
     if b == 0.0:
         return 1.0
     if a == 0.0:
@@ -180,7 +180,9 @@ def _marcum_batch_numpy(a, b):
         out[sat_zero] = 0.0
         band = hard & ~sat_one & ~sat_zero
         if np.any(band):
-            out[band] = [_marcum_q1_scalar(float(ai), float(bi))
+            # nonnegative lanes outside the series region and the saturation
+            # gap have a, b > 0: the scalar dispatch would reach this form too
+            out[band] = [_marcum_bessel(float(ai), float(bi))
                          for ai, bi in zip(a[band], b[band])]
     return out
 
@@ -198,20 +200,10 @@ def snr_samples(u, z_re, z_im, p_los, los_amp, nlos_scale, cos_ph, sin_ph, rho):
 
 
 def marcum_q1_batch(a, b):
-    """Batched Q1 over float64 arrays of any shape."""
+    """Batched Q1 over float64 arrays of any shape (arguments assumed nonnegative)."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
     shape = np.broadcast_shapes(a.shape, b.shape)
     a = np.broadcast_to(a, shape).ravel()
     b = np.broadcast_to(b, shape).ravel()
     return _marcum_batch_numpy(a, b).reshape(shape)
-
-
-def marcum_q1_scalar(a: float, b: float) -> float:
-    """Scalar Q1 (full dispatch; arguments assumed nonnegative)."""
-    return _marcum_q1_scalar(a, b)
-
-
-def i0_scaled(x: float) -> float:
-    """Scalar e^{-x} I0(x) (argument assumed nonnegative)."""
-    return _i0_scaled(x)

@@ -90,9 +90,9 @@ class Interval:
 
 @dataclass(frozen=True)
 class SolverTolerances:
-    """eps_t: relative outer tolerance on t; eps_y: absolute inner tolerance
-    in m^2 (None selects 1e-9 * y_max per user); max_iter caps the outer loop.
-    The inner tolerance doubles as eps_u for the outage solver."""
+    """eps_t: relative outer tolerance on t; eps_y: absolute tolerance in m^2 of
+    the inner inversion on r^2, one for both metrics (invert_f, invert_ccdf;
+    None selects 1e-9 * y_max per user); max_iter caps the outer loop."""
 
     eps_t: float = 1e-3
     eps_y: float | None = None

@@ -39,6 +39,8 @@ class McConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
 

@@ -4,7 +4,9 @@ Keys carry their unit in the name (p_dbm, fc_hz, mu_sq_db) because the
 source material mixes dB, dBm and linear scales freely. Missing defaults
 fall back to the reference simulation setup: f_c = 28 GHz, d_v = 10 m,
 P = 40 dBm, sigma^2 = -90 dBm, mu^2 = -90 dB, D_y = 10 m, beta = 0.01,
-guide index 1.4, eps_t = 1e-3.
+guide index 1.4. "tolerances" sets the one SolverTolerances of both metrics:
+eps_t = 1e-3 on the level t, max_iter = 200, and eps_y, the inner tolerance
+on r^2 in m^2 (default 1e-9 of each user's largest r^2).
 
 Example document:
 
@@ -49,7 +51,7 @@ DEFAULTS = {
     "guide_index": 1.4,
 }
 REGION_DEFAULTS = {"dy": 10.0, "dv": 10.0}
-TOLERANCE_DEFAULTS = {"eps_t": 1e-3, "eps_y": None, "eps_u": None, "max_iter": 200}
+TOLERANCE_DEFAULTS = {"eps_t": 1e-3, "eps_y": None, "max_iter": 200}
 
 _USER_KEYS = {"x", "y", "noise_dbm", "mu_sq_db"}
 
@@ -64,8 +66,7 @@ class ScenarioBundle:
 
     scenario: Scenario
     outage: OutageSpec | None
-    tol_avg: SolverTolerances
-    tol_outage: SolverTolerances
+    tol: SolverTolerances
     document: dict
     name: str = "scenario"
 
@@ -191,8 +192,7 @@ def parse_scenario_dict(doc: dict, name: str = "scenario") -> ScenarioBundle:
         elif value is not None:
             tols[key] = _number(value, f"tolerances.{key}")
     try:
-        tol_avg = SolverTolerances(eps_t=tols["eps_t"], eps_y=tols["eps_y"], max_iter=tols["max_iter"])
-        tol_outage = SolverTolerances(eps_t=tols["eps_t"], eps_y=tols["eps_u"], max_iter=tols["max_iter"])
+        tol = SolverTolerances(**tols)
     except ValueError as exc:
         raise ScenarioFormatError(f"tolerances: {exc}") from exc
 
@@ -208,8 +208,7 @@ def parse_scenario_dict(doc: dict, name: str = "scenario") -> ScenarioBundle:
     return ScenarioBundle(
         scenario=scenario,
         outage=outage,
-        tol_avg=tol_avg,
-        tol_outage=tol_outage,
+        tol=tol,
         document=document,
         name=name,
     )

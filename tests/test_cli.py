@@ -1,5 +1,6 @@
 """CLI checks through ``cli.main(argv)``, in process."""
 
+import argparse
 import json
 
 import pytest
@@ -79,12 +80,28 @@ class TestSolve:
 
     @pytest.mark.parametrize("flag, value", [
         ("--eps-t", "-1"), ("--eps-t", "nan"), ("--eps-t", "inf"), ("--eps-y", "0"),
-        ("--eps-u", "nan"), ("--max-iter", "0"),
+        ("--max-iter", "0"),
     ])
     def test_bad_tolerance_flag_is_invalid_input(self, two_user_file, capsys, flag, value):
         rc = cli.main(["solve", str(two_user_file), "--metric", "avg-snr", flag, value])
         assert rc == cli.EXIT_INVALID
         assert capsys.readouterr().err.startswith(f"error: {flag}:")
+
+    def test_inner_tolerance_flag_reaches_the_outage_solver(self, tmp_path):
+        path = _write(tmp_path, dict(TWO_USERS, outage={"epsilon": 0.1}))
+        bounds = []
+        for flags in ([], ["--eps-y", "1e3"]):
+            out = tmp_path / "out.json"
+            rc = cli.main(["solve", path, "--metric", "outage", "-o", str(out)] + flags)
+            assert rc == cli.EXIT_OK
+            bounds.append(json.loads(out.read_text(encoding="utf-8"))["pinching"]["per_user_bounds"])
+        assert bounds[0] != bounds[1]
+
+    def test_retired_eps_u_field_is_invalid_input(self, tmp_path, capsys):
+        path = _write(tmp_path, dict(TWO_USERS, tolerances={"eps_u": 1e-6}))
+        rc = cli.main(["solve", path, "--metric", "avg-snr"])
+        assert rc == cli.EXIT_INVALID
+        assert "tolerances: unknown field 'eps_u'" in capsys.readouterr().err
 
     def test_non_finite_scenario_value_is_invalid_input(self, tmp_path, capsys):
         path = _write(tmp_path, dict(TWO_USERS, defaults={"beta": float("nan")}))
@@ -169,3 +186,69 @@ def test_ccdf_bad_flag_is_invalid_input(two_user_file, tmp_path, capsys, flags, 
 def test_closed_form(two_user_file, capsys):
     assert cli.main(["closed-form", str(two_user_file)]) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["metric"] == "avg-snr-closed-form"
+
+
+def _subcommand_options():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: {a.option_strings[-1] for a in p._actions if a.option_strings}
+            for name, p in sub.choices.items()}
+
+
+_TOLERANCES = {"--eps-t", "--eps-y", "--max-iter"}
+
+
+def test_each_subcommand_takes_only_the_options_that_act_on_it():
+    # --workers on solve and ccdf is the one option that does nothing there
+    options = _subcommand_options()
+    assert options == {
+        "solve": {"--help", "--metric", "--out", "--workers"} | _TOLERANCES,
+        "sweep": {"--help", "--metric", "--axis", "--drops", "--out", "--seed", "--workers"} | _TOLERANCES,
+        "ccdf": {"--help", "--user", "--x-pin", "--t-min", "--t-max", "--t-points", "--t-scale",
+                 "--samples", "--out", "--seed", "--workers"},
+        "verify": {"--help", "--samples", "--eta-scale", "--report", "--seed"} | _TOLERANCES,
+        "closed-form": {"--help", "--out"},
+    }
+    assert sum(len(taken) for taken in options.values()) == 38
+
+
+def _argv(command, path, tmp_path):
+    out = str(tmp_path / "out.csv")
+    return {
+        "solve": ["solve", path, "--metric", "avg-snr"],
+        "sweep": ["sweep", path, "--metric", "avg-snr", "--axis", "beta=0.01:0.01:1", "--drops", "1",
+                  "--out", out],
+        "ccdf": ["ccdf", path, "--x-pin", "6.0", "--t-points", "2", "--samples", "1000", "--out", out],
+        "verify": ["verify", path, "--samples", "1000"],
+        "closed-form": ["closed-form", path],
+    }[command]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("sweep", "--seed", "-1"), ("ccdf", "--seed", "-1"), ("verify", "--seed", "-1"),
+    ("sweep", "--workers", "0"), ("sweep", "--workers", "-3"),
+    ("solve", "--workers", "0"), ("ccdf", "--workers", "-3"),
+])
+def test_out_of_range_seed_or_workers_is_invalid_input(two_user_file, tmp_path, capsys,
+                                                         command, flag, value):
+    rc = cli.main(_argv(command, str(two_user_file), tmp_path) + [flag, value])
+    assert rc == cli.EXIT_INVALID
+    assert capsys.readouterr().err.startswith(f"error: {flag}:")
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("closed-form", "--eps-t", "0.1"), ("closed-form", "--seed", "7"), ("closed-form", "--workers", "9"),
+    ("solve", "--eps-u", "nan"), ("solve", "--seed", "7"), ("ccdf", "--eps-y", "1e-6"),
+    ("ccdf", "--max-iter", "5"), ("verify", "--workers", "2"), ("sweep", "--eps-u", "1e-6"),
+])
+def test_flag_a_subcommand_does_not_take_is_a_usage_error(two_user_file, tmp_path, capsys,
+                                                          command, flag, value):
+    rc = cli.main(_argv(command, str(two_user_file), tmp_path) + [flag, value])
+    assert rc == cli.EXIT_INVALID
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["solve", "--help"]])
+def test_version_and_help_return_zero(argv, capsys):
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out

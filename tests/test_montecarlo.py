@@ -32,6 +32,8 @@ class TestMcConfig:
             McConfig(samples=0)
         with pytest.raises(ValueError):
             McConfig(batch=0)
+        with pytest.raises(ValueError, match="seed"):
+            McConfig(seed=-1)
 
 
 class TestSampleChannelPower:

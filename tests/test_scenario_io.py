@@ -53,7 +53,7 @@ def scenario_docs(draw):
         doc["outage"] = {"epsilons": [draw(_finite(1e-4, 0.9)) for _ in range(n_users)]}
     if draw(st.booleans()):
         doc["tolerances"] = {"eps_t": draw(_finite(1e-6, 0.5)),
-                             "eps_u": draw(st.none() | _finite(1e-12, 1e-3)),
+                             "eps_y": draw(st.none() | _finite(1e-12, 1e-3)),
                              "max_iter": draw(st.integers(1, 500))}
     return doc
 
@@ -65,8 +65,7 @@ def test_parse_serialize_parse_round_trip(doc):
     again = parse_scenario_dict(json.loads(serialize_scenario(first)))
     assert again.scenario == first.scenario
     assert again.outage == first.outage
-    assert again.tol_avg == first.tol_avg
-    assert again.tol_outage == first.tol_outage
+    assert again.tol == first.tol
     assert again.document == first.document
 
 
@@ -110,6 +109,8 @@ def _edited(path, value):
     (_edited(("users", 0, "x"), 31.0), "users[0].x"),
     (_edited(("tolerances",), {"eps_t": 0.0}), "eps_t"),
     (_edited(("tolerances",), {"max_iter": 1.5}), "tolerances.max_iter"),
+    # retired field: one inner tolerance, eps_y, serves both metrics
+    (_edited(("tolerances",), {"eps_u": 1e-6}), "tolerances: unknown field 'eps_u'"),
 ])
 def test_format_errors_name_the_field(doc, field):
     with pytest.raises(ScenarioFormatError) as info:
