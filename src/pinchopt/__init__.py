@@ -16,13 +16,11 @@ from .maxmin import (
     SolverTolerances,
     Solution,
     UnsupportedScenario,
-    feasibility_avg,
     fixed_antenna_baseline,
     invert_f,
     min_avg_snr,
     solve_maxmin,
     two_user_closed_form,
-    user_interval_avg,
 )
 from .model import (
     ChannelParams,
@@ -30,32 +28,26 @@ from .model import (
     Scenario,
     SquaredDistanceRange,
     UserPosition,
-    avg_snr,
     dbm_to_linear,
     distance_squared,
     eta_from_carrier,
     f_scalar,
-    los_probability,
     squared_distance_range,
 )
 from .montecarlo import (
     McConfig,
     McEstimate,
     estimate_avg_snr,
-    estimate_ccdf,
     estimate_ccdf_curve,
     grid_search_maxmin,
     grid_search_outage,
-    sample_channel_power,
 )
 from .outage import (
     OutageSpec,
-    feasibility_outage,
     fixed_antenna_outage_baseline,
     invert_ccdf,
     max_threshold_at,
     solve_outage,
-    user_interval_outage,
 )
 from .scenario_io import (
     ScenarioBundle,
@@ -64,7 +56,7 @@ from .scenario_io import (
     parse_scenario_dict,
     serialize_scenario,
 )
-from .special import MarcumArgs, bessel_i0_scaled, ccdf_inst_snr, ccdf_inst_snr_batch, marcum_q1
+from .special import ccdf_inst_snr, ccdf_inst_snr_batch, marcum_q1
 
 __all__ = [
     "BoundaryRegime",
@@ -72,7 +64,6 @@ __all__ = [
     "InfeasibleThreshold",
     "Interval",
     "InvalidScenario",
-    "MarcumArgs",
     "McConfig",
     "McEstimate",
     "OutageSpec",
@@ -85,19 +76,14 @@ __all__ = [
     "SquaredDistanceRange",
     "UnsupportedScenario",
     "UserPosition",
-    "avg_snr",
-    "bessel_i0_scaled",
     "ccdf_inst_snr",
     "ccdf_inst_snr_batch",
     "dbm_to_linear",
     "distance_squared",
     "estimate_avg_snr",
-    "estimate_ccdf",
     "estimate_ccdf_curve",
     "eta_from_carrier",
     "f_scalar",
-    "feasibility_avg",
-    "feasibility_outage",
     "fixed_antenna_baseline",
     "fixed_antenna_outage_baseline",
     "grid_search_maxmin",
@@ -105,17 +91,13 @@ __all__ = [
     "invert_ccdf",
     "invert_f",
     "load_scenario",
-    "los_probability",
     "marcum_q1",
     "max_threshold_at",
     "min_avg_snr",
     "parse_scenario_dict",
-    "sample_channel_power",
     "serialize_scenario",
     "solve_maxmin",
     "solve_outage",
     "squared_distance_range",
     "two_user_closed_form",
-    "user_interval_avg",
-    "user_interval_outage",
 ]

@@ -11,7 +11,7 @@ Subcommands and the options each takes besides -h/--help:
     verify       the oracle suite: --samples --eta-scale --report TOL --seed
     closed-form  two-user closed-form solution: -o/--out
 
-TOL is --eps-t --eps-y --max-iter, overrides of the scenario's solver
+TOL is --eps-t --eps-y, overrides of the scenario's solver
 tolerances. --workers acts on sweep only; solve and ccdf ignore it.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
@@ -44,7 +44,7 @@ from .maxmin import (
     solve_maxmin,
     two_user_closed_form,
 )
-from .model import ChannelParams, InvalidScenario, Scenario, UserPosition, avg_snr, distance_squared
+from .model import ChannelParams, InvalidScenario, Scenario, UserPosition, distance_squared, f_scalar
 from .montecarlo import (
     McConfig,
     estimate_avg_snr,
@@ -78,11 +78,10 @@ CCDF_COLUMNS = ["t", "ccdf_analytic", "ccdf_mc", "mc_std_err"]
 _FLAGS = {
     "--eps-t": dict(type=float, help="override the relative outer tolerance on t"),
     "--eps-y": dict(type=float, help="override the inner tolerance on r^2 in m^2 (both metrics)"),
-    "--max-iter": dict(type=int, help="override the outer iteration cap"),
     "--seed": dict(type=int, default=0, help="base RNG seed (>= 0)"),
     "--workers": dict(type=int, default=1, help="worker processes (>= 1); acts on sweep only"),
 }
-_TOLERANCE_FLAGS = ("--eps-t", "--eps-y", "--max-iter")
+_TOLERANCE_FLAGS = ("--eps-t", "--eps-y")
 
 
 def _add_flags(parser: argparse.ArgumentParser, *flags: str):
@@ -144,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_tol_overrides(bundle: ScenarioBundle, args) -> ScenarioBundle:
     tol = bundle.tol
-    for field, flag in (("eps_t", "--eps-t"), ("eps_y", "--eps-y"), ("max_iter", "--max-iter")):
+    for field, flag in (("eps_t", "--eps-t"), ("eps_y", "--eps-y")):
         value = getattr(args, field)
         if value is not None:
             try:
@@ -325,8 +324,9 @@ def cmd_sweep(args) -> int:
         })
     if args.metric == "outage" and bundle.outage is None and "epsilon" not in names:
         raise ScenarioFormatError("outage sweep needs an epsilon axis or outage section")
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    workers = min(args.workers, len(tasks))  # a fork pool starts every worker at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, tasks))
     else:
         rows = [_sweep_point(task) for task in tasks]
@@ -384,7 +384,7 @@ def _verify_checks(bundle: ScenarioBundle, samples: int, seed: int, eta_scale: f
         params = scenario.channels[m]
         r_sq = distance_squared(scenario.users[m], scenario.dv, 0.5 * scenario.dx)
         est = estimate_avg_snr(params, r_sq, McConfig(samples=samples, seed=seed + m))
-        analytic = avg_snr(corrupted(params), r_sq)
+        analytic = f_scalar(corrupted(params), r_sq)
         worst = max(worst, abs(analytic - est.mean) / (3.0 * est.std_error))
     checks.append({"name": "avg-snr-formula-vs-mc", "pass": bool(worst <= 1.0),
                    "detail": f"max |analytic-mc| = {worst:.3f} of 3 std errors"})

@@ -1,6 +1,6 @@
 """Max-min average-SNR antenna placement via nested-interval bisection.
 
-For a target level t, user m's constraint avg_snr >= t is equivalent to
+For a target level t, user m's constraint (average SNR >= t) is equivalent to
 r_m^2(x) <= alpha_m(t) with f(alpha_m(t)) = t, so the feasible positions
 form the interval [x_m - d_m, x_m + d_m] ∩ [0, dx], d_m =
 sqrt(max(alpha_m - C_m, 0)). Intersections of such intervals shrink
@@ -18,7 +18,6 @@ from .model import (
     InvalidScenario,
     Scenario,
     SquaredDistanceRange,
-    avg_snr,
     distance_squared,
     f_scalar,
     squared_distance_range,
@@ -31,6 +30,8 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _POLISH_XTOL_REL = 1e-11
 # Cap on doublings of an upper bracket that turned out to be feasible.
 _BRACKET_DOUBLINGS = 80
+# Cap on outer bisection steps; it binds only when eps_t is finer than double spacing.
+_MAX_BISECTIONS = 200
 
 
 class InfeasibleThreshold(Exception):
@@ -65,19 +66,6 @@ class Interval:
     def make_empty(cls) -> "Interval":
         return cls(empty=True)
 
-    @property
-    def width(self) -> float:
-        return 0.0 if self.empty else self.hi - self.lo
-
-    @property
-    def midpoint(self) -> float:
-        if self.empty:
-            raise ValueError("empty interval has no midpoint")
-        return 0.5 * (self.lo + self.hi)
-
-    def contains(self, x: float, slack: float = 0.0) -> bool:
-        return (not self.empty) and self.lo - slack <= x <= self.hi + slack
-
     def intersect(self, other: "Interval") -> "Interval":
         if self.empty or other.empty:
             return Interval.make_empty()
@@ -92,19 +80,16 @@ class Interval:
 class SolverTolerances:
     """eps_t: relative outer tolerance on t; eps_y: absolute tolerance in m^2 of
     the inner inversion on r^2, one for both metrics (invert_f, invert_ccdf;
-    None selects 1e-9 * y_max per user); max_iter caps the outer loop."""
+    None selects 1e-9 * y_max per user)."""
 
     eps_t: float = 1e-3
     eps_y: float | None = None
-    max_iter: int = 200
 
     def __post_init__(self):
         if not 0.0 < self.eps_t < math.inf:
             raise ValueError(f"eps_t must be finite and positive, got {self.eps_t}")
         if self.eps_y is not None and not 0.0 < self.eps_y < math.inf:
             raise ValueError(f"eps_y must be finite and positive, got {self.eps_y}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
     def inner_tol(self, rng: SquaredDistanceRange) -> float:
         return self.eps_y if self.eps_y is not None else AUTO_EPS_Y_REL * rng.y_max
@@ -200,22 +185,10 @@ def _avg_bound(scenario: Scenario, tol: SolverTolerances):
     return bound, gamma_max
 
 
-def user_interval_avg(scenario: Scenario, user_index: int, t: float, tol: SolverTolerances) -> Interval:
-    """Feasible positions for one user at level t: |x_m - x| <= d_m, clipped."""
-    bound, _ = _avg_bound(scenario, tol)
-    return _interval_from_bound(scenario, user_index, bound(user_index, t))
-
-
-def feasibility_avg(scenario: Scenario, t: float, tol: SolverTolerances | None = None) -> Interval:
-    """Intersection of all per-user feasibility intervals at level t."""
-    bound, _ = _avg_bound(scenario, tol or SolverTolerances())
-    return _feasible_set(scenario, bound, t)[0]
-
-
 def min_avg_snr(scenario: Scenario, x_pin: float) -> float:
     """Worst-user average SNR at a given antenna position (the objective)."""
     return min(
-        avg_snr(scenario.channels[m], distance_squared(scenario.users[m], scenario.dv, x_pin))
+        f_scalar(scenario.channels[m], distance_squared(scenario.users[m], scenario.dv, x_pin))
         for m in range(scenario.n_users)
     )
 
@@ -263,7 +236,7 @@ def _solve_nested(scenario: Scenario, bound, objective, t_hi: float,
     t_lo = 0.0
     interval, bounds = _feasible_set(scenario, bound, 0.0)
     iters = 0
-    while iters < tol.max_iter:
+    while iters < _MAX_BISECTIONS:
         if t_lo > 0.0 and t_hi - t_lo <= tol.eps_t * t_lo:
             break
         t_mid = 0.5 * (t_lo + t_hi)
@@ -274,7 +247,7 @@ def _solve_nested(scenario: Scenario, bound, objective, t_hi: float,
         else:
             t_lo, interval, bounds = t_mid, mid, mid_bounds
     if t_lo <= 0.0:
-        raise SolverAnomaly("no positive feasible level found within max_iter")
+        raise SolverAnomaly(f"no positive feasible level found in {_MAX_BISECTIONS} bisections")
     x_star = _argmax_quasiconcave(objective, interval.lo, interval.hi)
     return Solution(
         t_star=objective(x_star),

@@ -12,7 +12,7 @@ blocked with probability 1 - exp(-beta r^2)) plus circularly-symmetric
 Gaussian NLoS scattering of average power mu_sq/r^2. Averaging the
 instantaneous SNR rho*|h|^2 over blockage and fading gives
 
-    avg_snr = rho * (eta * exp(-beta r^2) + mu_sq) / r^2,
+    avg SNR = rho * (eta * exp(-beta r^2) + mu_sq) / r^2,
 
 and the same expression as a function of the squared distance y is the
 strictly decreasing scalar function ``f_scalar`` that both solvers invert.
@@ -139,11 +139,6 @@ def distance_squared(user: UserPosition, dv: float, x_pin: float) -> float:
     return dx_ * dx_ + user.y * user.y + dv * dv
 
 
-def los_probability(params: ChannelParams, r_sq: float) -> float:
-    """Distance-dependent LoS probability exp(-beta r^2), in (0, 1]."""
-    return math.exp(-params.beta * r_sq)
-
-
 def f_scalar(params: ChannelParams, y: float) -> float:
     """f(y) = rho (eta e^{-beta y} + mu_sq) / y for y = r^2 > 0.
 
@@ -154,11 +149,6 @@ def f_scalar(params: ChannelParams, y: float) -> float:
     if not y > 0.0:
         raise ValueError(f"squared distance must be positive, got {y}")
     return params.rho * (params.eta * math.exp(-params.beta * y) + params.mu_sq) / y
-
-
-def avg_snr(params: ChannelParams, r_sq: float) -> float:
-    """Average received SNR rho (eta e^{-beta r^2} + mu_sq) / r^2."""
-    return f_scalar(params, r_sq)
 
 
 def squared_distance_range(scenario: Scenario, user_index: int) -> SquaredDistanceRange:

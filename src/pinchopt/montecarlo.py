@@ -77,16 +77,6 @@ def _draw_snr(params, r_sq, rng, n, x_pin, rho):
     return kernels.snr_samples(u, z_re, z_im, p_los, los_amp, nlos_scale, cos_ph, sin_ph, rho)
 
 
-def sample_channel_power(params: ChannelParams, r_sq: float, rng: np.random.Generator,
-                         size: int | None = None, x_pin: float = 0.0):
-    """Draw |h|^2 realizations of the composite channel at squared distance r_sq."""
-    if not r_sq > 0.0:
-        raise ValueError(f"squared distance must be positive, got {r_sq}")
-    n = 1 if size is None else int(size)
-    values = _draw_snr(params, r_sq, rng, n, x_pin, rho=1.0)
-    return float(values[0]) if size is None else values
-
-
 def _batches(cfg: McConfig):
     done = 0
     index = 0
@@ -123,25 +113,10 @@ def _binomial_std_error(successes: int, n: int) -> float:
     return math.sqrt(p * (1.0 - p) / n)
 
 
-def estimate_ccdf(params: ChannelParams, r_sq: float, t: float, cfg: McConfig,
-                  x_pin: float = 0.0) -> McEstimate:
-    """Empirical P[rho*|h|^2 >= t] with a binomial standard error."""
-    if t < 0.0:
-        raise ValueError(f"threshold must be nonnegative, got {t}")
-    hits = 0
-    for index, n in _batches(cfg):
-        values = _draw_snr(params, r_sq, _batch_rng(cfg.seed, index), n, x_pin, params.rho)
-        hits += int(np.count_nonzero(values >= t))
-    return McEstimate(
-        mean=hits / cfg.samples,
-        std_error=_binomial_std_error(hits, cfg.samples),
-        samples=cfg.samples,
-    )
-
-
 def estimate_ccdf_curve(params: ChannelParams, r_sq: float, thresholds, cfg: McConfig,
                         x_pin: float = 0.0) -> list[McEstimate]:
-    """estimate_ccdf across many thresholds reusing one set of draws."""
+    """Empirical P[rho*|h|^2 >= t] with a binomial standard error, for each t in
+    thresholds, all counted on one set of draws."""
     thresholds = np.asarray(thresholds, dtype=float)
     hits = np.zeros(thresholds.size, dtype=np.int64)
     for index, n in _batches(cfg):
@@ -154,12 +129,6 @@ def estimate_ccdf_curve(params: ChannelParams, r_sq: float, thresholds, cfg: McC
                    samples=cfg.samples)
         for k in hits
     ]
-
-
-def _user_grid_snr(scenario: Scenario, m: int, xs: np.ndarray) -> np.ndarray:
-    params = scenario.channels[m]
-    y = (scenario.users[m].x - xs) ** 2 + scenario.c_const(m)
-    return params.rho * (params.eta * np.exp(-params.beta * y) + params.mu_sq) / y
 
 
 def grid_search_maxmin(scenario: Scenario, grid_points: int) -> Solution:
@@ -176,10 +145,10 @@ def grid_search_maxmin(scenario: Scenario, grid_points: int) -> Solution:
     for m in range(scenario.n_users):
         params = scenario.channels[m]
         y = (scenario.users[m].x - xs) ** 2 + scenario.c_const(m)
-        np.minimum(worst, _user_grid_snr(scenario, m, xs), out=worst)
+        los = params.eta * np.exp(-params.beta * y)
+        np.minimum(worst, params.rho * (los + params.mu_sq) / y, out=worst)
         # |dGamma/dx| = |f'(y)| * 2|x - x_m|
-        f_prime = params.rho * (params.eta * np.exp(-params.beta * y) * (params.beta * y + 1.0)
-                                + params.mu_sq) / (y * y)
+        f_prime = params.rho * (los * (params.beta * y + 1.0) + params.mu_sq) / (y * y)
         max_slope = max(max_slope, float(np.max(f_prime * 2.0 * np.abs(scenario.users[m].x - xs))))
     best = int(np.argmax(worst))
     spacing = scenario.dx / (grid_points - 1)

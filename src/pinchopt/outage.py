@@ -26,8 +26,6 @@ from .maxmin import (
     SolverAnomaly,
     SolverTolerances,
     Solution,
-    _feasible_set,
-    _interval_from_bound,
     _solve_nested,
 )
 from .model import Scenario, distance_squared, squared_distance_range
@@ -95,22 +93,6 @@ def _outage_bound(scenario: Scenario, epsilons, tol: SolverTolerances):
         return invert_ccdf(scenario.channels[m], t, epsilons[m], ranges[m], inner[m])
 
     return bound
-
-
-def user_interval_outage(
-    scenario: Scenario, user_index: int, t: float, epsilon: float, tol: SolverTolerances
-) -> Interval:
-    """Positions where user user_index meets its outage target at level t."""
-    bound = _outage_bound(scenario, (epsilon,) * scenario.n_users, tol)
-    return _interval_from_bound(scenario, user_index, bound(user_index, t))
-
-
-def feasibility_outage(
-    scenario: Scenario, spec: OutageSpec, t: float, tol: SolverTolerances | None = None
-) -> Interval:
-    """T(t): intersection of all users' outage-feasible intervals."""
-    bound = _outage_bound(scenario, spec.for_scenario(scenario).epsilons, tol or SolverTolerances())
-    return _feasible_set(scenario, bound, t)[0]
 
 
 def _los_ceiling(params, y: float) -> float:

@@ -4,9 +4,10 @@ Keys carry their unit in the name (p_dbm, fc_hz, mu_sq_db) because the
 source material mixes dB, dBm and linear scales freely. Missing defaults
 fall back to the reference simulation setup: f_c = 28 GHz, d_v = 10 m,
 P = 40 dBm, sigma^2 = -90 dBm, mu^2 = -90 dB, D_y = 10 m, beta = 0.01,
-guide index 1.4. "tolerances" sets the one SolverTolerances of both metrics:
-eps_t = 1e-3 on the level t, max_iter = 200, and eps_y, the inner tolerance
-on r^2 in m^2 (default 1e-9 of each user's largest r^2).
+guide index 1.4. fc_hz and guide_index must be positive, and every dB or
+dBm figure must map to a positive finite linear value. "tolerances" sets the
+one SolverTolerances of both metrics: eps_t = 1e-3 on the level t, and eps_y,
+the inner tolerance on r^2 in m^2 (default 1e-9 of each user's largest r^2).
 
 Example document:
 
@@ -32,6 +33,7 @@ from pathlib import Path
 from .maxmin import SolverTolerances
 from .model import (
     ChannelParams,
+    InvalidScenario,
     Scenario,
     SPEED_OF_LIGHT,
     UserPosition,
@@ -51,7 +53,7 @@ DEFAULTS = {
     "guide_index": 1.4,
 }
 REGION_DEFAULTS = {"dy": 10.0, "dv": 10.0}
-TOLERANCE_DEFAULTS = {"eps_t": 1e-3, "eps_y": None, "max_iter": 200}
+TOLERANCE_DEFAULTS = {"eps_t": 1e-3, "eps_y": None}
 
 _USER_KEYS = {"x", "y", "noise_dbm", "mu_sq_db"}
 
@@ -89,13 +91,24 @@ def _number(value, where: str) -> float:
     return number
 
 
-def _channel_from(defaults: dict, noise_dbm: float, mu_sq_db: float) -> ChannelParams:
+def _linear(value: float, where: str) -> float:
+    """10^(value/10) for a dB or dBm figure; it must be a positive finite float."""
+    try:
+        linear = dbm_to_linear(value)
+    except OverflowError:
+        linear = math.inf
+    if not 0.0 < linear < math.inf:
+        raise ScenarioFormatError(f"{where}: {value!r} dB is outside the float range")
+    return linear
+
+
+def _channel_from(defaults: dict, rho: float, mu_sq: float) -> ChannelParams:
     wavelength = SPEED_OF_LIGHT / defaults["fc_hz"]
     return ChannelParams(
         beta=defaults["beta"],
         eta=eta_from_carrier(defaults["fc_hz"]),
-        mu_sq=dbm_to_linear(mu_sq_db),
-        rho=dbm_to_linear(defaults["p_dbm"]) / dbm_to_linear(noise_dbm),
+        mu_sq=mu_sq,
+        rho=rho,
         guided_wavelength=wavelength / defaults["guide_index"],
         carrier_wavelength=wavelength,
     )
@@ -126,6 +139,12 @@ def parse_scenario_dict(doc: dict, name: str = "scenario") -> ScenarioBundle:
         if key not in DEFAULTS:
             raise ScenarioFormatError(f"defaults: unknown field '{key}'")
         defaults[key] = _number(value, f"defaults.{key}")
+    for key in ("fc_hz", "guide_index"):
+        if not defaults[key] > 0.0:
+            raise ScenarioFormatError(f"defaults.{key}: must be positive, got {defaults[key]!r}")
+    for key in ("noise_dbm", "mu_sq_db"):  # users that inherit them need no check of their own
+        _linear(defaults[key], f"defaults.{key}")
+    p_linear = _linear(defaults["p_dbm"], "defaults.p_dbm")
 
     users_doc = _require(doc, "users", "top level")
     if not isinstance(users_doc, list) or not users_doc:
@@ -142,7 +161,12 @@ def parse_scenario_dict(doc: dict, name: str = "scenario") -> ScenarioBundle:
         noise = _number(entry.get("noise_dbm", defaults["noise_dbm"]), f"{where}.noise_dbm")
         mu_sq_db = _number(entry.get("mu_sq_db", defaults["mu_sq_db"]), f"{where}.mu_sq_db")
         users.append(UserPosition(x=x, y=y))
-        channels.append(_channel_from(defaults, noise, mu_sq_db))
+        rho = p_linear / _linear(noise, f"{where}.noise_dbm")
+        mu_sq = _linear(mu_sq_db, f"{where}.mu_sq_db")
+        try:
+            channels.append(_channel_from(defaults, rho, mu_sq))
+        except (InvalidScenario, OverflowError) as exc:  # fields valid alone, not together
+            raise ScenarioFormatError(f"{where}: channel constants out of range: {exc}") from exc
         norm = {"x": x, "y": y}
         if "noise_dbm" in entry:
             norm["noise_dbm"] = noise
@@ -184,12 +208,7 @@ def parse_scenario_dict(doc: dict, name: str = "scenario") -> ScenarioBundle:
     for key, value in (doc.get("tolerances") or {}).items():
         if key not in TOLERANCE_DEFAULTS:
             raise ScenarioFormatError(f"tolerances: unknown field '{key}'")
-        if key == "max_iter":
-            max_iter = _number(value, "tolerances.max_iter")
-            if not max_iter.is_integer():
-                raise ScenarioFormatError(f"tolerances.max_iter: expected an integer, got {value!r}")
-            tols[key] = int(max_iter)
-        elif value is not None:
+        if value is not None:
             tols[key] = _number(value, f"tolerances.{key}")
     try:
         tol = SolverTolerances(**tols)

@@ -1,4 +1,4 @@
-"""Modified Bessel I0, first-order Marcum Q, and the instantaneous-SNR CCDF.
+"""First-order Marcum Q and the instantaneous-SNR CCDF.
 
 The instantaneous SNR rho*|h|^2 of the composite channel mixes a Rician
 branch (LoS present) and an exponential branch (LoS blocked):
@@ -16,24 +16,11 @@ and the channel-facing formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .model import ChannelParams
-
-
-def bessel_i0_scaled(x: float) -> float:
-    """Exponentially scaled modified Bessel function e^{-x} I0(x), x >= 0.
-
-    Taylor series sum_k (x^2/4)^k / (k!)^2 up to x = 15, then the
-    asymptotic expansion I0(x) ~ e^x/sqrt(2 pi x) sum_k a_k x^{-k} with
-    a_k = ((2k-1)!!)^2 / (8^k k!), truncated at its smallest term.
-    """
-    if x < 0.0:
-        raise ValueError(f"bessel_i0_scaled needs x >= 0, got {x}")
-    return kernels.i0_scaled(x)
 
 
 def marcum_q1(a: float, b: float) -> float:
@@ -52,24 +39,6 @@ def _marcum_ab(params: ChannelParams, r_sq, t, sqrt=math.sqrt):
     """a = sqrt(2 eta)/mu and b = sqrt(2 r^2 t/rho)/mu; sqrt=np.sqrt maps arrays."""
     mu = math.sqrt(params.mu_sq)
     return math.sqrt(2.0 * params.eta) / mu, sqrt(2.0 * r_sq * t / params.rho) / mu
-
-
-@dataclass(frozen=True)
-class MarcumArgs:
-    """Rician-branch arguments: noncentrality a and normalized threshold b."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if self.a < 0.0 or self.b < 0.0:
-            raise ValueError(f"MarcumArgs must be nonnegative, got a={self.a}, b={self.b}")
-
-    @classmethod
-    def for_threshold(cls, params: ChannelParams, r_sq: float, t: float) -> "MarcumArgs":
-        """a = sqrt(2 eta)/mu, b = sqrt(2) r sqrt(t/rho)/mu for threshold t."""
-        a, b = _marcum_ab(params, r_sq, t)
-        return cls(a=a, b=b)
 
 
 def ccdf_inst_snr(params: ChannelParams, r_sq: float, t: float) -> float:

@@ -72,15 +72,8 @@ class TestSolve:
         assert rc == cli.EXIT_INVALID
         assert "outage" in capsys.readouterr().err
 
-    def test_iteration_cap_without_feasible_level_is_solver_error(self, two_user_file, capsys):
-        # one bisection step probes max_m gamma_m, which two apart users cannot share
-        rc = cli.main(["solve", str(two_user_file), "--metric", "avg-snr", "--max-iter", "1"])
-        assert rc == cli.EXIT_SOLVER
-        assert capsys.readouterr().err.startswith("solver error:")
-
     @pytest.mark.parametrize("flag, value", [
         ("--eps-t", "-1"), ("--eps-t", "nan"), ("--eps-t", "inf"), ("--eps-y", "0"),
-        ("--max-iter", "0"),
     ])
     def test_bad_tolerance_flag_is_invalid_input(self, two_user_file, capsys, flag, value):
         rc = cli.main(["solve", str(two_user_file), "--metric", "avg-snr", flag, value])
@@ -151,6 +144,34 @@ class TestSweep:
         assert rows["1"][0][-1] == "iterations" and len(rows["1"]) == 3
         assert rows["1"] == rows["2"]
 
+    @pytest.mark.parametrize("workers, points, asked", [("64", 2, 2), ("3", 5, 3), ("2", 1, None)])
+    def test_pool_is_no_larger_than_the_grid(self, two_user_file, tmp_path, monkeypatch,
+                                              workers, points, asked):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        out = tmp_path / "sweep.csv"
+        rc = cli.main(["sweep", str(two_user_file), "--metric", "avg-snr", "--axis",
+                       f"beta=0.005:0.01:{points}", "--drops", "1", "--workers", workers,
+                       "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        assert len(_csv(out)) == points + 1
+        # one grid point takes the serial path and starts no pool
+        assert sizes == ([] if asked is None else [asked])
+
     @pytest.mark.parametrize("axis", ["beta=nan:nan:1", "dx=10:inf:2", "epsilon=0:0.5:3",
                                       "epsilon=0.1:1:2", "m=0:0:1", "speed=1:2:2"])
     def test_bad_axis_is_invalid_input(self, two_user_file, tmp_path, capsys, axis):
@@ -195,7 +216,7 @@ def _subcommand_options():
             for name, p in sub.choices.items()}
 
 
-_TOLERANCES = {"--eps-t", "--eps-y", "--max-iter"}
+_TOLERANCES = {"--eps-t", "--eps-y"}
 
 
 def test_each_subcommand_takes_only_the_options_that_act_on_it():
@@ -209,7 +230,7 @@ def test_each_subcommand_takes_only_the_options_that_act_on_it():
         "verify": {"--help", "--samples", "--eta-scale", "--report", "--seed"} | _TOLERANCES,
         "closed-form": {"--help", "--out"},
     }
-    assert sum(len(taken) for taken in options.values()) == 38
+    assert sum(len(taken) for taken in options.values()) == 35
 
 
 def _argv(command, path, tmp_path):
@@ -240,6 +261,7 @@ def test_out_of_range_seed_or_workers_is_invalid_input(two_user_file, tmp_path, 
     ("closed-form", "--eps-t", "0.1"), ("closed-form", "--seed", "7"), ("closed-form", "--workers", "9"),
     ("solve", "--eps-u", "nan"), ("solve", "--seed", "7"), ("ccdf", "--eps-y", "1e-6"),
     ("ccdf", "--max-iter", "5"), ("verify", "--workers", "2"), ("sweep", "--eps-u", "1e-6"),
+    ("solve", "--max-iter", "5"),
 ])
 def test_flag_a_subcommand_does_not_take_is_a_usage_error(two_user_file, tmp_path, capsys,
                                                           command, flag, value):

@@ -11,15 +11,14 @@ from pinchopt import (
     SolverTolerances,
     UnsupportedScenario,
     f_scalar,
-    feasibility_avg,
     fixed_antenna_baseline,
     invert_f,
     min_avg_snr,
     solve_maxmin,
     squared_distance_range,
     two_user_closed_form,
-    user_interval_avg,
 )
+from pinchopt.maxmin import _avg_bound, _feasible_set, _interval_from_bound
 from pinchopt.model import ChannelParams
 
 from conftest import make_params, make_scenario, random_scenario
@@ -27,12 +26,23 @@ from conftest import make_params, make_scenario, random_scenario
 TOL = SolverTolerances()
 
 
+def _user_interval(sc, m, t):
+    """User m's feasible positions at level t, as the solver builds them."""
+    bound, _ = _avg_bound(sc, TOL)
+    return _interval_from_bound(sc, m, bound(m, t))
+
+
+def _feasibility(sc, t):
+    """The solver's intersection of all users' intervals at level t."""
+    return _feasible_set(sc, _avg_bound(sc, TOL)[0], t)[0]
+
+
 class TestInterval:
     def test_empty_marker(self):
         empty = Interval.make_empty()
         assert empty.empty
-        assert not empty.contains(0.0)
         assert empty.intersect(Interval(0.0, 1.0)).empty
+        assert Interval(0.0, 1.0).intersect(empty).empty
 
     def test_intersection(self):
         left = Interval(0.0, 2.0)
@@ -41,28 +51,22 @@ class TestInterval:
         assert (out.lo, out.hi) == (1.0, 2.0)
         assert left.intersect(Interval(2.5, 3.0)).empty
 
-    def test_midpoint_and_width(self):
-        iv = Interval(1.0, 3.0)
-        assert iv.midpoint == 2.0
-        assert iv.width == 2.0
+    def test_rejects_reversed_bounds(self):
         with pytest.raises(ValueError):
             Interval(2.0, 1.0)
-        with pytest.raises(ValueError):
-            Interval.make_empty().midpoint
 
 
 class TestSolverTolerances:
     def test_defaults(self):
         assert TOL.eps_t == 1e-3
         assert TOL.eps_y is None
-        assert TOL.max_iter == 200
 
     def test_auto_inner_tolerance(self):
         sc = make_scenario([(10.0, 5.0)])
         rng = squared_distance_range(sc, 0)
         assert TOL.inner_tol(rng) == pytest.approx(1e-9 * rng.y_max)
 
-    @pytest.mark.parametrize("kwargs", [dict(eps_t=0.0), dict(eps_y=-1.0), dict(max_iter=0),
+    @pytest.mark.parametrize("kwargs", [dict(eps_t=0.0), dict(eps_y=-1.0), dict(eps_y=0.0),
                                         dict(eps_t=math.nan), dict(eps_t=math.inf),
                                         dict(eps_y=math.nan), dict(eps_y=math.inf)])
     def test_validation(self, kwargs):
@@ -112,21 +116,21 @@ class TestUserIntervalAvg:
     def test_tiny_interval_near_peak(self):
         sc = make_scenario([(15.0, 0.0)], dx=30.0)
         peak = f_scalar(sc.channels[0], sc.c_const(0))
-        iv = user_interval_avg(sc, 0, 0.999 * peak, TOL)
+        iv = _user_interval(sc, 0, 0.999 * peak)
         assert not iv.empty
-        assert iv.contains(15.0)
-        assert iv.width < 1.0
+        assert iv.lo <= 15.0 <= iv.hi
+        assert iv.hi - iv.lo < 1.0
 
     def test_above_peak_empty(self):
         sc = make_scenario([(15.0, 0.0)], dx=30.0)
         peak = f_scalar(sc.channels[0], sc.c_const(0))
-        assert user_interval_avg(sc, 0, 1.001 * peak, TOL).empty
+        assert _user_interval(sc, 0, 1.001 * peak).empty
 
     def test_low_target_full_range(self):
         sc = make_scenario([(10.0, 5.0)], dx=30.0)
         rng = squared_distance_range(sc, 0)
         t = 0.9 * f_scalar(sc.channels[0], rng.y_max)
-        iv = user_interval_avg(sc, 0, t, TOL)
+        iv = _user_interval(sc, 0, t)
         assert (iv.lo, iv.hi) == (0.0, 30.0)
 
 
@@ -134,14 +138,14 @@ class TestFeasibilityAvg:
     def test_single_user_equals_own_interval(self):
         sc = make_scenario([(10.0, 5.0)])
         t = 0.7 * f_scalar(sc.channels[0], sc.c_const(0))
-        own = user_interval_avg(sc, 0, t, TOL)
-        both = feasibility_avg(sc, t, TOL)
+        own = _user_interval(sc, 0, t)
+        both = _feasibility(sc, t)
         assert (own.lo, own.hi) == (both.lo, both.hi)
 
     def test_disjoint_users_empty(self):
         sc = make_scenario([(0.0, 0.0), (30.0, 0.0)], dx=30.0)
         t = 0.999 * f_scalar(sc.channels[0], sc.c_const(0))
-        assert feasibility_avg(sc, t, TOL).empty
+        assert _feasibility(sc, t).empty
 
     def test_nested_in_t(self):
         rng = np.random.Generator(np.random.Philox(6))
@@ -150,8 +154,8 @@ class TestFeasibilityAvg:
             peak = min(f_scalar(sc.channels[m], squared_distance_range(sc, m).y_min)
                        for m in range(3))
             t1, t2 = sorted(rng.uniform(0.0, peak, 2))
-            outer = feasibility_avg(sc, float(t1), TOL)
-            inner = feasibility_avg(sc, float(t2), TOL)
+            outer = _feasibility(sc, float(t1))
+            inner = _feasibility(sc, float(t2))
             if not inner.empty:
                 assert not outer.empty
                 assert outer.lo <= inner.lo + 1e-9 and inner.hi <= outer.hi + 1e-9
@@ -169,8 +173,8 @@ class TestSolveMaxmin:
         for _ in range(10):
             sc = random_scenario(rng, 4)
             sol = solve_maxmin(sc)
-            assert not feasibility_avg(sc, sol.meta["bracket_lo"], TOL).empty
-            assert feasibility_avg(sc, sol.t_star * (1.0 + 3.0 * TOL.eps_t), TOL).empty
+            assert not _feasibility(sc, sol.meta["bracket_lo"]).empty
+            assert _feasibility(sc, sol.t_star * (1.0 + 3.0 * TOL.eps_t)).empty
 
     def test_reported_level_is_achieved(self):
         rng = np.random.Generator(np.random.Philox(8))
@@ -196,7 +200,7 @@ class TestSolveMaxmin:
     def test_x_star_inside_feasible(self):
         sc = make_scenario([(4.0, 1.0), (18.0, -3.0), (29.0, 4.0)])
         sol = solve_maxmin(sc)
-        assert sol.feasible.contains(sol.x_star)
+        assert sol.feasible.lo <= sol.x_star <= sol.feasible.hi
         assert 0.0 <= sol.x_star <= sc.dx
 
     def test_per_user_bounds_reported(self):
@@ -242,7 +246,7 @@ class TestTwoUserClosedForm:
             closed = two_user_closed_form(sc)
             solved = solve_maxmin(sc)
             assert abs(closed.t_star - solved.t_star) / closed.t_star <= 10.0 * TOL.eps_t
-            assert abs(closed.x_star - solved.x_star) <= solved.feasible.width + 1e-9
+            assert abs(closed.x_star - solved.x_star) <= solved.feasible.hi - solved.feasible.lo + 1e-9
 
     def test_order_independent(self):
         a = make_scenario([(20.0, -1.0), (6.0, 4.0)])

@@ -7,14 +7,13 @@ from pinchopt import (
     InvalidScenario,
     Scenario,
     UserPosition,
-    avg_snr,
     dbm_to_linear,
     distance_squared,
     eta_from_carrier,
     f_scalar,
-    los_probability,
     squared_distance_range,
 )
+from pinchopt.montecarlo import _channel_constants
 
 from conftest import make_params, make_scenario
 
@@ -65,6 +64,11 @@ class TestDistanceSquared:
         assert distance_squared(user, 10.0, pin) >= distance_squared(user, 10.0, x) - 1e-9
 
 
+def los_probability(params, r_sq):
+    """The sampler's LoS gate probability exp(-beta r^2)."""
+    return _channel_constants(params, r_sq, 0.0)[0]
+
+
 class TestLosProbability:
     def test_zero_beta_is_certain(self):
         assert los_probability(make_params(beta=0.0), 1234.5) == 1.0
@@ -85,33 +89,30 @@ class TestLosProbability:
 
 
 class TestAvgSnr:
+    """f_scalar read as the average SNR at squared distance r^2."""
+
     def test_blockage_free_reduction(self):
         params = make_params(beta=0.0)
         r_sq = 222.0
         expected = params.rho * (params.eta + params.mu_sq) / r_sq
-        assert avg_snr(params, r_sq) == pytest.approx(expected, rel=1e-14)
+        assert f_scalar(params, r_sq) == pytest.approx(expected, rel=1e-14)
 
     def test_spec_example_at_mu_1e6(self):
         # the documented parameter point with mu^2 = 1e-6; value frozen from
         # direct evaluation of rho (eta e^{-beta r^2} + mu^2) / r^2
         params = make_params(beta=0.01, mu_sq=1e-6)
-        assert avg_snr(params, 150.0) == pytest.approx(77465.395437, rel=1e-9)
-        assert avg_snr(params, 150.0) == pytest.approx(7.7e4, rel=1e-2)
+        assert f_scalar(params, 150.0) == pytest.approx(77465.395437, rel=1e-9)
+        assert f_scalar(params, 150.0) == pytest.approx(7.7e4, rel=1e-2)
 
     def test_heavy_blockage_limit(self):
         params = make_params(beta=2.0)
         r_sq = 400.0
-        assert avg_snr(params, r_sq) == pytest.approx(params.rho * params.mu_sq / r_sq, rel=1e-10)
-
-    def test_matches_f_scalar_identically(self):
-        params = make_params()
-        for r_sq in (100.0, 150.0, 987.6, 2600.0):
-            assert avg_snr(params, r_sq) == f_scalar(params, r_sq)
+        assert f_scalar(params, r_sq) == pytest.approx(params.rho * params.mu_sq / r_sq, rel=1e-10)
 
     def test_finite_at_table_magnitudes(self):
         params = make_params(beta=1e-3, rho=1e13)
-        assert math.isfinite(avg_snr(params, 100.0))
-        assert math.isfinite(avg_snr(params, 1e6))
+        assert math.isfinite(f_scalar(params, 100.0))
+        assert math.isfinite(f_scalar(params, 1e6))
 
 
 class TestFScalar:

@@ -6,24 +6,31 @@ import pytest
 from pinchopt import (
     McConfig,
     OutageSpec,
-    avg_snr,
     ccdf_inst_snr,
     estimate_avg_snr,
-    estimate_ccdf,
     estimate_ccdf_curve,
+    f_scalar,
     fixed_antenna_baseline,
     grid_search_maxmin,
     grid_search_outage,
     max_threshold_at,
-    sample_channel_power,
     solve_maxmin,
     solve_outage,
 )
-from pinchopt.montecarlo import outage_grid_ceiling
+from pinchopt.montecarlo import _draw_snr, outage_grid_ceiling
 
 from conftest import make_params, make_scenario, random_scenario
 
 CFG = McConfig(samples=200_000, seed=42)
+
+
+def _channel_power(params, r_sq, rng, size):
+    """|h|^2 draws of the composite channel: the sampler at rho = 1."""
+    return _draw_snr(params, r_sq, rng, size, 0.0, rho=1.0)
+
+
+def _estimate_ccdf(params, r_sq, t, cfg):
+    return estimate_ccdf_curve(params, r_sq, [t], cfg)[0]
 
 
 class TestMcConfig:
@@ -37,42 +44,38 @@ class TestMcConfig:
 
 
 class TestSampleChannelPower:
+    """The sampler's |h|^2 draws (_draw_snr at rho = 1)."""
+
     def test_pure_los_deterministic(self):
         # certain LoS and vanishing NLoS power: |h|^2 -> eta / r^2
         params = make_params(beta=0.0, mu_sq=1e-30)
         rng = np.random.Generator(np.random.Philox(1))
-        values = sample_channel_power(params, 150.0, rng, size=1000)
+        values = _channel_power(params, 150.0, rng, 1000)
         np.testing.assert_allclose(values, params.eta / 150.0, rtol=1e-3)
 
     def test_blocked_is_exponential(self):
         # forced gamma = 0: |h|^2 exponential with mean mu^2 / r^2
         params = make_params(beta=1.0)  # p_los = e^-150 ~ 0
         rng = np.random.Generator(np.random.Philox(2))
-        values = sample_channel_power(params, 150.0, rng, size=400_000)
+        values = _channel_power(params, 150.0, rng, 400_000)
         mean = params.mu_sq / 150.0
         assert values.mean() == pytest.approx(mean, rel=0.01)
         # exponential variance = mean^2; sample-variance std err ~ mean^2 sqrt(8/n)
         assert abs(values.var() - mean * mean) <= 5.0 * mean * mean * math.sqrt(8.0 / values.size)
 
-    def test_scalar_mode(self):
-        params = make_params()
-        rng = np.random.Generator(np.random.Philox(3))
-        value = sample_channel_power(params, 150.0, rng)
-        assert isinstance(value, float) and value >= 0.0
-
     def test_mean_matches_formula(self):
         params = make_params(beta=0.01)
         rng = np.random.Generator(np.random.Philox(4))
-        values = params.rho * sample_channel_power(params, 150.0, rng, size=500_000)
+        values = params.rho * _channel_power(params, 150.0, rng, 500_000)
         se = values.std(ddof=1) / math.sqrt(values.size)
-        assert abs(values.mean() - avg_snr(params, 150.0)) <= 3.0 * se
+        assert abs(values.mean() - f_scalar(params, 150.0)) <= 3.0 * se
 
 
 class TestEstimateAvgSnr:
     def test_matches_analytic(self):
         params = make_params(beta=0.01)
         est = estimate_avg_snr(params, 150.0, CFG)
-        assert abs(est.mean - avg_snr(params, 150.0)) <= 3.0 * est.std_error
+        assert abs(est.mean - f_scalar(params, 150.0)) <= 3.0 * est.std_error
 
     def test_deterministic_channel_has_zero_error(self):
         params = make_params(beta=0.0, mu_sq=1e-30)
@@ -89,7 +92,7 @@ class TestEstimateAvgSnr:
     def test_batch_split_changes_nothing_statistical(self):
         params = make_params()
         small = estimate_avg_snr(params, 150.0, McConfig(samples=100_000, seed=5, batch=10_000))
-        assert abs(small.mean - avg_snr(params, 150.0)) <= 4.0 * small.std_error
+        assert abs(small.mean - f_scalar(params, 150.0)) <= 4.0 * small.std_error
 
     def test_clt_scaling(self):
         params = make_params()
@@ -108,26 +111,26 @@ class TestEstimateAvgSnr:
 
 class TestEstimateCcdf:
     def test_zero_threshold_exact_one(self):
-        est = estimate_ccdf(make_params(), 150.0, 0.0, McConfig(samples=50_000, seed=7))
+        est = _estimate_ccdf(make_params(), 150.0, 0.0, McConfig(samples=50_000, seed=7))
         assert est.mean == 1.0
         assert est.std_error > 0.0  # continuity floor keeps the bar positive
 
     def test_nlos_median(self):
         params = make_params(beta=1.0)  # pure NLoS at r^2 = 150
         t = params.rho * params.mu_sq * math.log(2.0) / 150.0
-        est = estimate_ccdf(params, 150.0, t, CFG)
+        est = _estimate_ccdf(params, 150.0, t, CFG)
         assert abs(est.mean - 0.5) <= 3.0 * est.std_error
 
     def test_plateau_matches_los_probability(self):
         params = make_params(beta=0.01)
         t_mid = 2.0 * params.rho * math.sqrt(params.eta * params.mu_sq) / 150.0
-        est = estimate_ccdf(params, 150.0, t_mid, CFG)
+        est = _estimate_ccdf(params, 150.0, t_mid, CFG)
         assert abs(est.mean - math.exp(-0.01 * 150.0)) <= 3.0 * est.std_error
 
     def test_matches_analytic_formula(self):
         params = make_params(beta=0.004)
         for t in (1e2, 1e3, 3e4):
-            est = estimate_ccdf(params, 150.0, t, CFG)
+            est = _estimate_ccdf(params, 150.0, t, CFG)
             assert abs(est.mean - ccdf_inst_snr(params, 150.0, t)) <= 3.0 * est.std_error
 
     def test_curve_matches_pointwise(self):
@@ -135,7 +138,7 @@ class TestEstimateCcdf:
         ts = [0.0, 1e2, 1e3, 1e4]
         curve = estimate_ccdf_curve(params, 150.0, ts, CFG)
         for t, est in zip(ts, curve):
-            single = estimate_ccdf(params, 150.0, t, CFG)
+            single = _estimate_ccdf(params, 150.0, t, CFG)
             assert est == single  # same draws, same counts
 
 

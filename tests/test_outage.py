@@ -9,20 +9,30 @@ from pinchopt import (
     SolverTolerances,
     UserPosition,
     ccdf_inst_snr,
-    feasibility_outage,
     fixed_antenna_outage_baseline,
     invert_ccdf,
     max_threshold_at,
     solve_outage,
     squared_distance_range,
-    user_interval_outage,
 )
 from pinchopt import outage
+from pinchopt.maxmin import _feasible_set, _interval_from_bound
 
 from conftest import ETA_28GHZ, make_params, make_scenario, random_scenario
 from oracles import marcum_q1_quad, nlos_only_bound
 
 TOL = SolverTolerances()
+
+
+def _feasibility(sc, spec, t):
+    """T(t) as the solver builds it: the intersection of the users' outage intervals."""
+    return _feasible_set(sc, outage._outage_bound(sc, spec.epsilons, TOL), t)[0]
+
+
+def _user_interval(sc, m, t, epsilon):
+    """Positions where user m meets outage target epsilon at level t."""
+    bound = outage._outage_bound(sc, (epsilon,) * sc.n_users, TOL)
+    return _interval_from_bound(sc, m, bound(m, t))
 
 
 class TestOutageSpec:
@@ -105,20 +115,20 @@ class TestUserIntervalOutage:
         sc = make_scenario([(10.0, 5.0)])
         params = sc.channels[0]
         t = 4.0 * params.rho * params.eta / squared_distance_range(sc, 0).y_min
-        assert user_interval_outage(sc, 0, t, 0.1, TOL).empty
+        assert _user_interval(sc, 0, t, 0.1).empty
 
     def test_unbinding_constraint_full_region(self):
         sc = make_scenario([(10.0, 5.0)], dx=30.0)
-        iv = user_interval_outage(sc, 0, 1e-6, 0.5, TOL)
+        iv = _user_interval(sc, 0, 1e-6, 0.5)
         assert (iv.lo, iv.hi) == (0.0, 30.0)
 
     def test_mid_range_centered_at_user(self):
         sc = make_scenario([(10.0, 5.0)], dx=30.0)
         t = max_threshold_at(sc, OutageSpec.shared(0.1, 1), 4.0)
-        iv = user_interval_outage(sc, 0, t, 0.1, TOL)
+        iv = _user_interval(sc, 0, t, 0.1)
         assert not iv.empty
-        assert iv.contains(10.0)
-        assert iv.midpoint == pytest.approx(10.0, abs=1e-6) or iv.lo == 0.0
+        assert iv.lo <= 10.0 <= iv.hi
+        assert 0.5 * (iv.lo + iv.hi) == pytest.approx(10.0, abs=1e-6) or iv.lo == 0.0
 
 
 class TestFeasibilityOutage:
@@ -129,8 +139,8 @@ class TestFeasibilityOutage:
             spec = OutageSpec.shared(0.1, 2)
             cap = max_threshold_at(sc, spec, 0.5 * sc.dx)
             t1, t2 = sorted(rng.uniform(0.0, 3.0 * cap, 2))
-            outer = feasibility_outage(sc, spec, float(t1), TOL)
-            inner = feasibility_outage(sc, spec, float(t2), TOL)
+            outer = _feasibility(sc, spec, float(t1))
+            inner = _feasibility(sc, spec, float(t2))
             if not inner.empty:
                 assert not outer.empty
                 assert outer.lo <= inner.lo + 1e-9 and inner.hi <= outer.hi + 1e-9
@@ -159,8 +169,8 @@ class TestSolveOutage:
             sc = random_scenario(rng, 2)
             spec = OutageSpec.shared(0.1, 2)
             sol = solve_outage(sc, spec)
-            assert not feasibility_outage(sc, spec, sol.meta["bracket_lo"], TOL).empty
-            assert feasibility_outage(sc, spec, sol.t_star * (1.0 + 3.0 * TOL.eps_t), TOL).empty
+            assert not _feasibility(sc, spec, sol.meta["bracket_lo"]).empty
+            assert _feasibility(sc, spec, sol.t_star * (1.0 + 3.0 * TOL.eps_t)).empty
 
     def test_reported_level_is_achieved(self):
         rng = np.random.Generator(np.random.Philox(16))

@@ -53,8 +53,7 @@ def scenario_docs(draw):
         doc["outage"] = {"epsilons": [draw(_finite(1e-4, 0.9)) for _ in range(n_users)]}
     if draw(st.booleans()):
         doc["tolerances"] = {"eps_t": draw(_finite(1e-6, 0.5)),
-                             "eps_y": draw(st.none() | _finite(1e-12, 1e-3)),
-                             "max_iter": draw(st.integers(1, 500))}
+                             "eps_y": draw(st.none() | _finite(1e-12, 1e-3))}
     return doc
 
 
@@ -108,9 +107,18 @@ def _edited(path, value):
     # values the model rejects
     (_edited(("users", 0, "x"), 31.0), "users[0].x"),
     (_edited(("tolerances",), {"eps_t": 0.0}), "eps_t"),
-    (_edited(("tolerances",), {"max_iter": 1.5}), "tolerances.max_iter"),
-    # retired field: one inner tolerance, eps_y, serves both metrics
+    # retired fields: the outer loop has a fixed cap, and eps_y serves both metrics
+    (_edited(("tolerances",), {"max_iter": 200}), "tolerances: unknown field 'max_iter'"),
     (_edited(("tolerances",), {"eps_u": 1e-6}), "tolerances: unknown field 'eps_u'"),
+    # link-budget values whose channel constants leave the float range
+    (_edited(("defaults",), {"fc_hz": 0}), "defaults.fc_hz"),
+    (_edited(("defaults",), {"fc_hz": -5}), "defaults.fc_hz"),
+    (_edited(("defaults",), {"guide_index": 0}), "defaults.guide_index"),
+    (_edited(("defaults",), {"p_dbm": 1e6}), "defaults.p_dbm"),
+    (_edited(("defaults",), {"mu_sq_db": 5000}), "defaults.mu_sq_db"),
+    (_edited(("users", 0, "noise_dbm"), 5000), "users[0].noise_dbm"),
+    (_edited(("users", 0, "noise_dbm"), -5000), "users[0].noise_dbm"),
+    (_edited(("defaults",), {"fc_hz": 1e-300}), "users[0]"),
 ])
 def test_format_errors_name_the_field(doc, field):
     with pytest.raises(ScenarioFormatError) as info:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pinchopt import MarcumArgs, bessel_i0_scaled, ccdf_inst_snr, ccdf_inst_snr_batch, marcum_q1
+from pinchopt import ccdf_inst_snr, ccdf_inst_snr_batch, marcum_q1
+from pinchopt.kernels import i0_scaled
+from pinchopt.special import _marcum_ab
 
 from conftest import make_params
 from oracles import (
@@ -16,31 +18,29 @@ from oracles import (
 
 
 class TestBesselI0Scaled:
+    """kernels.i0_scaled, the e^{-x} I0(x) that the Marcum kernel calls."""
+
     def test_at_zero(self):
-        assert bessel_i0_scaled(0.0) == 1.0
+        assert i0_scaled(0.0) == 1.0
 
     def test_series_oracle_at_one(self):
         i0_one = bessel_i0_series(1.0)
         assert i0_one == pytest.approx(1.2660658777520084, rel=1e-12)
-        assert bessel_i0_scaled(1.0) == pytest.approx(math.exp(-1.0) * i0_one, rel=1e-12)
+        assert i0_scaled(1.0) == pytest.approx(math.exp(-1.0) * i0_one, rel=1e-12)
 
     def test_asymptotic_regime(self):
-        value = bessel_i0_scaled(100.0)
+        value = i0_scaled(100.0)
         assert value == pytest.approx(bessel_i0_scaled_quad(100.0), rel=1e-8)
         assert value == pytest.approx(1.0 / math.sqrt(2.0 * math.pi * 100.0), rel=2e-3)
 
     @pytest.mark.parametrize("x", [1e-6, 0.1, 1.0, 5.0, 14.999, 15.0, 15.001, 40.0, 500.0, 1e6])
     def test_against_mpmath(self, x):
-        assert bessel_i0_scaled(x) == pytest.approx(bessel_i0_scaled_mp(x), rel=1e-12)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            bessel_i0_scaled(-0.5)
+        assert i0_scaled(x) == pytest.approx(bessel_i0_scaled_mp(x), rel=1e-12)
 
     @given(x=st.floats(0.0, 1e4))
     @settings(max_examples=200)
     def test_bounded_in_unit_interval(self, x):
-        assert 0.0 < bessel_i0_scaled(x) <= 1.0
+        assert 0.0 < i0_scaled(x) <= 1.0
 
 
 class TestMarcumQ1:
@@ -72,7 +72,7 @@ class TestMarcumQ1:
         # Q1(a,b) + Q1(b,a) = 1 + e^{-(a^2+b^2)/2} I0(ab)
         a, b = 31.0, 33.5
         lhs = marcum_q1(a, b) + marcum_q1(b, a)
-        rhs = 1.0 + math.exp(-0.5 * (a - b) ** 2) * bessel_i0_scaled(a * b)
+        rhs = 1.0 + math.exp(-0.5 * (a - b) ** 2) * i0_scaled(a * b)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     @given(a=st.floats(0.0, 20.0), b1=st.floats(0.0, 20.0), b2=st.floats(0.0, 20.0))
@@ -98,16 +98,12 @@ class TestMarcumQ1:
         with pytest.raises(ValueError):
             marcum_q1(1.0, -0.1)
 
-    def test_marcum_args_validation(self):
-        with pytest.raises(ValueError):
-            MarcumArgs(a=-1.0, b=0.0)
-
     def test_marcum_args_from_channel(self):
         params = make_params()
-        args = MarcumArgs.for_threshold(params, 150.0, 5e3)
+        a, b = _marcum_ab(params, 150.0, 5e3)
         mu = math.sqrt(params.mu_sq)
-        assert args.a == pytest.approx(math.sqrt(2.0 * params.eta) / mu, rel=1e-14)
-        assert args.b == pytest.approx(
+        assert a == pytest.approx(math.sqrt(2.0 * params.eta) / mu, rel=1e-14)
+        assert b == pytest.approx(
             math.sqrt(2.0) * math.sqrt(150.0) * math.sqrt(5e3 / params.rho) / mu, rel=1e-12
         )
 
