@@ -5,8 +5,9 @@ r_m^2(x) <= alpha_m(t) with f(alpha_m(t)) = t, so the feasible positions
 form the interval [x_m - d_m, x_m + d_m] ∩ [0, dx], d_m =
 sqrt(max(alpha_m - C_m, 0)). Intersections of such intervals shrink
 monotonically in t, which makes the epigraph problem solvable by plain
-bisection on t with only scalar inner root-finds. A two-user closed form
-(equal per-user parameters) is available as an independent cross-check.
+bisection on t with only scalar inner root-finds, then on x toward the
+worst user. A two-user closed form (equal per-user parameters) is
+available as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ from .model import (
 
 # Relative y-space tolerance used when SolverTolerances.eps_y is left None.
 AUTO_EPS_Y_REL = 1e-9
-# Golden-section shrink factor and relative x tolerance for the final polish.
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_POLISH_XTOL_REL = 1e-11
 # Cap on doublings of an upper bracket that turned out to be feasible.
 _BRACKET_DOUBLINGS = 80
 # Cap on outer bisection steps; it binds only when eps_t is finer than double spacing.
@@ -102,7 +100,8 @@ class Solution:
     feasible is the final certified interval, per_user_bounds the squared-
     distance thresholds at the certified level (None for baselines and grid
     searches). meta carries diagnostics such as the outer bracket
-    (bracket_lo/bracket_hi) or grid slack estimates.
+    (bracket_lo/bracket_hi), the binding users (binding: the sorted indices
+    of the one or two worst users around x_star) or grid slack estimates.
     """
 
     t_star: float
@@ -185,47 +184,32 @@ def _avg_bound(scenario: Scenario, tol: SolverTolerances):
     return bound, gamma_max
 
 
+def _distances(scenario: Scenario, x_pin: float) -> list[float]:
+    """Squared distance from the antenna at x_pin to every user."""
+    return [distance_squared(user, scenario.dv, x_pin) for user in scenario.users]
+
+
+def _worst_avg_snr(scenario: Scenario, ys) -> tuple[float, int]:
+    """(min_m f_m(ys[m]), the user m that attains it)."""
+    return min((f_scalar(scenario.channels[m], ys[m]), m) for m in range(scenario.n_users))
+
+
 def min_avg_snr(scenario: Scenario, x_pin: float) -> float:
     """Worst-user average SNR at a given antenna position (the objective)."""
-    return min(
-        f_scalar(scenario.channels[m], distance_squared(scenario.users[m], scenario.dv, x_pin))
-        for m in range(scenario.n_users)
-    )
-
-
-def _argmax_quasiconcave(objective, lo: float, hi: float) -> float:
-    """Golden-section maximizer for a strictly quasiconcave objective."""
-    if hi <= lo:
-        return lo
-    # floor the tolerance at ulp scale so the bracket can always shrink
-    xtol = max(_POLISH_XTOL_REL * (hi - lo), 1e-13 * max(abs(lo), abs(hi), 1.0))
-    a, b = lo, hi
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = objective(x1), objective(x2)
-    for _ in range(200):
-        if b - a <= xtol:
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = objective(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = objective(x1)
-    return 0.5 * (a + b)
+    return _worst_avg_snr(scenario, _distances(scenario, x_pin))[0]
 
 
 def _solve_nested(scenario: Scenario, bound, objective, t_hi: float,
                   tol: SolverTolerances, **meta) -> Solution:
     """Solver shared by both metrics: bound(m, t) as in _feasible_set, the
-    exact objective(x), and a first guess t_hi at an infeasible level.
+    exact objective(ys) -> (value, worst user) at squared distances ys, and
+    a first guess t_hi at an infeasible level.
 
     t_hi doubles until infeasible, bisection on t certifies [t_lo, t_hi] to
-    relative width eps_t, and x_star is the golden-section argmax of the
-    objective over the last nonempty intersection. meta extends
-    Solution.meta.
+    relative width eps_t, and bisection on x over the last nonempty
+    intersection moves each midpoint's far end toward its worst user m:
+    every user's value strictly decreases in |x - x_m|. The last such
+    users on each side bind (meta["binding"]). meta extends Solution.meta.
     """
     for _ in range(_BRACKET_DOUBLINGS):
         if _feasible_set(scenario, bound, t_hi)[0].empty:
@@ -248,14 +232,27 @@ def _solve_nested(scenario: Scenario, bound, objective, t_hi: float,
             t_lo, interval, bounds = t_mid, mid, mid_bounds
     if t_lo <= 0.0:
         raise SolverAnomaly(f"no positive feasible level found in {_MAX_BISECTIONS} bisections")
-    x_star = _argmax_quasiconcave(objective, interval.lo, interval.hi)
+    lo, hi = interval.lo, interval.hi
+    xtol = 1e-13 * max(abs(lo), abs(hi), 1.0)  # ulp-scale floor
+    left = right = None
+    while hi - lo > xtol:
+        x_mid = 0.5 * (lo + hi)
+        m = objective(_distances(scenario, x_mid))[1]
+        # a worst user at x_mid itself stops the search there
+        if scenario.users[m].x >= x_mid:
+            lo, left = x_mid, m
+        if scenario.users[m].x <= x_mid:
+            hi, right = x_mid, m
+    x_star = 0.5 * (lo + hi)
+    t_star, worst = objective(_distances(scenario, x_star))
+    binding = tuple(sorted({left, right} - {None} or {worst}))
     return Solution(
-        t_star=objective(x_star),
+        t_star=t_star,
         x_star=x_star,
         feasible=interval,
         outer_iterations=iters,
         per_user_bounds=bounds,
-        meta={"bracket_lo": t_lo, "bracket_hi": t_hi, **meta},
+        meta={"bracket_lo": t_lo, "bracket_hi": t_hi, "binding": binding, **meta},
     )
 
 
@@ -264,14 +261,14 @@ def solve_maxmin(scenario: Scenario, tol: SolverTolerances | None = None) -> Sol
 
     Outer bisection on the guaranteed level t between 0 (always feasible)
     and twice the best single-user SNR (structurally infeasible); each
-    probe runs one scalar inversion per user. The returned t_star is the
-    exact objective at x_star, which is the golden-section argmax over the
-    final certified interval; Solution.meta carries the bisection bracket.
+    probe runs one scalar inversion per user. x_star comes from bisection
+    on x toward the worst user, t_star is the exact objective there, and
+    Solution.meta carries the bisection bracket and the binding users.
     """
     tol = tol or SolverTolerances()
     bound, gamma_max = _avg_bound(scenario, tol)
     t_hi = 2.0 * max(gamma_max)
-    return _solve_nested(scenario, bound, lambda x: min_avg_snr(scenario, x), t_hi, tol,
+    return _solve_nested(scenario, bound, lambda ys: _worst_avg_snr(scenario, ys), t_hi, tol,
                          t_hi_init=t_hi)
 
 

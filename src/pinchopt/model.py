@@ -151,6 +151,19 @@ def f_scalar(params: ChannelParams, y: float) -> float:
     return params.rho * (params.eta * math.exp(-params.beta * y) + params.mu_sq) / y
 
 
+def snr_variance(params: ChannelParams, y: float) -> float:
+    """Variance of the instantaneous SNR rho*|h|^2 at squared distance y.
+
+    With p = e^{-beta y}, E[(rho|h|^2)^2] = rho^2 (p (eta^2 + 4 eta mu_sq)
+    + 2 mu_sq^2) / y^2; subtracting f(y)^2 = rho^2 (p eta + mu_sq)^2 / y^2
+    leaves the cancellation-free form below.
+    """
+    p = math.exp(-params.beta * y)
+    eta, mu_sq = params.eta, params.mu_sq
+    return (params.rho / y) ** 2 * (p * (1.0 - p) * eta * eta + 2.0 * p * eta * mu_sq
+                                    + mu_sq * mu_sq)
+
+
 def squared_distance_range(scenario: Scenario, user_index: int) -> SquaredDistanceRange:
     """Precompute min/max of r_m^2 over x_pin in [0, dx] for one user."""
     if not 0 <= user_index < scenario.n_users:

@@ -173,7 +173,7 @@ def outage_grid_ceiling(scenario: Scenario, spec: OutageSpec) -> float:
     return _min_threshold(
         scenario, spec,
         [squared_distance_range(scenario, m).y_min for m in range(scenario.n_users)],
-    )
+    )[0]
 
 
 def grid_search_outage(scenario: Scenario, spec: OutageSpec, grid_points: int,

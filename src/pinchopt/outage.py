@@ -7,13 +7,13 @@ are nested in t, so the largest threshold with a nonempty intersection
 T(t) = ∩ J_m(t) is found by the same outer bisection as the average-SNR
 design, with the inner scalar inversion now running on the CCDF.
 
-The per-position objective (the polish of the outage solve) is the
-smallest of the users' threshold roots, but only the users that bind
-need one: the farthest user's root is bisected first, every other user
-is checked once at the running minimum and skipped if it meets its
-target there, and a user that misses it is bisected on [0, running
-minimum]. The result is feasible for every user and within
-_THRESHOLD_REL_TOL (1e-12) relative of the min of independent roots.
+The per-position objective is the smallest of the users' threshold
+roots, but only the users that bind need one: the farthest user's root
+is bisected first, every other user is checked once at the running
+minimum and skipped if it meets its target there, and a user that misses
+it is bisected on [0, running minimum]. The result is feasible for every
+user and within _THRESHOLD_REL_TOL (1e-12) relative of the min of
+independent roots, and the user that set it is the worst user.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ from .maxmin import (
     SolverAnomaly,
     SolverTolerances,
     Solution,
+    _distances,
     _solve_nested,
 )
-from .model import Scenario, distance_squared, squared_distance_range
+from .model import Scenario, squared_distance_range
 from .special import ccdf_inst_snr
 
 # Relative width at which the per-position threshold root stops.
@@ -141,8 +142,8 @@ def _threshold_root(params, y: float, epsilon: float) -> float:
     return _bisect_threshold(params, y, target, hi)
 
 
-def _min_threshold(scenario: Scenario, spec: OutageSpec, ys) -> float:
-    """min_m of the largest threshold user m meets at squared distance ys[m].
+def _min_threshold(scenario: Scenario, spec: OutageSpec, ys) -> tuple[float, int]:
+    """(min_m of the largest threshold user m meets at ys[m], the worst m).
 
     Only binding users are bisected. Users are visited farthest first (the
     farthest always binds under shared channels and targets); the first
@@ -150,25 +151,23 @@ def _min_threshold(scenario: Scenario, spec: OutageSpec, ys) -> float:
     once at cur: meeting its target there, it cannot lower the minimum.
     Otherwise cur certifies that user infeasible, so its root is bisected
     on [0, cur] and becomes the new cur. The result meets every target and
-    lies within _THRESHOLD_REL_TOL relative of the min of independent roots.
+    lies within _THRESHOLD_REL_TOL relative of the min of independent roots;
+    the worst user is the last one that lowered cur, else the farthest.
     """
     spec = spec.for_scenario(scenario)
     order = sorted(range(scenario.n_users), key=lambda m: -ys[m])
-    first = order[0]
-    cur = _threshold_root(scenario.channels[first], ys[first], spec.epsilons[first])
+    worst = order[0]
+    cur = _threshold_root(scenario.channels[worst], ys[worst], spec.epsilons[worst])
     for m in order[1:]:
         params, target = scenario.channels[m], 1.0 - spec.epsilons[m]
         if ccdf_inst_snr(params, ys[m], cur) < target:
-            cur = _bisect_threshold(params, ys[m], target, cur)
-    return cur
+            cur, worst = _bisect_threshold(params, ys[m], target, cur), m
+    return cur, worst
 
 
 def max_threshold_at(scenario: Scenario, spec: OutageSpec, x_pin: float) -> float:
     """Exact objective: largest t meeting every outage target at x_pin."""
-    return _min_threshold(
-        scenario, spec,
-        [distance_squared(scenario.users[m], scenario.dv, x_pin) for m in range(scenario.n_users)],
-    )
+    return _min_threshold(scenario, spec, _distances(scenario, x_pin))[0]
 
 
 def solve_outage(
@@ -178,14 +177,14 @@ def solve_outage(
 
     Outer bisection on t with T(t) feasibility probes; the initial upper
     bracket 2 max_m rho_m eta_m / y_{m,min} (past the LoS-limited drop) is
-    doubled until T is verifiably empty. x_star maximizes the exact
-    per-position threshold over the final interval; t_star is its value.
+    doubled until T is verifiably empty. x_star comes from bisection on x
+    toward the worst user; t_star is the exact per-position threshold there.
     """
     tol = tol or SolverTolerances()
     spec = spec.for_scenario(scenario)
     return _solve_nested(
         scenario, _outage_bound(scenario, spec.epsilons, tol),
-        lambda x: max_threshold_at(scenario, spec, x), default_threshold_ceiling(scenario), tol,
+        lambda ys: _min_threshold(scenario, spec, ys), default_threshold_ceiling(scenario), tol,
     )
 
 

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # tests/oracles.py
 
-from pinchopt import ChannelParams, Scenario, UserPosition, eta_from_carrier
+from pinchopt import ChannelParams, OutageSpec, Scenario, UserPosition, eta_from_carrier
 from pinchopt.montecarlo import McConfig, estimate_avg_snr
 
 ETA_28GHZ = eta_from_carrier(28e9)
@@ -38,6 +38,18 @@ def random_scenario(rng: np.random.Generator, n_users: int, dx=30.0, dy=10.0, dv
     if beta is None:
         beta = float(rng.uniform(1e-3, 1e-2))
     return make_scenario(zip(xs, ys), dx=dx, dy=dy, dv=dv, beta=beta)
+
+
+def heterogeneous_drop(rng, n_users):
+    """Random users with per-user beta, mu^2 and eta, and per-user outage targets."""
+    users = tuple(UserPosition(float(rng.uniform(0.0, 30.0)), float(rng.uniform(-5.0, 5.0)))
+                  for _ in range(n_users))
+    channels = tuple(make_params(beta=float(rng.uniform(1e-3, 1e-2)),
+                                 mu_sq=float(rng.uniform(0.3e-9, 3e-9)),
+                                 eta=ETA_28GHZ * float(rng.uniform(0.5, 2.0)))
+                     for _ in range(n_users))
+    spec = OutageSpec(epsilons=tuple(float(e) for e in rng.uniform(0.02, 0.3, n_users)))
+    return Scenario(dx=30.0, dy=10.0, dv=10.0, users=users, channels=channels), spec
 
 
 @pytest.fixture(scope="session", autouse=True)

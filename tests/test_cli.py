@@ -40,6 +40,15 @@ class TestVerify:
         assert failed == {"avg-snr-formula-vs-mc", "ccdf-formula-vs-mc"}
         assert doc["all_pass"] is False
 
+    def test_rare_los_draws_do_not_fail_a_correct_formula(self, tmp_path, capsys):
+        # p_LoS ~ 5e-4 at the midpoint: a 2000-draw sample std error misses the
+        # rare LoS draws, so the error bar comes from the analytic variance
+        doc = dict(TWO_USERS, defaults={"beta": 0.029},
+                   users=[{"x": 3.0, "y": 4.0}, {"x": 27.0, "y": -4.0}])
+        rc = cli.main(["verify", _write(tmp_path, doc), "--samples", "2000", "--seed", "4"])
+        assert rc == cli.EXIT_OK
+        assert "PASS avg-snr-formula-vs-mc" in capsys.readouterr().out
+
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_bad_eta_scale_is_invalid_input(self, two_user_file, capsys, value):
         rc = cli.main(["verify", str(two_user_file), "--samples", "1000", "--eta-scale", value])

@@ -21,7 +21,7 @@ from pinchopt import (
 from pinchopt.maxmin import _avg_bound, _feasible_set, _interval_from_bound
 from pinchopt.model import ChannelParams
 
-from conftest import make_params, make_scenario, random_scenario
+from conftest import heterogeneous_drop, make_params, make_scenario, random_scenario
 
 TOL = SolverTolerances()
 
@@ -211,6 +211,26 @@ class TestSolveMaxmin:
             assert f_scalar(sc.channels[m], alpha) == pytest.approx(
                 sol.meta["bracket_lo"], rel=1e-6
             )
+
+
+class TestWorstUserFinish:
+    """x_star comes from bisection on x toward the worst user at each midpoint."""
+
+    def test_no_grid_point_beats_t_star(self):
+        rng = np.random.Generator(np.random.Philox(50))
+        for n_users in (1, 2, 3, 5, 8, 12, 20, 32):
+            sc, _ = heterogeneous_drop(rng, n_users)
+            sol = solve_maxmin(sc)
+            for x in np.linspace(sol.feasible.lo, sol.feasible.hi, 201):
+                assert sol.t_star >= min_avg_snr(sc, float(x)) * (1.0 - 2e-12)
+
+    @pytest.mark.parametrize("user_xy, binding", [
+        ([(8.0, 3.0), (20.0, -3.0)], (0, 1)),  # closed-form crossing
+        ([(10.0, 0.0), (12.0, 5.0)], (1,)),    # antenna at the limiting user
+        ([(12.0, 3.0)], (0,)),
+    ])
+    def test_binding_users(self, user_xy, binding):
+        assert solve_maxmin(make_scenario(user_xy)).meta["binding"] == binding
 
 
 class TestTwoUserClosedForm:

@@ -17,6 +17,7 @@ from pinchopt import (
     solve_maxmin,
     solve_outage,
 )
+from pinchopt.model import snr_variance
 from pinchopt.montecarlo import _draw_snr, outage_grid_ceiling
 
 from conftest import make_params, make_scenario, random_scenario
@@ -69,6 +70,17 @@ class TestSampleChannelPower:
         values = params.rho * _channel_power(params, 150.0, rng, 500_000)
         se = values.std(ddof=1) / math.sqrt(values.size)
         assert abs(values.mean() - f_scalar(params, 150.0)) <= 3.0 * se
+
+    @pytest.mark.parametrize("beta, r_sq", [(0.0, 150.0), (0.01, 100.0), (0.01, 300.0),
+                                             (0.029, 110.0)])
+    def test_second_moment_matches_variance_formula(self, beta, r_sq):
+        # E[snr^2] = Var + f^2, against the mean of squares of the sampler's draws
+        params = make_params(beta=beta)
+        rng = np.random.Generator(np.random.Philox(5))
+        squares = _draw_snr(params, r_sq, rng, 400_000, 0.0, params.rho) ** 2
+        se = squares.std(ddof=1) / math.sqrt(squares.size)
+        expected = snr_variance(params, r_sq) + f_scalar(params, r_sq) ** 2
+        assert abs(squares.mean() - expected) <= 4.0 * se
 
 
 class TestEstimateAvgSnr:

@@ -5,9 +5,7 @@ import pytest
 
 from pinchopt import (
     OutageSpec,
-    Scenario,
     SolverTolerances,
-    UserPosition,
     ccdf_inst_snr,
     fixed_antenna_outage_baseline,
     invert_ccdf,
@@ -18,7 +16,7 @@ from pinchopt import (
 from pinchopt import outage
 from pinchopt.maxmin import _feasible_set, _interval_from_bound
 
-from conftest import ETA_28GHZ, make_params, make_scenario, random_scenario
+from conftest import heterogeneous_drop, make_params, make_scenario, random_scenario
 from oracles import marcum_q1_quad, nlos_only_bound
 
 TOL = SolverTolerances()
@@ -191,6 +189,43 @@ class TestSolveOutage:
         assert values[0] < values[-1]
 
 
+class TestWorstUserFinish:
+    """x_star comes from bisection on x toward the user with the smallest root."""
+
+    def test_no_grid_point_beats_t_star(self):
+        rng = np.random.Generator(np.random.Philox(51))
+        for n_users in (2, 4, 8):
+            sc, spec = heterogeneous_drop(rng, n_users)
+            sol = solve_outage(sc, spec)
+            for x in np.linspace(sol.feasible.lo, sol.feasible.hi, 201):
+                assert sol.t_star >= max_threshold_at(sc, spec, float(x)) * (1.0 - 2e-12)
+
+    def test_one_objective_call_per_halving(self, monkeypatch):
+        rng = np.random.Generator(np.random.Philox(52))
+        sc = random_scenario(rng, 8)
+        calls = 0
+        real = outage._min_threshold
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(outage, "_min_threshold", counted)
+        sol = solve_outage(sc, OutageSpec.shared(0.1, 8))
+        lo, hi = sol.feasible.lo, sol.feasible.hi
+        xtol = 1e-13 * max(abs(lo), abs(hi), 1.0)
+        assert calls <= math.ceil(math.log2((hi - lo) / xtol)) + 2
+
+    @pytest.mark.parametrize("user_xy, binding", [
+        ([(8.0, 3.0), (20.0, -3.0)], (0, 1)),
+        ([(12.0, 3.0)], (0,)),
+    ])
+    def test_binding_users(self, user_xy, binding):
+        spec = OutageSpec.shared(0.1, len(user_xy))
+        assert solve_outage(make_scenario(user_xy), spec).meta["binding"] == binding
+
+
 class TestFixedOutageBaseline:
     def test_position(self):
         sc = make_scenario([(10.0, 5.0), (25.0, -2.0)], dx=30.0)
@@ -220,18 +255,6 @@ class TestFixedOutageBaseline:
         low = fixed_antenna_outage_baseline(make_scenario(users, beta=0.004), spec)
         high = fixed_antenna_outage_baseline(make_scenario(users, beta=0.008), spec)
         assert high.t_star < low.t_star
-
-
-def _heterogeneous_drop(rng, n_users):
-    """Random users with per-user beta, mu^2 and eta, and per-user outage targets."""
-    users = tuple(UserPosition(float(rng.uniform(0.0, 30.0)), float(rng.uniform(-5.0, 5.0)))
-                  for _ in range(n_users))
-    channels = tuple(make_params(beta=float(rng.uniform(1e-3, 1e-2)),
-                                 mu_sq=float(rng.uniform(0.3e-9, 3e-9)),
-                                 eta=ETA_28GHZ * float(rng.uniform(0.5, 2.0)))
-                     for _ in range(n_users))
-    spec = OutageSpec(epsilons=tuple(float(e) for e in rng.uniform(0.02, 0.3, n_users)))
-    return Scenario(dx=30.0, dy=10.0, dv=10.0, users=users, channels=channels), spec
 
 
 def _independent_root(params, y, epsilon):
@@ -266,7 +289,7 @@ class TestPrunedObjective:
     def test_matches_min_of_independent_roots(self, n_users):
         rng = np.random.Generator(np.random.Philox(40 + n_users))
         for trial in range(4):
-            sc, spec = _heterogeneous_drop(rng, n_users)
+            sc, spec = heterogeneous_drop(rng, n_users)
             x_pin = float(rng.uniform(0.0, sc.dx))
             ys = [(u.x - x_pin) ** 2 + u.y ** 2 + sc.dv ** 2 for u in sc.users]
             reference = min(_independent_root(sc.channels[m], ys[m], spec.epsilons[m])
