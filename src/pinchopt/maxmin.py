@@ -202,14 +202,17 @@ def min_avg_snr(scenario: Scenario, x_pin: float) -> float:
 def _solve_nested(scenario: Scenario, bound, objective, t_hi: float,
                   tol: SolverTolerances, **meta) -> Solution:
     """Solver shared by both metrics: bound(m, t) as in _feasible_set, the
-    exact objective(ys) -> (value, worst user) at squared distances ys, and
-    a first guess t_hi at an infeasible level.
+    exact objective(ys, t_lo, t_hi) -> (value, worst user) at squared
+    distances ys, and a first guess t_hi at an infeasible level.
 
     t_hi doubles until infeasible, bisection on t certifies [t_lo, t_hi] to
     relative width eps_t, and bisection on x over the last nonempty
     intersection moves each midpoint's far end toward its worst user m:
     every user's value strictly decreases in |x - x_m|. The last such
-    users on each side bind (meta["binding"]). meta extends Solution.meta.
+    users on each side bind (meta["binding"]). The objective also gets the
+    certified t_lo and t_hi, which bracket its value on that intersection
+    up to the inner tolerance, to start its roots from; it may ignore them.
+    meta extends Solution.meta.
     """
     for _ in range(_BRACKET_DOUBLINGS):
         if _feasible_set(scenario, bound, t_hi)[0].empty:
@@ -237,14 +240,14 @@ def _solve_nested(scenario: Scenario, bound, objective, t_hi: float,
     left = right = None
     while hi - lo > xtol:
         x_mid = 0.5 * (lo + hi)
-        m = objective(_distances(scenario, x_mid))[1]
+        m = objective(_distances(scenario, x_mid), t_lo, t_hi)[1]
         # a worst user at x_mid itself stops the search there
         if scenario.users[m].x >= x_mid:
             lo, left = x_mid, m
         if scenario.users[m].x <= x_mid:
             hi, right = x_mid, m
     x_star = 0.5 * (lo + hi)
-    t_star, worst = objective(_distances(scenario, x_star))
+    t_star, worst = objective(_distances(scenario, x_star), t_lo, t_hi)
     binding = tuple(sorted({left, right} - {None} or {worst}))
     return Solution(
         t_star=t_star,
@@ -268,7 +271,7 @@ def solve_maxmin(scenario: Scenario, tol: SolverTolerances | None = None) -> Sol
     tol = tol or SolverTolerances()
     bound, gamma_max = _avg_bound(scenario, tol)
     t_hi = 2.0 * max(gamma_max)
-    return _solve_nested(scenario, bound, lambda ys: _worst_avg_snr(scenario, ys), t_hi, tol,
+    return _solve_nested(scenario, bound, lambda ys, *_: _worst_avg_snr(scenario, ys), t_hi, tol,
                          t_hi_init=t_hi)
 
 

@@ -9,15 +9,23 @@ design, with the inner scalar inversion now running on the CCDF.
 
 The per-position objective is the smallest of the users' threshold
 roots, but only the users that bind need one: the farthest user's root
-is bisected first, every other user is checked once at the running
-minimum and skipped if it meets its target there, and a user that misses
-it is bisected on [0, running minimum]. The result is feasible for every
-user and within _THRESHOLD_REL_TOL (1e-12) relative of the min of
-independent roots, and the user that set it is the worst user.
+is found first, every other user is checked once at the running minimum
+and skipped if it meets its target there, and a user that misses it gets
+a root below the running minimum. The result is feasible for every user
+and within _THRESHOLD_REL_TOL (1e-12) relative of the min of independent
+roots, and the user that set it is the worst user.
+
+Every root starts from a bracket the solver already has and is shrunk by
+one Illinois root finder, _bracket_root. U_m is monotone in t, so each
+user's earlier inversions in a solve bracket the next one. The finish
+runs inside the certified [t_lo, t_hi], where the objective lies, so
+its threshold roots start there instead of at the LoS ceiling.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .maxmin import (
@@ -60,38 +68,96 @@ class OutageSpec:
         return self
 
 
-def invert_ccdf(params, t: float, epsilon: float, rng, eps_u: float) -> float | None:
+def _bracket_root(g, lo: float, g_lo: float, hi: float, g_hi: float,
+                  width: float) -> tuple[float, float]:
+    """Shrink [lo, hi] around the root of a decreasing g to width, by Illinois.
+
+    Needs g_lo = g(lo) >= 0 > g_hi = g(hi). Returns (lo, hi) with the same
+    signs and hi - lo <= width, or adjacent doubles. Each step is regula
+    falsi, and the value at an end kept twice in a row is halved (the
+    Illinois rule). Once the steps so far exceed two evaluations per
+    halving of the bracket by three, room for that rule to turn a
+    one-sided approach around, the next step bisects instead. So the
+    search ends within 2 ceil(log2(w0 / width)) + 4 evaluations.
+    """
+    w0, n, side = hi - lo, 0, 0
+    while hi - lo > width:
+        if n >= 2.0 * math.log2(w0 / (hi - lo)) + 3.0:
+            x = 0.5 * (lo + hi)
+        else:
+            x = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
+            # at least width / 2 from either end: a step that lands there may end the search
+            x = min(max(x, lo + 0.5 * width), hi - 0.5 * width)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
+        g_x = g(x)
+        n += 1
+        if g_x >= 0.0:
+            lo, g_lo = x, g_x
+            if side > 0:
+                g_hi *= 0.5
+            side = 1
+        else:
+            hi, g_hi = x, g_x
+            if side < 0:
+                g_lo *= 0.5
+            side = -1
+    return lo, hi
+
+
+def invert_ccdf(params, t: float, epsilon: float, rng, eps_y: float,
+                bracket: tuple[float, float] | None = None) -> float | None:
     """Largest y in [y_min, y_max] with ccdf(y, t) >= 1 - epsilon.
 
     None marks infeasibility (even y_min misses the target); y_max means
     the constraint binds nowhere on the deployment range. Otherwise the
-    unique root of the strictly decreasing CCDF is bracketed to eps_u and
-    its conservative (lower) end is returned.
+    unique root of the strictly decreasing CCDF is bracketed to eps_y and
+    its conservative (lower) end is returned. bracket (y_lo, y_hi) is where
+    the root is sought, by default the whole range. A y_lo that misses the
+    target or a y_hi that meets it gives None or y_max when it is the
+    range's end; anywhere else the search falls back to the whole range.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     target = 1.0 - epsilon
-    if ccdf_inst_snr(params, rng.y_min, t) < target:
-        return None
-    if ccdf_inst_snr(params, rng.y_max, t) >= target:
-        return rng.y_max
-    lo, hi = rng.y_min, rng.y_max
-    while hi - lo > eps_u:
-        mid = 0.5 * (lo + hi)
-        if ccdf_inst_snr(params, mid, t) >= target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+
+    def g(y):
+        return ccdf_inst_snr(params, y, t) - target
+
+    lo, hi = bracket or (rng.y_min, rng.y_max)
+    g_lo = g(lo)
+    if g_lo < 0.0:
+        return None if lo == rng.y_min else invert_ccdf(params, t, epsilon, rng, eps_y)
+    g_hi = g(hi)
+    if g_hi >= 0.0:
+        return rng.y_max if hi == rng.y_max else invert_ccdf(params, t, epsilon, rng, eps_y)
+    return _bracket_root(g, lo, g_lo, hi, g_hi, eps_y)[0]
 
 
 def _outage_bound(scenario: Scenario, epsilons, tol: SolverTolerances):
-    """Per-user bound U_m(t) of the outage metric (None: target missed everywhere)."""
+    """Per-user bound U_m(t) of the outage metric (None: target missed everywhere).
+
+    U_m is nonincreasing in t, so each user's earlier inversions in this
+    solve bracket the next: a y feasible at the nearest probe t' >= t is
+    feasible at t, and one infeasible at the nearest probe t' <= t is
+    infeasible at t. A probe that returned y is infeasible from y + eps_y on.
+    """
     ranges = [squared_distance_range(scenario, m) for m in range(scenario.n_users)]
     inner = [tol.inner_tol(r) for r in ranges]
+    # per user: probed thresholds, ascending, and at each (feasible y, infeasible y),
+    # where the range's ends stand in for "none known"
+    probes = [([], []) for _ in range(scenario.n_users)]
 
     def bound(m: int, t: float) -> float | None:
-        return invert_ccdf(scenario.channels[m], t, epsilons[m], ranges[m], inner[m])
+        (ts, ends), y_min, y_max = probes[m], ranges[m].y_min, ranges[m].y_max
+        i, j = bisect_left(ts, t), bisect_right(ts, t)
+        bracket = (ends[i][0] if i < len(ts) else y_min, ends[j - 1][1] if j else y_max)
+        y = invert_ccdf(scenario.channels[m], t, epsilons[m], ranges[m], inner[m], bracket)
+        ts.insert(i, t)
+        ends.insert(i, (y_min, y_min) if y is None else (y, min(y + inner[m], y_max)))
+        return y
 
     return bound
 
@@ -109,59 +175,65 @@ def default_threshold_ceiling(scenario: Scenario) -> float:
     )
 
 
-def _bisect_threshold(params, y: float, target: float, hi: float) -> float:
-    """Feasible lower end of [0, hi] after bisecting ccdf(y, t) >= target on t.
+def _threshold_root(params, y: float, epsilon: float, lo: float = 0.0,
+                    hi: float | None = None, g_hi: float | None = None) -> float:
+    """Largest t with ccdf(y, t) >= 1 - epsilon, as the feasible end of a bracket.
 
-    hi must miss the target; t = 0 always meets it. Stops at relative
-    width _THRESHOLD_REL_TOL.
-    """
-    lo = 0.0
-    while hi - lo > _THRESHOLD_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if ccdf_inst_snr(params, y, mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _threshold_root(params, y: float, epsilon: float) -> float:
-    """Largest t with ccdf(y, t) >= 1 - epsilon, by bisection on t.
-
-    The bracket starts at the LoS ceiling and doubles until the target is
-    missed.
+    The root is sought on [lo, hi]: lo falls back to 0 (always feasible) if
+    it misses the target; hi None starts at the LoS ceiling, and an hi that
+    still meets the target doubles, each time becoming lo, until it misses.
+    g_hi is ccdf(y, hi) - (1 - epsilon) when the caller has it. The bracket
+    shrinks to _THRESHOLD_REL_TOL times max(lo, NLoS root), at most that
+    share of the root: the LoS branch only helps, Q1(a, b) >= e^{-b^2/2},
+    the NLoS tail.
     """
     target = 1.0 - epsilon
-    hi = max(_los_ceiling(params, y), 1e-300)
+
+    def g(t):
+        return ccdf_inst_snr(params, y, t) - target
+
+    if lo == 0.0 or (g_lo := g(lo)) < 0.0:
+        lo, g_lo = 0.0, 1.0 - target
+    if hi is None:
+        hi = max(_los_ceiling(params, y), 1e-300)
+    if g_hi is None:
+        g_hi = g(hi)
     for _ in range(_BRACKET_DOUBLINGS):
-        if ccdf_inst_snr(params, y, hi) < target:
+        if g_hi < 0.0:
             break
-        hi *= 2.0
+        lo, g_lo, hi = hi, g_hi, 2.0 * hi
+        g_hi = g(hi)
     else:
         raise SolverAnomaly(f"no finite threshold violates the outage target at y={y}")
-    return _bisect_threshold(params, y, target, hi)
+    nlos_root = -params.rho * params.mu_sq * math.log1p(-epsilon) / y
+    return _bracket_root(g, lo, g_lo, hi, g_hi, _THRESHOLD_REL_TOL * max(lo, nlos_root))[0]
 
 
-def _min_threshold(scenario: Scenario, spec: OutageSpec, ys) -> tuple[float, int]:
+def _min_threshold(scenario: Scenario, spec: OutageSpec, ys, t_lo: float = 0.0,
+                   t_hi: float | None = None) -> tuple[float, int]:
     """(min_m of the largest threshold user m meets at ys[m], the worst m).
 
-    Only binding users are bisected. Users are visited farthest first (the
+    [t_lo, t_hi] is a guess at the bracket of the result, such as the
+    solver's certified one; the default is cold, [0, LoS ceiling]. Only
+    binding users get a root. Users are visited farthest first (the
     farthest always binds under shared channels and targets); the first
-    gets a full root, the running minimum cur. Each later user is checked
-    once at cur: meeting its target there, it cannot lower the minimum.
-    Otherwise cur certifies that user infeasible, so its root is bisected
-    on [0, cur] and becomes the new cur. The result meets every target and
-    lies within _THRESHOLD_REL_TOL relative of the min of independent roots;
-    the worst user is the last one that lowered cur, else the farthest.
+    gets a root started on [t_lo, t_hi], the running minimum cur. Each
+    later user is checked once at cur: meeting its target there, it cannot
+    lower the minimum. Otherwise cur certifies that user infeasible, so its
+    root is started on [t_lo, cur] and becomes the new cur. The result meets
+    every target and lies within _THRESHOLD_REL_TOL relative of the min of
+    independent roots; the worst user is the last one that lowered cur,
+    else the farthest.
     """
     spec = spec.for_scenario(scenario)
     order = sorted(range(scenario.n_users), key=lambda m: -ys[m])
     worst = order[0]
-    cur = _threshold_root(scenario.channels[worst], ys[worst], spec.epsilons[worst])
+    cur = _threshold_root(scenario.channels[worst], ys[worst], spec.epsilons[worst], t_lo, t_hi)
     for m in order[1:]:
-        params, target = scenario.channels[m], 1.0 - spec.epsilons[m]
-        if ccdf_inst_snr(params, ys[m], cur) < target:
-            cur, worst = _bisect_threshold(params, ys[m], target, cur), m
+        params, epsilon = scenario.channels[m], spec.epsilons[m]
+        g_cur = ccdf_inst_snr(params, ys[m], cur) - (1.0 - epsilon)
+        if g_cur < 0.0:
+            cur, worst = _threshold_root(params, ys[m], epsilon, min(t_lo, cur), cur, g_cur), m
     return cur, worst
 
 
@@ -179,12 +251,15 @@ def solve_outage(
     bracket 2 max_m rho_m eta_m / y_{m,min} (past the LoS-limited drop) is
     doubled until T is verifiably empty. x_star comes from bisection on x
     toward the worst user; t_star is the exact per-position threshold there.
+    Each user's inversions start from its earlier probes, and the finish's
+    threshold roots from the certified bracket.
     """
     tol = tol or SolverTolerances()
     spec = spec.for_scenario(scenario)
     return _solve_nested(
         scenario, _outage_bound(scenario, spec.epsilons, tol),
-        lambda ys: _min_threshold(scenario, spec, ys), default_threshold_ceiling(scenario), tol,
+        lambda ys, t_lo, t_hi: _min_threshold(scenario, spec, ys, t_lo, t_hi),
+        default_threshold_ceiling(scenario), tol,
     )
 
 

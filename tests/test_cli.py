@@ -49,6 +49,23 @@ class TestVerify:
         assert rc == cli.EXIT_OK
         assert "PASS avg-snr-formula-vs-mc" in capsys.readouterr().out
 
+    def test_ccdf_check_holds_its_false_failure_rate_across_users(self, tmp_path, capsys):
+        # 16 comparisons, each at 3 sample std errors, failed this correct formula
+        # (1.62 of 3); the binomial error bar under a Bonferroni z passes it
+        doc = dict(TWO_USERS, defaults={"beta": 0.02875085410014762}, users=[
+            {"x": 6.230454, "y": -3.640804}, {"x": 24.853347, "y": 1.890365},
+            {"x": 4.478464, "y": 3.417477}, {"x": 15.384138, "y": -0.74491}])
+        path = _write(tmp_path, doc)
+        assert cli.main(["verify", path, "--samples", "2000", "--seed", "0"]) == cli.EXIT_OK
+        assert "PASS ccdf-formula-vs-mc" in capsys.readouterr().out
+        report = tmp_path / "report.json"
+        rc = cli.main(["verify", path, "--samples", "20000", "--seed", "0",
+                       "--eta-scale", "1.5", "--report", str(report)])
+        assert rc == cli.EXIT_CHECK_FAILED
+        doc = json.loads(report.read_text(encoding="utf-8"))
+        assert {c["name"] for c in doc["checks"] if not c["pass"]} == {
+            "avg-snr-formula-vs-mc", "ccdf-formula-vs-mc"}
+
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_bad_eta_scale_is_invalid_input(self, two_user_file, capsys, value):
         rc = cli.main(["verify", str(two_user_file), "--samples", "1000", "--eta-scale", value])
@@ -75,6 +92,20 @@ class TestSolve:
         assert rc == cli.EXIT_OK
         result = json.loads(out.read_text(encoding="utf-8"))
         assert result["pinching"]["t_star"] >= result["fixed"]["t_star"] > 0.0
+
+    @pytest.mark.parametrize("metric", ["avg-snr", "outage"])
+    def test_json_reports_the_certificate(self, tmp_path, metric):
+        doc = dict(TWO_USERS, users=[{"x": 8.0, "y": 3.0}, {"x": 20.0, "y": -3.0}],
+                   outage={"epsilon": 0.1})
+        out = tmp_path / "out.json"
+        rc = cli.main(["solve", _write(tmp_path, doc), "--metric", metric, "-o", str(out)])
+        assert rc == cli.EXIT_OK
+        result = json.loads(out.read_text(encoding="utf-8"))
+        pin = result["pinching"]
+        assert pin["binding"] == [0, 1]  # the users' levels cross at the optimum
+        t_lo, t_hi = pin["bracket"]
+        assert 0.0 < t_lo <= pin["t_star"] and t_lo < t_hi
+        assert "bracket" not in result["fixed"] and "binding" not in result["fixed"]
 
     def test_outage_without_outage_section_is_invalid(self, two_user_file, capsys):
         rc = cli.main(["solve", str(two_user_file), "--metric", "outage"])

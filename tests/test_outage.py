@@ -13,7 +13,7 @@ from pinchopt import (
     solve_outage,
     squared_distance_range,
 )
-from pinchopt import outage
+from pinchopt import kernels, outage
 from pinchopt.maxmin import _feasible_set, _interval_from_bound
 
 from conftest import heterogeneous_drop, make_params, make_scenario, random_scenario
@@ -67,10 +67,10 @@ class TestInvertCcdf:
         rng = squared_distance_range(sc, 0)
         params = sc.channels[0]
         eps = 0.1
-        eps_u = 1e-9 * rng.y_max
+        eps_y = 1e-9 * rng.y_max
         # pick t so the root lies strictly inside (y_min, y_max)
         t = max_threshold_at(sc, OutageSpec.shared(eps, 1), 2.0)
-        bound = invert_ccdf(params, t, eps, rng, eps_u)
+        bound = invert_ccdf(params, t, eps, rng, eps_y)
         assert bound is not None and rng.y_min < bound < rng.y_max
         assert ccdf_inst_snr(params, bound, t) == pytest.approx(1.0 - eps, abs=1e-6)
 
@@ -95,17 +95,17 @@ class TestInvertCcdf:
         sc = make_scenario([(10.0, 5.0)], dx=30.0)
         rng = squared_distance_range(sc, 0)
         params = sc.channels[0]
-        eps_u = 1e-9 * rng.y_max
+        eps_y = 1e-9 * rng.y_max
         rng_np = np.random.Generator(np.random.Philox(13))
         cap = max_threshold_at(sc, OutageSpec.shared(0.1, 1), 10.0)
         for _ in range(40):
             t1, t2 = sorted(rng_np.uniform(0.1, 3.0 * cap, 2))
-            b1 = invert_ccdf(params, float(t1), 0.1, rng, eps_u)
-            b2 = invert_ccdf(params, float(t2), 0.1, rng, eps_u)
+            b1 = invert_ccdf(params, float(t1), 0.1, rng, eps_y)
+            b2 = invert_ccdf(params, float(t2), 0.1, rng, eps_y)
             if b2 is None:
                 continue
             assert b1 is not None
-            assert b1 >= b2 - eps_u
+            assert b1 >= b2 - eps_y
 
 
 class TestUserIntervalOutage:
@@ -180,6 +180,13 @@ class TestSolveOutage:
             for m in range(2):
                 y = (sc.users[m].x - sol.x_star) ** 2 + sc.c_const(m)
                 assert ccdf_inst_snr(sc.channels[m], y, sol.t_star) >= 0.95 - 1e-6
+
+    def test_inner_tolerance_below_double_spacing_ends(self):
+        # no two doubles near y ~ 100 m^2 lie 1e-20 apart: the root ends on adjacent ones
+        sc = make_scenario([(8.0, 3.0), (20.0, -3.0)])
+        sol = solve_outage(sc, OutageSpec.shared(0.1, 2), SolverTolerances(eps_y=1e-20))
+        assert sol.t_star == pytest.approx(solve_outage(sc, OutageSpec.shared(0.1, 2)).t_star,
+                                           rel=3.0 * TOL.eps_t)
 
     def test_monotone_in_epsilon(self):
         sc = make_scenario([(8.0, 4.0), (24.0, -2.0)], dx=30.0)
@@ -327,3 +334,92 @@ class TestPrunedObjective:
         # one full root for the farthest user (it binds under shared channels)
         # and one check for each other user; a min of 32 roots costs ~32 roots
         assert calls <= 3 * root_calls + 32
+
+
+def _interior_root_case(rng):
+    """(params, t, epsilon, range, eps_y) of a one-user drop whose bound lies inside the range."""
+    sc, spec = heterogeneous_drop(rng, 1)
+    params, y_range = sc.channels[0], squared_distance_range(sc, 0)
+    y = float(rng.uniform(y_range.y_min, y_range.y_max))
+    t = outage._threshold_root(params, y, spec.epsilons[0])
+    return params, t, spec.epsilons[0], y_range, 1e-9 * y_range.y_max
+
+
+class TestWarmStart:
+    """Roots started from brackets the solver already has, and the root finder they share."""
+
+    def test_any_valid_bracket_gives_the_cold_bound(self):
+        rng = np.random.Generator(np.random.Philox(60))
+        for _ in range(20):
+            params, t, eps, y_range, eps_y = _interior_root_case(rng)
+            cold = invert_ccdf(params, t, eps, y_range, eps_y)
+            assert y_range.y_min < cold < y_range.y_max
+            for _ in range(5):
+                # every y <= cold meets the target, every y >= cold + eps_y misses it
+                bracket = (float(rng.uniform(y_range.y_min, cold)),
+                           float(rng.uniform(cold + eps_y, y_range.y_max)))
+                warm = invert_ccdf(params, t, eps, y_range, eps_y, bracket)
+                assert abs(warm - cold) <= eps_y
+                assert ccdf_inst_snr(params, warm, t) >= 1.0 - eps
+
+    def test_non_bracketing_hint_falls_back_to_cold(self):
+        rng = np.random.Generator(np.random.Philox(61))
+        for _ in range(10):
+            params, t, eps, y_range, eps_y = _interior_root_case(rng)
+            cold = invert_ccdf(params, t, eps, y_range, eps_y)
+            above = 0.5 * (cold + eps_y + y_range.y_max)  # misses the target
+            below = 0.5 * (y_range.y_min + cold)  # meets it
+            for hint in ((above, y_range.y_max), (y_range.y_min, below), (above, below)):
+                assert invert_ccdf(params, t, eps, y_range, eps_y, hint) == cold
+
+    @pytest.mark.parametrize("steps, root_step, width", [
+        (7, 4, 1e-12), (1000, 1, 1e-9), (1000, 999, 1e-9), (3, 1, 1e-15),
+    ])
+    def test_bracket_root_costs_at_most_twice_bisection(self, steps, root_step, width):
+        # a staircase with one huge drop at the root: regula falsi alone crawls
+        def g(x):
+            nonlocal calls
+            calls += 1
+            k = math.floor(steps * x)
+            return 1e-3 * (root_step - k) if k < root_step else -1e3 * (k - root_step + 1)
+
+        calls = 0
+        lo, hi = outage._bracket_root(g, 0.0, g(0.0), 1.0, g(1.0), width)
+        assert calls - 2 <= 2 * math.ceil(math.log2(1.0 / width)) + 4
+        assert hi - lo <= width
+        assert lo <= root_step / steps <= hi
+        assert g(lo) >= 0.0 > g(hi)
+
+    def test_outage_solve_stays_out_of_the_bessel_band(self, monkeypatch):
+        rng = np.random.Generator(np.random.Philox(62))
+        counts = {"ccdf": 0, "finish band": 0}
+        in_finish = False
+        real_ccdf, real_min, real_band = (outage.ccdf_inst_snr, outage._min_threshold,
+                                          kernels._marcum_bessel)
+
+        def ccdf(*args):
+            counts["ccdf"] += 1
+            return real_ccdf(*args)
+
+        def objective(*args):
+            nonlocal in_finish
+            in_finish = True
+            try:
+                return real_min(*args)
+            finally:
+                in_finish = False
+
+        def band(*args):
+            counts["finish band"] += in_finish
+            return real_band(*args)
+
+        monkeypatch.setattr(outage, "ccdf_inst_snr", ccdf)
+        monkeypatch.setattr(outage, "_min_threshold", objective)
+        monkeypatch.setattr(kernels, "_marcum_bessel", band)
+        for _ in range(5):
+            counts["ccdf"] = 0
+            solve_outage(random_scenario(rng, 8), OutageSpec.shared(0.1, 8))
+            # bisection from cold brackets took about 4 800 CCDF calls here
+            assert counts["ccdf"] <= 1500
+        # the finish starts each root inside the certified bracket, far from the band
+        assert counts["finish band"] == 0
