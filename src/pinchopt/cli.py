@@ -173,8 +173,7 @@ def _solution_dict(sol: Solution) -> dict:
     return {
         "t_star": sol.t_star,
         "x_star": sol.x_star,
-        "feasible": {"empty": True} if sol.feasible.empty
-        else {"lo": sol.feasible.lo, "hi": sol.feasible.hi},
+        "feasible": {"lo": sol.feasible.lo, "hi": sol.feasible.hi},
         "outer_iterations": sol.outer_iterations,
         "per_user_bounds": list(sol.per_user_bounds) if sol.per_user_bounds else None,
     }

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .model import (
     InvalidScenario,
@@ -48,30 +49,11 @@ class SolverAnomaly(RuntimeError):
     """Bisection failed to certify a feasible level; indicates broken inputs."""
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval on the waveguide axis, with an explicit empty marker."""
+class Interval(NamedTuple):
+    """Closed interval [lo, hi] on the waveguide axis."""
 
-    lo: float = math.nan
-    hi: float = math.nan
-    empty: bool = False
-
-    def __post_init__(self):
-        if not self.empty and not self.lo <= self.hi:
-            raise ValueError(f"interval needs lo <= hi, got [{self.lo}, {self.hi}]")
-
-    @classmethod
-    def make_empty(cls) -> "Interval":
-        return cls(empty=True)
-
-    def intersect(self, other: "Interval") -> "Interval":
-        if self.empty or other.empty:
-            return Interval.make_empty()
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            return Interval.make_empty()
-        return Interval(lo, hi)
+    lo: float
+    hi: float
 
 
 @dataclass(frozen=True)
@@ -97,11 +79,13 @@ class SolverTolerances:
 class Solution:
     """Solver output: achieved level t_star at position x_star.
 
-    feasible is the final certified interval, per_user_bounds the squared-
-    distance thresholds at the certified level (None for baselines and grid
-    searches). meta carries diagnostics such as the outer bracket
-    (bracket_lo/bracket_hi), the binding users (binding: the sorted indices
-    of the one or two worst users around x_star) or grid slack estimates.
+    feasible is the final certified interval, always nonempty (the point
+    (x_star, x_star) for the closed form, baselines and grid searches),
+    per_user_bounds the squared-distance thresholds at the certified level
+    (None for baselines and grid searches). meta carries diagnostics such
+    as the outer bracket (bracket_lo/bracket_hi), the binding users
+    (binding: the sorted indices of the one or two worst users around
+    x_star) or grid slack estimates.
     """
 
     t_star: float
@@ -115,7 +99,8 @@ class Solution:
 def invert_f(params, t: float, rng: SquaredDistanceRange, eps_y: float) -> float:
     """Solve f(alpha) = t for alpha in [y_min, y_max] by bisection.
 
-    Returns the lower end of the final bracket, so callers build intervals
+    The bracket shrinks to width eps_y, or to adjacent doubles when eps_y is
+    below their spacing. Returns its lower end, so callers build intervals
     that never overstate feasibility. t above f(y_min) raises
     InfeasibleThreshold; t at or below f(y_max) returns y_max (the whole
     range satisfies the constraint).
@@ -125,13 +110,13 @@ def invert_f(params, t: float, rng: SquaredDistanceRange, eps_y: float) -> float
         raise InfeasibleThreshold(
             f"target {t} exceeds the maximum achievable value {f_at_min}"
         )
-    if t == f_at_min:
-        return rng.y_min
     if t <= f_scalar(params, rng.y_max):
         return rng.y_max
     lo, hi = rng.y_min, rng.y_max
     while hi - lo > eps_y:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if f_scalar(params, mid) >= t:
             lo = mid
         else:
@@ -139,35 +124,27 @@ def invert_f(params, t: float, rng: SquaredDistanceRange, eps_y: float) -> float
     return lo
 
 
-def _interval_from_bound(scenario: Scenario, user_index: int, bound: float | None) -> Interval:
-    """Positions with r_m^2 <= bound: |x_m - x| <= sqrt(bound - C_m), clipped.
-
-    bound None (no position serves the user) gives the empty interval.
-    """
-    if bound is None:
-        return Interval.make_empty()
-    c = scenario.c_const(user_index)
-    d = math.sqrt(max(bound - c, 0.0))
-    x_m = scenario.users[user_index].x
-    return Interval(x_m - d, x_m + d).intersect(Interval(0.0, scenario.dx))
-
-
 def _feasible_set(scenario: Scenario, bound, t: float):
     """Intersection over users of the position intervals at level t.
 
     bound(m, t) is user m's squared-distance bound, None when no position
-    serves user m. Returns (interval, bounds); bounds is None once the
-    intersection is empty, which ends the scan early.
+    serves user m. User m's interval is |x - x_m| <= sqrt(bound - C_m),
+    clipped to [0, dx]. Returns (interval, bounds), bounds in user order,
+    or None as soon as a bound is None or the intersection is empty.
     """
-    out = Interval(0.0, scenario.dx)
+    lo, hi = 0.0, scenario.dx
     bounds = []
     for m in range(scenario.n_users):
         b = bound(m, t)
-        out = out.intersect(_interval_from_bound(scenario, m, b))
-        if out.empty:
-            return out, None
+        if b is None:
+            return None
+        d = math.sqrt(max(b - scenario.c_const(m), 0.0))
+        x_m = scenario.users[m].x
+        lo, hi = max(lo, x_m - d), min(hi, x_m + d)
+        if lo > hi:
+            return None
         bounds.append(b)
-    return out, tuple(bounds)
+    return Interval(lo, hi), tuple(bounds)
 
 
 def _avg_bound(scenario: Scenario, tol: SolverTolerances):
@@ -200,7 +177,7 @@ def min_avg_snr(scenario: Scenario, x_pin: float) -> float:
 
 
 def _solve_nested(scenario: Scenario, bound, objective, t_hi: float,
-                  tol: SolverTolerances, **meta) -> Solution:
+                  tol: SolverTolerances) -> Solution:
     """Solver shared by both metrics: bound(m, t) as in _feasible_set, the
     exact objective(ys, t_lo, t_hi) -> (value, worst user) at squared
     distances ys, and a first guess t_hi at an infeasible level.
@@ -212,30 +189,28 @@ def _solve_nested(scenario: Scenario, bound, objective, t_hi: float,
     users on each side bind (meta["binding"]). The objective also gets the
     certified t_lo and t_hi, which bracket its value on that intersection
     up to the inner tolerance, to start its roots from; it may ignore them.
-    meta extends Solution.meta.
     """
     for _ in range(_BRACKET_DOUBLINGS):
-        if _feasible_set(scenario, bound, t_hi)[0].empty:
+        if _feasible_set(scenario, bound, t_hi) is None:
             break
         t_hi *= 2.0
     else:
         raise SolverAnomaly("could not bracket an infeasible threshold")
-    t_lo = 0.0
-    interval, bounds = _feasible_set(scenario, bound, 0.0)
+    t_lo, interval, bounds = 0.0, None, None
     iters = 0
     while iters < _MAX_BISECTIONS:
         if t_lo > 0.0 and t_hi - t_lo <= tol.eps_t * t_lo:
             break
         t_mid = 0.5 * (t_lo + t_hi)
         iters += 1
-        mid, mid_bounds = _feasible_set(scenario, bound, t_mid)
-        if mid.empty:
+        found = _feasible_set(scenario, bound, t_mid)
+        if found is None:
             t_hi = t_mid
         else:
-            t_lo, interval, bounds = t_mid, mid, mid_bounds
+            t_lo, (interval, bounds) = t_mid, found
     if t_lo <= 0.0:
         raise SolverAnomaly(f"no positive feasible level found in {_MAX_BISECTIONS} bisections")
-    lo, hi = interval.lo, interval.hi
+    lo, hi = interval
     xtol = 1e-13 * max(abs(lo), abs(hi), 1.0)  # ulp-scale floor
     left = right = None
     while hi - lo > xtol:
@@ -255,7 +230,7 @@ def _solve_nested(scenario: Scenario, bound, objective, t_hi: float,
         feasible=interval,
         outer_iterations=iters,
         per_user_bounds=bounds,
-        meta={"bracket_lo": t_lo, "bracket_hi": t_hi, "binding": binding, **meta},
+        meta={"bracket_lo": t_lo, "bracket_hi": t_hi, "binding": binding},
     )
 
 
@@ -270,9 +245,8 @@ def solve_maxmin(scenario: Scenario, tol: SolverTolerances | None = None) -> Sol
     """
     tol = tol or SolverTolerances()
     bound, gamma_max = _avg_bound(scenario, tol)
-    t_hi = 2.0 * max(gamma_max)
-    return _solve_nested(scenario, bound, lambda ys, *_: _worst_avg_snr(scenario, ys), t_hi, tol,
-                         t_hi_init=t_hi)
+    return _solve_nested(scenario, bound, lambda ys, *_: _worst_avg_snr(scenario, ys),
+                         2.0 * max(gamma_max), tol)
 
 
 def two_user_closed_form(scenario: Scenario) -> Solution:

@@ -28,21 +28,22 @@ from .outage import _THRESHOLD_REL_TOL, OutageSpec, _los_ceiling
 from .special import ccdf_inst_snr_batch
 
 
+# Samples drawn and reduced per block; the block index seeds its generator.
+_BATCH = 250_000
+
+
 @dataclass(frozen=True)
 class McConfig:
-    """Sample budget, reproducibility seed, and accumulation block size."""
+    """Sample budget and reproducibility seed."""
 
     samples: int = 1_000_000
     seed: int = 0
-    batch: int = 250_000
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ def _batches(cfg: McConfig):
     done = 0
     index = 0
     while done < cfg.samples:
-        n = min(cfg.batch, cfg.samples - done)
+        n = min(_BATCH, cfg.samples - done)
         yield index, n
         done += n
         index += 1

@@ -130,6 +130,11 @@ class TestSolve:
             bounds.append(json.loads(out.read_text(encoding="utf-8"))["pinching"]["per_user_bounds"])
         assert bounds[0] != bounds[1]
 
+    def test_inner_tolerance_below_double_spacing_ends(self, two_user_file):
+        # no two doubles near the users' roots lie 1e-20 apart: invert_f ends on adjacent ones
+        rc = cli.main(["solve", str(two_user_file), "--metric", "avg-snr", "--eps-y", "1e-20"])
+        assert rc == cli.EXIT_OK
+
     def test_retired_eps_u_field_is_invalid_input(self, tmp_path, capsys):
         path = _write(tmp_path, dict(TWO_USERS, tolerances={"eps_u": 1e-6}))
         rc = cli.main(["solve", path, "--metric", "avg-snr"])

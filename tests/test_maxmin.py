@@ -18,7 +18,7 @@ from pinchopt import (
     squared_distance_range,
     two_user_closed_form,
 )
-from pinchopt.maxmin import _avg_bound, _feasible_set, _interval_from_bound
+from pinchopt.maxmin import _avg_bound, _feasible_set
 from pinchopt.model import ChannelParams
 
 from conftest import heterogeneous_drop, make_params, make_scenario, random_scenario
@@ -26,34 +26,51 @@ from conftest import heterogeneous_drop, make_params, make_scenario, random_scen
 TOL = SolverTolerances()
 
 
-def _user_interval(sc, m, t):
-    """User m's feasible positions at level t, as the solver builds them."""
-    bound, _ = _avg_bound(sc, TOL)
-    return _interval_from_bound(sc, m, bound(m, t))
-
-
 def _feasibility(sc, t):
-    """The solver's intersection of all users' intervals at level t."""
-    return _feasible_set(sc, _avg_bound(sc, TOL)[0], t)[0]
+    """The solver's intersection of all users' intervals at level t, None if empty."""
+    found = _feasible_set(sc, _avg_bound(sc, TOL)[0], t)
+    return found and found[0]
 
 
-class TestInterval:
-    def test_empty_marker(self):
-        empty = Interval.make_empty()
-        assert empty.empty
-        assert empty.intersect(Interval(0.0, 1.0)).empty
-        assert Interval(0.0, 1.0).intersect(empty).empty
+class TestFeasibleSet:
+    """The scan on hand-built bounds: users at y = 0 have C_m = dv^2 = 100, so
+    bound 100 + d^2 admits |x - x_m| <= d."""
 
-    def test_intersection(self):
-        left = Interval(0.0, 2.0)
-        right = Interval(1.0, 3.0)
-        out = left.intersect(right)
-        assert (out.lo, out.hi) == (1.0, 2.0)
-        assert left.intersect(Interval(2.5, 3.0)).empty
+    @staticmethod
+    def _scan(xs, ds, calls=None):
+        sc = make_scenario([(x, 0.0) for x in xs], dx=30.0)
+        bounds = [None if d is None else 100.0 + d * d for d in ds]
 
-    def test_rejects_reversed_bounds(self):
-        with pytest.raises(ValueError):
-            Interval(2.0, 1.0)
+        def bound(m, t):
+            if calls is not None:
+                calls.append(m)
+            return bounds[m]
+
+        return _feasible_set(sc, bound, 1.0)
+
+    def test_touching_intervals_stay_nonempty(self):
+        interval, _ = self._scan([5.0, 11.0], [3.0, 3.0])
+        assert interval == Interval(8.0, 8.0)
+
+    def test_disjoint_intervals_give_none(self):
+        calls = []
+        assert self._scan([5.0, 12.0, 20.0], [3.0, 3.0, 3.0], calls) is None
+        assert calls == [0, 1]
+
+    def test_none_bound_gives_none(self):
+        calls = []
+        assert self._scan([5.0, 6.0, 7.0], [3.0, None, 3.0], calls) is None
+        assert calls == [0, 1]
+
+    def test_clipped_at_zero_and_dx(self):
+        assert self._scan([2.0], [5.0])[0] == Interval(0.0, 7.0)
+        assert self._scan([28.0], [5.0])[0] == Interval(23.0, 30.0)
+        assert self._scan([15.0], [40.0])[0] == Interval(0.0, 30.0)
+
+    def test_bounds_in_user_order(self):
+        interval, bounds = self._scan([5.0, 7.0, 6.0], [4.0, 3.0, 5.0])
+        assert bounds == (116.0, 109.0, 125.0)
+        assert interval == Interval(4.0, 9.0)
 
 
 class TestSolverTolerances:
@@ -111,41 +128,48 @@ class TestInvertF:
         params = sc.channels[0]
         assert invert_f(params, 0.5 * f_scalar(params, rng.y_max), rng, 1e-9) == rng.y_max
 
+    def test_tolerance_below_double_spacing_ends_on_adjacent_doubles(self):
+        sc = make_scenario([(10.0, 5.0)])
+        rng = squared_distance_range(sc, 0)
+        params = sc.channels[0]
+        t = f_scalar(params, 0.5 * (rng.y_min + rng.y_max))
+        y = invert_f(params, t, rng, 1e-300)
+        assert f_scalar(params, y) >= t > f_scalar(params, math.nextafter(y, math.inf))
+
 
 class TestUserIntervalAvg:
     def test_tiny_interval_near_peak(self):
         sc = make_scenario([(15.0, 0.0)], dx=30.0)
         peak = f_scalar(sc.channels[0], sc.c_const(0))
-        iv = _user_interval(sc, 0, 0.999 * peak)
-        assert not iv.empty
+        iv = _feasibility(sc, 0.999 * peak)
+        assert iv is not None
         assert iv.lo <= 15.0 <= iv.hi
         assert iv.hi - iv.lo < 1.0
 
     def test_above_peak_empty(self):
         sc = make_scenario([(15.0, 0.0)], dx=30.0)
         peak = f_scalar(sc.channels[0], sc.c_const(0))
-        assert _user_interval(sc, 0, 1.001 * peak).empty
+        assert _feasibility(sc, 1.001 * peak) is None
 
     def test_low_target_full_range(self):
         sc = make_scenario([(10.0, 5.0)], dx=30.0)
         rng = squared_distance_range(sc, 0)
         t = 0.9 * f_scalar(sc.channels[0], rng.y_max)
-        iv = _user_interval(sc, 0, t)
-        assert (iv.lo, iv.hi) == (0.0, 30.0)
+        assert _feasibility(sc, t) == (0.0, 30.0)
 
 
 class TestFeasibilityAvg:
     def test_single_user_equals_own_interval(self):
         sc = make_scenario([(10.0, 5.0)])
         t = 0.7 * f_scalar(sc.channels[0], sc.c_const(0))
-        own = _user_interval(sc, 0, t)
-        both = _feasibility(sc, t)
-        assert (own.lo, own.hi) == (both.lo, both.hi)
+        rng = squared_distance_range(sc, 0)
+        d = math.sqrt(invert_f(sc.channels[0], t, rng, TOL.inner_tol(rng)) - sc.c_const(0))
+        assert _feasibility(sc, t) == (max(10.0 - d, 0.0), min(10.0 + d, sc.dx))
 
     def test_disjoint_users_empty(self):
         sc = make_scenario([(0.0, 0.0), (30.0, 0.0)], dx=30.0)
         t = 0.999 * f_scalar(sc.channels[0], sc.c_const(0))
-        assert _feasibility(sc, t).empty
+        assert _feasibility(sc, t) is None
 
     def test_nested_in_t(self):
         rng = np.random.Generator(np.random.Philox(6))
@@ -156,8 +180,8 @@ class TestFeasibilityAvg:
             t1, t2 = sorted(rng.uniform(0.0, peak, 2))
             outer = _feasibility(sc, float(t1))
             inner = _feasibility(sc, float(t2))
-            if not inner.empty:
-                assert not outer.empty
+            if inner is not None:
+                assert outer is not None
                 assert outer.lo <= inner.lo + 1e-9 and inner.hi <= outer.hi + 1e-9
 
 
@@ -173,8 +197,8 @@ class TestSolveMaxmin:
         for _ in range(10):
             sc = random_scenario(rng, 4)
             sol = solve_maxmin(sc)
-            assert not _feasibility(sc, sol.meta["bracket_lo"]).empty
-            assert _feasibility(sc, sol.t_star * (1.0 + 3.0 * TOL.eps_t)).empty
+            assert _feasibility(sc, sol.meta["bracket_lo"]) is not None
+            assert _feasibility(sc, sol.t_star * (1.0 + 3.0 * TOL.eps_t)) is None
 
     def test_reported_level_is_achieved(self):
         rng = np.random.Generator(np.random.Philox(8))
@@ -194,7 +218,9 @@ class TestSolveMaxmin:
         for _ in range(10):
             sc = random_scenario(rng, 4)
             sol = solve_maxmin(sc)
-            bound = math.ceil(math.log2(sol.meta["t_hi_init"] / (TOL.eps_t * sol.t_star))) + 1
+            t_hi = 2.0 * max(f_scalar(sc.channels[m], squared_distance_range(sc, m).y_min)
+                             for m in range(4))
+            bound = math.ceil(math.log2(t_hi / (TOL.eps_t * sol.t_star))) + 1
             assert sol.outer_iterations <= bound
 
     def test_x_star_inside_feasible(self):

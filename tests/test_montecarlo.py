@@ -17,6 +17,7 @@ from pinchopt import (
     solve_maxmin,
     solve_outage,
 )
+from pinchopt import montecarlo
 from pinchopt.model import snr_variance
 from pinchopt.montecarlo import _draw_snr, outage_grid_ceiling
 
@@ -38,8 +39,6 @@ class TestMcConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             McConfig(samples=0)
-        with pytest.raises(ValueError):
-            McConfig(batch=0)
         with pytest.raises(ValueError, match="seed"):
             McConfig(seed=-1)
 
@@ -101,9 +100,10 @@ class TestEstimateAvgSnr:
         b = estimate_avg_snr(params, 150.0, CFG)
         assert a == b
 
-    def test_batch_split_changes_nothing_statistical(self):
+    def test_batch_split_changes_nothing_statistical(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_BATCH", 10_000)
         params = make_params()
-        small = estimate_avg_snr(params, 150.0, McConfig(samples=100_000, seed=5, batch=10_000))
+        small = estimate_avg_snr(params, 150.0, McConfig(samples=100_000, seed=5))
         assert abs(small.mean - f_scalar(params, 150.0)) <= 4.0 * small.std_error
 
     def test_clt_scaling(self):

@@ -14,7 +14,7 @@ from pinchopt import (
     squared_distance_range,
 )
 from pinchopt import kernels, outage
-from pinchopt.maxmin import _feasible_set, _interval_from_bound
+from pinchopt.maxmin import _feasible_set
 
 from conftest import heterogeneous_drop, make_params, make_scenario, random_scenario
 from oracles import marcum_q1_quad, nlos_only_bound
@@ -23,14 +23,10 @@ TOL = SolverTolerances()
 
 
 def _feasibility(sc, spec, t):
-    """T(t) as the solver builds it: the intersection of the users' outage intervals."""
-    return _feasible_set(sc, outage._outage_bound(sc, spec.epsilons, TOL), t)[0]
-
-
-def _user_interval(sc, m, t, epsilon):
-    """Positions where user m meets outage target epsilon at level t."""
-    bound = outage._outage_bound(sc, (epsilon,) * sc.n_users, TOL)
-    return _interval_from_bound(sc, m, bound(m, t))
+    """T(t) as the solver builds it: the intersection of the users' outage
+    intervals, None if empty."""
+    found = _feasible_set(sc, outage._outage_bound(sc, spec.epsilons, TOL), t)
+    return found and found[0]
 
 
 class TestOutageSpec:
@@ -113,18 +109,17 @@ class TestUserIntervalOutage:
         sc = make_scenario([(10.0, 5.0)])
         params = sc.channels[0]
         t = 4.0 * params.rho * params.eta / squared_distance_range(sc, 0).y_min
-        assert _user_interval(sc, 0, t, 0.1).empty
+        assert _feasibility(sc, OutageSpec.shared(0.1, 1), t) is None
 
     def test_unbinding_constraint_full_region(self):
         sc = make_scenario([(10.0, 5.0)], dx=30.0)
-        iv = _user_interval(sc, 0, 1e-6, 0.5)
-        assert (iv.lo, iv.hi) == (0.0, 30.0)
+        assert _feasibility(sc, OutageSpec.shared(0.5, 1), 1e-6) == (0.0, 30.0)
 
     def test_mid_range_centered_at_user(self):
         sc = make_scenario([(10.0, 5.0)], dx=30.0)
         t = max_threshold_at(sc, OutageSpec.shared(0.1, 1), 4.0)
-        iv = _user_interval(sc, 0, t, 0.1)
-        assert not iv.empty
+        iv = _feasibility(sc, OutageSpec.shared(0.1, 1), t)
+        assert iv is not None
         assert iv.lo <= 10.0 <= iv.hi
         assert 0.5 * (iv.lo + iv.hi) == pytest.approx(10.0, abs=1e-6) or iv.lo == 0.0
 
@@ -139,8 +134,8 @@ class TestFeasibilityOutage:
             t1, t2 = sorted(rng.uniform(0.0, 3.0 * cap, 2))
             outer = _feasibility(sc, spec, float(t1))
             inner = _feasibility(sc, spec, float(t2))
-            if not inner.empty:
-                assert not outer.empty
+            if inner is not None:
+                assert outer is not None
                 assert outer.lo <= inner.lo + 1e-9 and inner.hi <= outer.hi + 1e-9
 
 
@@ -167,8 +162,8 @@ class TestSolveOutage:
             sc = random_scenario(rng, 2)
             spec = OutageSpec.shared(0.1, 2)
             sol = solve_outage(sc, spec)
-            assert not _feasibility(sc, spec, sol.meta["bracket_lo"]).empty
-            assert _feasibility(sc, spec, sol.t_star * (1.0 + 3.0 * TOL.eps_t)).empty
+            assert _feasibility(sc, spec, sol.meta["bracket_lo"]) is not None
+            assert _feasibility(sc, spec, sol.t_star * (1.0 + 3.0 * TOL.eps_t)) is None
 
     def test_reported_level_is_achieved(self):
         rng = np.random.Generator(np.random.Philox(16))
