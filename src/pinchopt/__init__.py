@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .maxmin import (
     BoundaryRegime,
-    InfeasibleThreshold,
     Interval,
     SolverAnomaly,
     SolverTolerances,
@@ -61,7 +60,6 @@ from .special import ccdf_inst_snr, ccdf_inst_snr_batch, marcum_q1
 __all__ = [
     "BoundaryRegime",
     "ChannelParams",
-    "InfeasibleThreshold",
     "Interval",
     "InvalidScenario",
     "McConfig",

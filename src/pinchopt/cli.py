@@ -15,8 +15,9 @@ TOL is --eps-t --eps-y, overrides of the scenario's solver
 tolerances. --workers acts on sweep only; solve and ccdf ignore it.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 solver anomaly (certified infeasibility where none should exist),
-4 internal error (an unexpected exception; a bug in pinchopt).
+3 solver error (no positive level is feasible, or the two-user closed
+form's optimum lies outside [0, dx]), 4 internal error (an unexpected
+exception; a bug in pinchopt).
 """
 
 from __future__ import annotations
@@ -332,6 +333,8 @@ def cmd_sweep(args) -> int:
         })
     if args.metric == "outage" and bundle.outage is None and "epsilon" not in names:
         raise ScenarioFormatError("outage sweep needs an epsilon axis or outage section")
+    if args.metric == "avg-snr" and "epsilon" in names:
+        raise ScenarioFormatError("axis 'epsilon' does not act on --metric avg-snr")
     workers = min(args.workers, len(tasks))  # a fork pool starts every worker at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

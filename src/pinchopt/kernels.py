@@ -88,7 +88,7 @@ def _marcum_bessel(a: float, b: float) -> float:
     x = a * b
     k_max = int(8.0 * math.sqrt(x)) + 60
     start = k_max + int(2.0 * math.sqrt(max(x, 40.0))) + 40
-    ratios = np.empty(k_max + 1)  # ratios[k] = I_{k+1}(x) / I_k(x)
+    ratios = [0.0] * (k_max + 1)  # ratios[k] = I_{k+1}(x) / I_k(x)
     r = 0.0
     for k in range(start, 0, -1):
         r = 1.0 / (2.0 * k / x + r)
@@ -166,27 +166,6 @@ def _marcum_series_numpy(a, b):
     return np.clip(total, 0.0, 1.0)
 
 
-def _marcum_batch_numpy(a, b):
-    out = np.empty_like(a)
-    linear = (a * b <= LINEAR_AB_LIMIT) & (0.5 * a * a < EXP_ARG_LIMIT) \
-        & (0.5 * b * b < EXP_ARG_LIMIT)
-    if np.any(linear):
-        out[linear] = _marcum_series_numpy(a[linear], b[linear])
-    hard = ~linear
-    if np.any(hard):
-        sat_one = hard & (a - b >= SATURATION_GAP)
-        sat_zero = hard & (b - a >= SATURATION_GAP)
-        out[sat_one] = 1.0
-        out[sat_zero] = 0.0
-        band = hard & ~sat_one & ~sat_zero
-        if np.any(band):
-            # nonnegative lanes outside the series region and the saturation
-            # gap have a, b > 0: the scalar dispatch would reach this form too
-            out[band] = [_marcum_bessel(float(ai), float(bi))
-                         for ai, bi in zip(a[band], b[band])]
-    return out
-
-
 def snr_samples(u, z_re, z_im, p_los, los_amp, nlos_scale, cos_ph, sin_ph, rho):
     """Instantaneous SNR rho*|h|^2 from pre-drawn uniforms and normals.
 
@@ -206,4 +185,21 @@ def marcum_q1_batch(a, b):
     shape = np.broadcast_shapes(a.shape, b.shape)
     a = np.broadcast_to(a, shape).ravel()
     b = np.broadcast_to(b, shape).ravel()
-    return _marcum_batch_numpy(a, b).reshape(shape)
+    out = np.empty_like(a)
+    linear = (a * b <= LINEAR_AB_LIMIT) & (0.5 * a * a < EXP_ARG_LIMIT) \
+        & (0.5 * b * b < EXP_ARG_LIMIT)
+    if np.any(linear):
+        out[linear] = _marcum_series_numpy(a[linear], b[linear])
+    hard = ~linear
+    if np.any(hard):
+        sat_one = hard & (a - b >= SATURATION_GAP)
+        sat_zero = hard & (b - a >= SATURATION_GAP)
+        out[sat_one] = 1.0
+        out[sat_zero] = 0.0
+        band = hard & ~sat_one & ~sat_zero
+        if np.any(band):
+            # nonnegative lanes outside the series region and the saturation
+            # gap have a, b > 0: the scalar dispatch would reach this form too
+            out[band] = [_marcum_bessel(float(ai), float(bi))
+                         for ai, bi in zip(a[band], b[band])]
+    return out.reshape(shape)

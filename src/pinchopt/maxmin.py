@@ -27,14 +27,6 @@ from .model import (
 
 # Relative y-space tolerance used when SolverTolerances.eps_y is left None.
 AUTO_EPS_Y_REL = 1e-9
-# Cap on doublings of an upper bracket that turned out to be feasible.
-_BRACKET_DOUBLINGS = 80
-# Cap on outer bisection steps; it binds only when eps_t is finer than double spacing.
-_MAX_BISECTIONS = 200
-
-
-class InfeasibleThreshold(Exception):
-    """The requested level exceeds the user's maximum achievable value."""
 
 
 class UnsupportedScenario(ValueError):
@@ -96,20 +88,17 @@ class Solution:
     meta: dict = field(default_factory=dict)
 
 
-def invert_f(params, t: float, rng: SquaredDistanceRange, eps_y: float) -> float:
+def invert_f(params, t: float, rng: SquaredDistanceRange, eps_y: float) -> float | None:
     """Solve f(alpha) = t for alpha in [y_min, y_max] by bisection.
 
     The bracket shrinks to width eps_y, or to adjacent doubles when eps_y is
     below their spacing. Returns its lower end, so callers build intervals
-    that never overstate feasibility. t above f(y_min) raises
-    InfeasibleThreshold; t at or below f(y_max) returns y_max (the whole
-    range satisfies the constraint).
+    that never overstate feasibility. None marks infeasibility (t above
+    f(y_min), so no position reaches t); t at or below f(y_max) returns
+    y_max (the whole range satisfies the constraint).
     """
-    f_at_min = f_scalar(params, rng.y_min)
-    if t > f_at_min:
-        raise InfeasibleThreshold(
-            f"target {t} exceeds the maximum achievable value {f_at_min}"
-        )
+    if t > f_scalar(params, rng.y_min):
+        return None
     if t <= f_scalar(params, rng.y_max):
         return rng.y_max
     lo, hi = rng.y_min, rng.y_max
@@ -154,8 +143,6 @@ def _avg_bound(scenario: Scenario, tol: SolverTolerances):
     gamma_max = [f_scalar(scenario.channels[m], ranges[m].y_min) for m in range(scenario.n_users)]
 
     def bound(m: int, t: float) -> float | None:
-        if t > gamma_max[m]:
-            return None
         return invert_f(scenario.channels[m], t, ranges[m], inner[m])
 
     return bound, gamma_max
@@ -180,28 +167,23 @@ def _solve_nested(scenario: Scenario, bound, objective, t_hi: float,
                   tol: SolverTolerances) -> Solution:
     """Solver shared by both metrics: bound(m, t) as in _feasible_set, the
     exact objective(ys, t_lo, t_hi) -> (value, worst user) at squared
-    distances ys, and a first guess t_hi at an infeasible level.
+    distances ys, and a level t_hi that no position meets.
 
-    t_hi doubles until infeasible, bisection on t certifies [t_lo, t_hi] to
-    relative width eps_t, and bisection on x over the last nonempty
-    intersection moves each midpoint's far end toward its worst user m:
-    every user's value strictly decreases in |x - x_m|. The last such
-    users on each side bind (meta["binding"]). The objective also gets the
-    certified t_lo and t_hi, which bracket its value on that intersection
-    up to the inner tolerance, to start its roots from; it may ignore them.
+    Bisection on t certifies [t_lo, t_hi] to relative width eps_t, or to
+    adjacent doubles when eps_t is below their spacing. Bisection on x over
+    the last nonempty intersection then moves each midpoint's far end
+    toward its worst user m: every user's value strictly decreases in
+    |x - x_m|. The last such users on each side bind (meta["binding"]).
+    The objective also gets the certified t_lo and t_hi, which bracket its
+    value on that intersection up to the inner tolerance, to start its
+    roots from; it may ignore them.
     """
-    for _ in range(_BRACKET_DOUBLINGS):
-        if _feasible_set(scenario, bound, t_hi) is None:
-            break
-        t_hi *= 2.0
-    else:
-        raise SolverAnomaly("could not bracket an infeasible threshold")
     t_lo, interval, bounds = 0.0, None, None
     iters = 0
-    while iters < _MAX_BISECTIONS:
-        if t_lo > 0.0 and t_hi - t_lo <= tol.eps_t * t_lo:
-            break
+    while t_lo <= 0.0 or t_hi - t_lo > tol.eps_t * t_lo:
         t_mid = 0.5 * (t_lo + t_hi)
+        if not t_lo < t_mid < t_hi:
+            break
         iters += 1
         found = _feasible_set(scenario, bound, t_mid)
         if found is None:
@@ -209,7 +191,7 @@ def _solve_nested(scenario: Scenario, bound, objective, t_hi: float,
         else:
             t_lo, (interval, bounds) = t_mid, found
     if t_lo <= 0.0:
-        raise SolverAnomaly(f"no positive feasible level found in {_MAX_BISECTIONS} bisections")
+        raise SolverAnomaly(f"no positive level below {t_hi} is feasible")
     lo, hi = interval
     xtol = 1e-13 * max(abs(lo), abs(hi), 1.0)  # ulp-scale floor
     left = right = None

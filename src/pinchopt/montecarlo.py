@@ -24,7 +24,7 @@ import numpy as np
 from . import kernels
 from .maxmin import Interval, Solution
 from .model import ChannelParams, Scenario, squared_distance_range
-from .outage import _THRESHOLD_REL_TOL, OutageSpec, _los_ceiling
+from .outage import _THRESHOLD_REL_TOL, OutageSpec, _markov_ceiling
 from .special import ccdf_inst_snr_batch
 
 
@@ -168,19 +168,17 @@ def outage_grid_ceiling(scenario: Scenario, spec: OutageSpec) -> float:
 
     By weak duality, max_x min_m g_m(x) <= min_m max_x g_m(x); the right
     side is each user's best-case threshold at its own minimum distance.
-    Each is bisected on t with the batch CCDF that the grid evaluates: the
-    scalar CCDF can differ from it in the last bit, and a cap exact in the
-    scalar one could leave the top grid row infeasible even where it is
-    attained. Gridding [0, cap] keeps the t-grid resolution commensurate
-    with the optimum.
+    Each is bisected on t from [0, Markov ceiling] with the batch CCDF that
+    the grid evaluates: the scalar CCDF can differ from it in the last bit,
+    and a cap exact in the scalar one could leave the top grid row
+    infeasible even where it is attained. Gridding [0, cap] keeps the
+    t-grid resolution commensurate with the optimum.
     """
     cap = math.inf
     for m in range(scenario.n_users):
         params, target = scenario.channels[m], 1.0 - spec.epsilons[m]
         y = squared_distance_range(scenario, m).y_min
-        lo, hi = 0.0, _los_ceiling(params, y)
-        while ccdf_inst_snr_batch(params, y, hi)[0] >= target:
-            lo, hi = hi, 2.0 * hi
+        lo, hi = 0.0, _markov_ceiling(params, y, spec.epsilons[m])
         while hi - lo > _THRESHOLD_REL_TOL * hi:
             mid = 0.5 * (lo + hi)
             if ccdf_inst_snr_batch(params, y, mid)[0] >= target:

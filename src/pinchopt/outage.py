@@ -15,11 +15,19 @@ a root below the running minimum. The result is feasible for every user
 and within _THRESHOLD_REL_TOL (1e-12) relative of the min of independent
 roots, and the user that set it is the worst user.
 
+Every threshold search is capped by a ceiling that is infeasible by
+proof. By Markov's inequality P[snr >= t] <= f(y) / t, with f the average
+SNR, and the bound is strict because the NLoS part makes the SNR
+continuous, so no threshold at or above f(y) / (1 - eps) meets the target
+at squared distance y. The outer bisection starts at the least such
+ceiling over the users, each at its nearest position, and a threshold
+root with no better upper end starts at its user's own ceiling.
+
 Every root starts from a bracket the solver already has and is shrunk by
 one Illinois root finder, _bracket_root. U_m is monotone in t, so each
 user's earlier inversions in a solve bracket the next one. The finish
 runs inside the certified [t_lo, t_hi], where the objective lies, so
-its threshold roots start there instead of at the LoS ceiling.
+its threshold roots start there instead of at the Markov ceiling.
 """
 
 from __future__ import annotations
@@ -28,16 +36,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .maxmin import (
-    _BRACKET_DOUBLINGS,
-    Interval,
-    SolverAnomaly,
-    SolverTolerances,
-    Solution,
-    _distances,
-    _solve_nested,
-)
-from .model import Scenario, squared_distance_range
+from .maxmin import Interval, SolverTolerances, Solution, _distances, _solve_nested
+from .model import Scenario, f_scalar, squared_distance_range
 from .special import ccdf_inst_snr
 
 # Relative width at which the per-position threshold root stops.
@@ -162,16 +162,17 @@ def _outage_bound(scenario: Scenario, epsilons, tol: SolverTolerances):
     return bound
 
 
-def _los_ceiling(params, y: float) -> float:
-    """2 rho eta / y: a threshold past the LoS-limited outage drop at distance^2 y."""
-    return 2.0 * params.rho * params.eta / y
+def _markov_ceiling(params, y: float, epsilon: float) -> float:
+    """f(y) / (1 - epsilon): no threshold at or above it meets the target at y."""
+    return f_scalar(params, y) / (1.0 - epsilon)
 
 
 def default_threshold_ceiling(scenario: Scenario) -> float:
-    """max_m of the LoS ceiling at y_{m,min}: a threshold past every user's drop."""
+    """max_m of 2 rho_m eta_m / y_{m,min}, past every user's LoS-limited drop:
+    the default top of a CCDF table."""
     return max(
-        _los_ceiling(scenario.channels[m], squared_distance_range(scenario, m).y_min)
-        for m in range(scenario.n_users)
+        2.0 * p.rho * p.eta / squared_distance_range(scenario, m).y_min
+        for m, p in enumerate(scenario.channels)
     )
 
 
@@ -180,9 +181,9 @@ def _threshold_root(params, y: float, epsilon: float, lo: float = 0.0,
     """Largest t with ccdf(y, t) >= 1 - epsilon, as the feasible end of a bracket.
 
     The root is sought on [lo, hi]: lo falls back to 0 (always feasible) if
-    it misses the target; hi None starts at the LoS ceiling, and an hi that
-    still meets the target doubles, each time becoming lo, until it misses.
-    g_hi is ccdf(y, hi) - (1 - epsilon) when the caller has it. The bracket
+    it misses the target; hi None starts at the Markov ceiling, and an hi
+    that still meets the target becomes lo, with hi at the ceiling. g_hi is
+    ccdf(y, hi) - (1 - epsilon) when the caller has it. The bracket
     shrinks to _THRESHOLD_REL_TOL times max(lo, NLoS root), at most that
     share of the root: the LoS branch only helps, Q1(a, b) >= e^{-b^2/2},
     the NLoS tail.
@@ -194,17 +195,14 @@ def _threshold_root(params, y: float, epsilon: float, lo: float = 0.0,
 
     if lo == 0.0 or (g_lo := g(lo)) < 0.0:
         lo, g_lo = 0.0, 1.0 - target
+    if hi is not None:
+        if g_hi is None:
+            g_hi = g(hi)
+        if g_hi >= 0.0:
+            lo, g_lo, hi = hi, g_hi, None
     if hi is None:
-        hi = max(_los_ceiling(params, y), 1e-300)
-    if g_hi is None:
+        hi = _markov_ceiling(params, y, epsilon)
         g_hi = g(hi)
-    for _ in range(_BRACKET_DOUBLINGS):
-        if g_hi < 0.0:
-            break
-        lo, g_lo, hi = hi, g_hi, 2.0 * hi
-        g_hi = g(hi)
-    else:
-        raise SolverAnomaly(f"no finite threshold violates the outage target at y={y}")
     nlos_root = -params.rho * params.mu_sq * math.log1p(-epsilon) / y
     return _bracket_root(g, lo, g_lo, hi, g_hi, _THRESHOLD_REL_TOL * max(lo, nlos_root))[0]
 
@@ -214,7 +212,7 @@ def _min_threshold(scenario: Scenario, spec: OutageSpec, ys, t_lo: float = 0.0,
     """(min_m of the largest threshold user m meets at ys[m], the worst m).
 
     [t_lo, t_hi] is a guess at the bracket of the result, such as the
-    solver's certified one; the default is cold, [0, LoS ceiling]. Only
+    solver's certified one; the default is cold, [0, Markov ceiling]. Only
     binding users get a root. Users are visited farthest first (the
     farthest always binds under shared channels and targets); the first
     gets a root started on [t_lo, t_hi], the running minimum cur. Each
@@ -247,19 +245,23 @@ def solve_outage(
 ) -> Solution:
     """Globally maximize the outage-guaranteed threshold over the position.
 
-    Outer bisection on t with T(t) feasibility probes; the initial upper
-    bracket 2 max_m rho_m eta_m / y_{m,min} (past the LoS-limited drop) is
-    doubled until T is verifiably empty. x_star comes from bisection on x
-    toward the worst user; t_star is the exact per-position threshold there.
-    Each user's inversions start from its earlier probes, and the finish's
-    threshold roots from the certified bracket.
+    Outer bisection on t with T(t) feasibility probes, from the upper
+    bracket min_m f_m(y_{m,min}) / (1 - eps_m): the user that attains it
+    meets that level at no position, by Markov's inequality. x_star comes
+    from bisection on x toward the worst user; t_star is the exact
+    per-position threshold there. Each user's inversions start from its
+    earlier probes, and the finish's threshold roots from the certified
+    bracket.
     """
     tol = tol or SolverTolerances()
     spec = spec.for_scenario(scenario)
+    t_hi = min(
+        _markov_ceiling(p, squared_distance_range(scenario, m).y_min, spec.epsilons[m])
+        for m, p in enumerate(scenario.channels)
+    )
     return _solve_nested(
         scenario, _outage_bound(scenario, spec.epsilons, tol),
-        lambda ys, t_lo, t_hi: _min_threshold(scenario, spec, ys, t_lo, t_hi),
-        default_threshold_ceiling(scenario), tol,
+        lambda ys, t_lo, t_hi: _min_threshold(scenario, spec, ys, t_lo, t_hi), t_hi, tol,
     )
 
 

@@ -32,12 +32,12 @@ def make_scenario(user_xy, dx=30.0, dy=10.0, dv=10.0, **param_kwargs) -> Scenari
 
 
 def random_scenario(rng: np.random.Generator, n_users: int, dx=30.0, dy=10.0, dv=10.0,
-                    beta=None) -> Scenario:
+                    beta=None, **param_kwargs) -> Scenario:
     xs = rng.uniform(0.0, dx, n_users)
     ys = rng.uniform(-0.5 * dy, 0.5 * dy, n_users)
     if beta is None:
         beta = float(rng.uniform(1e-3, 1e-2))
-    return make_scenario(zip(xs, ys), dx=dx, dy=dy, dv=dv, beta=beta)
+    return make_scenario(zip(xs, ys), dx=dx, dy=dy, dv=dv, beta=beta, **param_kwargs)
 
 
 def heterogeneous_drop(rng, n_users):

@@ -4,7 +4,7 @@ and library users call."""
 import pinchopt
 
 PUBLIC = {
-    "BoundaryRegime", "ChannelParams", "InfeasibleThreshold", "Interval", "InvalidScenario",
+    "BoundaryRegime", "ChannelParams", "Interval", "InvalidScenario",
     "McConfig", "McEstimate", "OutageSpec", "Scenario", "ScenarioBundle", "ScenarioFormatError",
     "Solution", "SolverAnomaly", "SolverTolerances", "SquaredDistanceRange",
     "UnsupportedScenario", "UserPosition",
@@ -18,7 +18,7 @@ PUBLIC = {
 
 
 def test_all_is_the_exact_public_surface():
-    assert len(PUBLIC) == 41
+    assert len(PUBLIC) == 40
     assert set(pinchopt.__all__) == PUBLIC
     assert len(pinchopt.__all__) == len(PUBLIC)  # no name listed twice
 

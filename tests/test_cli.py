@@ -217,6 +217,14 @@ class TestSweep:
         # one grid point takes the serial path and starts no pool
         assert sizes == ([] if asked is None else [asked])
 
+    def test_epsilon_axis_on_avg_snr_is_invalid_input(self, two_user_file, tmp_path, capsys):
+        # the average-SNR metric has no outage target for the axis to act on
+        rc = cli.main(["sweep", str(two_user_file), "--metric", "avg-snr", "--axis",
+                       "epsilon=0.05:0.2:2", "--drops", "1", "--out", str(tmp_path / "s.csv")])
+        assert rc == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "axis 'epsilon'" in err and "avg-snr" in err
+
     @pytest.mark.parametrize("axis", ["beta=nan:nan:1", "dx=10:inf:2", "epsilon=0:0.5:3",
                                       "epsilon=0.1:1:2", "m=0:0:1", "speed=1:2:2"])
     def test_bad_axis_is_invalid_input(self, two_user_file, tmp_path, capsys, axis):

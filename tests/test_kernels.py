@@ -47,9 +47,7 @@ class TestMarcumBackends:
         np.testing.assert_allclose(batch, scalar, rtol=0, atol=1e-12)
         assert batch[0] == 1.0 and batch[-1] == 0.0
 
-    @pytest.mark.parametrize("batch", [kernels.marcum_q1_batch, kernels._marcum_batch_numpy],
-                             ids=["dispatch", "numpy"])
-    def test_mixed_regime_lanes(self, batch):
+    def test_mixed_regime_lanes(self):
         # one call spanning linear-series, Bessel-band and both saturated regimes
         a, b = _random_args(21, n=600, hi=45.0)
         linear = (a * b <= kernels.LINEAR_AB_LIMIT) & (0.5 * a * a < kernels.EXP_ARG_LIMIT) \
@@ -60,17 +58,17 @@ class TestMarcumBackends:
         assert np.any(~linear & (gap >= kernels.SATURATION_GAP))
         assert np.any(~linear & (-gap >= kernels.SATURATION_GAP))
         scalar = np.array([kernels.marcum_q1_scalar(ai, bi) for ai, bi in zip(a, b)])
-        np.testing.assert_allclose(batch(a, b), scalar, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(kernels.marcum_q1_batch(a, b), scalar, rtol=0, atol=1e-13)
 
     def test_numpy_batch_without_linear_lanes(self):
-        # all lanes past the series limit, called on the numpy path directly
+        # all lanes past the series limit
         a = np.full(5, 38.1)
         b = np.array([10.0, 30.0, 38.1, 45.0, 70.0])
         scalar = np.array([kernels.marcum_q1_scalar(38.1, bi) for bi in b])
-        np.testing.assert_allclose(kernels._marcum_batch_numpy(a, b), scalar, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(kernels.marcum_q1_batch(a, b), scalar, rtol=0, atol=1e-13)
 
     def test_numpy_batch_zero_size(self):
-        out = kernels._marcum_batch_numpy(np.empty(0), np.empty(0))
+        out = kernels.marcum_q1_batch(np.empty(0), np.empty(0))
         assert out.shape == (0,)
 
     def test_batch_keeps_zero_length_broadcast_shape(self):

@@ -5,7 +5,6 @@ import pytest
 
 from pinchopt import (
     BoundaryRegime,
-    InfeasibleThreshold,
     Interval,
     InvalidScenario,
     SolverTolerances,
@@ -115,12 +114,11 @@ class TestInvertF:
             alpha = invert_f(params, f_scalar(params, y_target), rng, eps_y)
             assert abs(alpha - y_target) <= eps_y
 
-    def test_infeasible_raises(self):
+    def test_infeasible_returns_none(self):
         sc = make_scenario([(10.0, 5.0)])
         rng = squared_distance_range(sc, 0)
         params = sc.channels[0]
-        with pytest.raises(InfeasibleThreshold):
-            invert_f(params, 1.01 * f_scalar(params, rng.y_min), rng, 1e-9)
+        assert invert_f(params, 1.01 * f_scalar(params, rng.y_min), rng, 1e-9) is None
 
     def test_below_range_returns_y_max(self):
         sc = make_scenario([(10.0, 5.0)])
@@ -228,6 +226,13 @@ class TestSolveMaxmin:
         sol = solve_maxmin(sc)
         assert sol.feasible.lo <= sol.x_star <= sol.feasible.hi
         assert 0.0 <= sol.x_star <= sc.dx
+
+    def test_outer_bisection_ends_on_adjacent_doubles(self):
+        # no two doubles near t* lie 1e-20 t* apart: the bracket ends on adjacent ones
+        sc = make_scenario([(6.0, 2.0), (21.0, -3.0)])
+        sol = solve_maxmin(sc, SolverTolerances(eps_t=1e-20))
+        assert sol.meta["bracket_hi"] == math.nextafter(sol.meta["bracket_lo"], math.inf)
+        assert sol.outer_iterations < 200
 
     def test_per_user_bounds_reported(self):
         sc = make_scenario([(4.0, 1.0), (18.0, -3.0)])

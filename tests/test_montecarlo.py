@@ -193,11 +193,15 @@ class TestGridSearchOutage:
         sol = grid_search_outage(sc, spec, 3001, 1001)
         assert sol.x_star == pytest.approx(12.0, abs=30.0 / 3000)
 
-    def test_agrees_with_solver(self):
+    # the reference mu^2, then NLoS-dominated links; on all but (1e-5, 0.1)
+    # the LoS ceiling 2 rho eta / y_min still meets the target there
+    @pytest.mark.parametrize("mu_sq, epsilon", [(1e-9, 0.1)] + [
+        (mu_sq, epsilon) for mu_sq in (1e-5, 1e-4) for epsilon in (0.1, 0.5, 0.99)])
+    def test_agrees_with_solver(self, mu_sq, epsilon):
         rng = np.random.Generator(np.random.Philox(19))
         for _ in range(4):
-            sc = random_scenario(rng, 2)
-            spec = OutageSpec.shared(0.1, 2)
+            sc = random_scenario(rng, 2, mu_sq=mu_sq)
+            spec = OutageSpec.shared(epsilon, 2)
             sol = solve_outage(sc, spec)
             grid = grid_search_outage(sc, spec, 10_000, 1_000)
             assert grid.t_star <= sol.t_star * (1.0 + 3e-3)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pinchopt import (
     OutageSpec,
@@ -16,7 +17,7 @@ from pinchopt import (
 from pinchopt import kernels, outage
 from pinchopt.maxmin import _feasible_set
 
-from conftest import heterogeneous_drop, make_params, make_scenario, random_scenario
+from conftest import ETA_28GHZ, heterogeneous_drop, make_params, make_scenario, random_scenario
 from oracles import marcum_q1_quad, nlos_only_bound
 
 TOL = SolverTolerances()
@@ -43,6 +44,18 @@ class TestOutageSpec:
         sc = make_scenario([(10.0, 0.0), (20.0, 0.0)])
         with pytest.raises(ValueError):
             OutageSpec(epsilons=(0.1,)).for_scenario(sc)
+
+
+class TestMarkovCeiling:
+    @given(beta=st.floats(0.0, 0.05), mu_sq_db=st.floats(-90.0, -40.0),
+           eta_scale=st.floats(0.5, 2.0), y=st.floats(100.0, 2600.0),
+           epsilon=st.floats(1e-3, 0.999))
+    @settings(max_examples=300)
+    def test_misses_the_target(self, beta, mu_sq_db, eta_scale, y, epsilon):
+        params = make_params(beta=beta, mu_sq=10.0 ** (mu_sq_db / 10.0),
+                             eta=ETA_28GHZ * eta_scale)
+        ceiling = outage._markov_ceiling(params, y, epsilon)
+        assert ccdf_inst_snr(params, y, ceiling) < 1.0 - epsilon
 
 
 class TestInvertCcdf:
@@ -182,6 +195,13 @@ class TestSolveOutage:
         sol = solve_outage(sc, OutageSpec.shared(0.1, 2), SolverTolerances(eps_y=1e-20))
         assert sol.t_star == pytest.approx(solve_outage(sc, OutageSpec.shared(0.1, 2)).t_star,
                                            rel=3.0 * TOL.eps_t)
+
+    def test_outer_bisection_ends_on_adjacent_doubles(self):
+        # no two doubles near t* lie 1e-20 t* apart: the bracket ends on adjacent ones
+        sc = make_scenario([(6.0, 2.0), (21.0, -3.0)])
+        sol = solve_outage(sc, OutageSpec.shared(0.1, 2), SolverTolerances(eps_t=1e-20))
+        assert sol.meta["bracket_hi"] == math.nextafter(sol.meta["bracket_lo"], math.inf)
+        assert sol.outer_iterations < 200
 
     def test_monotone_in_epsilon(self):
         sc = make_scenario([(8.0, 4.0), (24.0, -2.0)], dx=30.0)
