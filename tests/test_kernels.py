@@ -47,8 +47,10 @@ class TestMarcumBackends:
         np.testing.assert_allclose(batch, scalar, rtol=0, atol=1e-12)
         assert batch[0] == 1.0 and batch[-1] == 0.0
 
-    def test_mixed_regime_lanes(self):
-        # one call spanning linear-series, Bessel-band and both saturated regimes
+    @pytest.mark.parametrize("shape", [(600,), (20, 30)], ids=["dispatch", "numpy"])
+    def test_mixed_regime_lanes(self, shape):
+        # one call spanning linear-series, Bessel-band and both saturated regimes;
+        # the 2-D case checks the regime split on the raveled lanes maps back
         a, b = _random_args(21, n=600, hi=45.0)
         linear = (a * b <= kernels.LINEAR_AB_LIMIT) & (0.5 * a * a < kernels.EXP_ARG_LIMIT) \
             & (0.5 * b * b < kernels.EXP_ARG_LIMIT)
@@ -58,7 +60,9 @@ class TestMarcumBackends:
         assert np.any(~linear & (gap >= kernels.SATURATION_GAP))
         assert np.any(~linear & (-gap >= kernels.SATURATION_GAP))
         scalar = np.array([kernels.marcum_q1_scalar(ai, bi) for ai, bi in zip(a, b)])
-        np.testing.assert_allclose(kernels.marcum_q1_batch(a, b), scalar, rtol=0, atol=1e-13)
+        batch = kernels.marcum_q1_batch(a.reshape(shape), b.reshape(shape))
+        assert batch.shape == shape
+        np.testing.assert_allclose(batch.ravel(), scalar, rtol=0, atol=1e-13)
 
     def test_numpy_batch_without_linear_lanes(self):
         # all lanes past the series limit
