@@ -9,17 +9,14 @@ both via nested-interval bisection with Monte-Carlo cross-validation.
 __version__ = "0.1.0"
 
 from .maxmin import (
-    BoundaryRegime,
     Interval,
     SolverAnomaly,
     SolverTolerances,
     Solution,
-    UnsupportedScenario,
     fixed_antenna_baseline,
     invert_f,
     min_avg_snr,
     solve_maxmin,
-    two_user_closed_form,
 )
 from .model import (
     ChannelParams,
@@ -36,10 +33,12 @@ from .model import (
 from .montecarlo import (
     McConfig,
     McEstimate,
+    UnsupportedScenario,
     estimate_avg_snr,
     estimate_ccdf_curve,
     grid_search_maxmin,
     grid_search_outage,
+    shared_channel_optimum,
 )
 from .outage import (
     OutageSpec,
@@ -58,7 +57,6 @@ from .scenario_io import (
 from .special import ccdf_inst_snr, ccdf_inst_snr_batch, marcum_q1
 
 __all__ = [
-    "BoundaryRegime",
     "ChannelParams",
     "Interval",
     "InvalidScenario",
@@ -94,8 +92,8 @@ __all__ = [
     "min_avg_snr",
     "parse_scenario_dict",
     "serialize_scenario",
+    "shared_channel_optimum",
     "solve_maxmin",
     "solve_outage",
     "squared_distance_range",
-    "two_user_closed_form",
 ]

@@ -9,15 +9,15 @@ Subcommands and the options each takes besides -h/--help:
                  --t-min --t-max --t-points --t-scale --samples --out --seed
                  --workers
     verify       the oracle suite: --samples --eta-scale --report TOL --seed
-    closed-form  two-user closed-form solution: -o/--out
+    closed-form  exact max-min optimum when all users share one channel, at
+                 any number of users: -o/--out
 
 TOL is --eps-t --eps-y, overrides of the scenario's solver
 tolerances. --workers acts on sweep only; solve and ccdf ignore it.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 solver error (no positive level is feasible, or the two-user closed
-form's optimum lies outside [0, dx]), 4 internal error (an unexpected
-exception; a bug in pinchopt).
+3 solver error (no positive level is feasible), 4 internal error (an
+unexpected exception; a bug in pinchopt).
 """
 
 from __future__ import annotations
@@ -36,15 +36,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .maxmin import (
-    BoundaryRegime,
-    SolverAnomaly,
-    Solution,
-    UnsupportedScenario,
-    fixed_antenna_baseline,
-    solve_maxmin,
-    two_user_closed_form,
-)
+from .maxmin import SolverAnomaly, Solution, fixed_antenna_baseline, solve_maxmin
 from .model import (
     ChannelParams,
     InvalidScenario,
@@ -56,10 +48,12 @@ from .model import (
 )
 from .montecarlo import (
     McConfig,
+    UnsupportedScenario,
     estimate_avg_snr,
     estimate_ccdf_curve,
     grid_search_maxmin,
     grid_search_outage,
+    shared_channel_optimum,
 )
 from .outage import (
     OutageSpec,
@@ -143,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None, help="also write a JSON report here")
     _add_flags(p, *_TOLERANCE_FLAGS, "--seed")
 
-    p = sub.add_parser("closed-form", help="two-user closed-form solution")
+    p = sub.add_parser("closed-form", help="exact max-min optimum of a shared-channel scenario")
     p.add_argument("scenario")
     p.add_argument("-o", "--out", default=None)
 
@@ -435,22 +429,22 @@ def _verify_checks(bundle: ScenarioBundle, samples: int, seed: int, eta_scale: f
     checks.append({"name": "maxmin-bisection-vs-grid", "pass": bool(rel <= slack),
                    "detail": f"relative gap {rel:.2e} vs slack {slack:.2e}"})
 
-    # Two-user closed form vs bisection on an equal-parameter reduction.
-    u0 = scenario.users[0]
-    u1 = scenario.users[1] if scenario.n_users > 1 else UserPosition(
-        x=min(scenario.dx, u0.x + 0.35 * scenario.dx), y=-u0.y)
-    two = Scenario(dx=scenario.dx, dy=scenario.dy, dv=scenario.dv,
-                   users=(u0, u1), channels=(scenario.channels[0], scenario.channels[0]))
-    closed = two_user_closed_form(two)
-    bisected = solve_maxmin(two, bundle.tol)
-    rel = abs(closed.t_star - bisected.t_star) / closed.t_star
-    checks.append({"name": "two-user-closed-form-vs-bisection", "pass": bool(rel <= 10.0 * bundle.tol.eps_t),
-                   "detail": f"relative gap {rel:.2e} vs {10.0 * bundle.tol.eps_t:.2e}"})
+    # Both solvers vs the exact shared-channel optimum on the scenario's own
+    # users, every channel set to the first user's and every target to the first.
+    spec = bundle.outage or OutageSpec.shared(0.1, scenario.n_users)
+    shared = replace(scenario, channels=(scenario.channels[0],) * scenario.n_users)
+    shared_spec = OutageSpec.shared(spec.epsilons[0], scenario.n_users)
+    gaps = [abs(opt.t_star - sol.t_star) / opt.t_star for opt, sol in (
+        (shared_channel_optimum(shared), solve_maxmin(shared, bundle.tol)),
+        (shared_channel_optimum(shared, shared_spec), solve_outage(shared, shared_spec, bundle.tol)))]
+    checks.append({"name": "shared-channel-optimum-vs-solvers",
+                   "pass": bool(max(gaps) <= 10.0 * bundle.tol.eps_t),
+                   "detail": f"relative gaps {gaps[0]:.2e} (avg-snr), {gaps[1]:.2e} (outage) "
+                             f"vs {10.0 * bundle.tol.eps_t:.2e}"})
 
     # Outage solver vs its grid oracle. The grid can trail the solver by one
     # t-grid step plus the x-discretization loss, measured exactly by the
     # continuous per-position optimum at the grid point nearest x_star.
-    spec = bundle.outage or OutageSpec.shared(0.1, scenario.n_users)
     sol_o = solve_outage(scenario, spec, bundle.tol)
     grid_o = grid_search_outage(scenario, spec, 2_001, 501)
     x_near = round(sol_o.x_star / grid_o.meta["x_spacing"]) * grid_o.meta["x_spacing"]
@@ -465,7 +459,7 @@ def _verify_checks(bundle: ScenarioBundle, samples: int, seed: int, eta_scale: f
 
     # Determinism: identical seeds reproduce estimates bit for bit.
     params = scenario.channels[0]
-    r_sq = distance_squared(u0, scenario.dv, 0.5 * scenario.dx)
+    r_sq = distance_squared(scenario.users[0], scenario.dv, 0.5 * scenario.dx)
     cfg = McConfig(samples=min(samples, 50_000), seed=seed)
     same = estimate_avg_snr(params, r_sq, cfg) == estimate_avg_snr(params, r_sq, cfg)
     checks.append({"name": "seed-determinism", "pass": bool(same),
@@ -495,7 +489,7 @@ def cmd_verify(args) -> int:
 
 def cmd_closed_form(args) -> int:
     bundle = load_scenario(args.scenario)
-    sol = two_user_closed_form(bundle.scenario)
+    sol = shared_channel_optimum(bundle.scenario)
     doc = {
         "schema": 1,
         "metric": "avg-snr-closed-form",
@@ -527,7 +521,7 @@ def main(argv=None) -> int:
     except (ScenarioFormatError, InvalidScenario, UnsupportedScenario, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
-    except (SolverAnomaly, BoundaryRegime) as exc:
+    except SolverAnomaly as exc:
         sys.stderr.write(f"solver error: {exc}\n")
         return EXIT_SOLVER
     except Exception as exc:

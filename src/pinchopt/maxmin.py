@@ -6,8 +6,8 @@ form the interval [x_m - d_m, x_m + d_m] ∩ [0, dx], d_m =
 sqrt(max(alpha_m - C_m, 0)). Intersections of such intervals shrink
 monotonically in t, which makes the epigraph problem solvable by plain
 bisection on t with only scalar inner root-finds, then on x toward the
-worst user. A two-user closed form (equal per-user parameters) is
-available as an independent cross-check.
+worst user. Where all users share one channel, the exact optimum
+montecarlo.shared_channel_optimum is an independent cross-check.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .model import (
-    InvalidScenario,
     Scenario,
     SquaredDistanceRange,
     distance_squared,
@@ -27,14 +26,6 @@ from .model import (
 
 # Relative y-space tolerance used when SolverTolerances.eps_y is left None.
 AUTO_EPS_Y_REL = 1e-9
-
-
-class UnsupportedScenario(ValueError):
-    """Scenario violates an assumption of the closed-form solution."""
-
-
-class BoundaryRegime(RuntimeError):
-    """Closed-form optimum falls outside [0, dx]; use solve_maxmin instead."""
 
 
 class SolverAnomaly(RuntimeError):
@@ -72,12 +63,13 @@ class Solution:
     """Solver output: achieved level t_star at position x_star.
 
     feasible is the final certified interval, always nonempty (the point
-    (x_star, x_star) for the closed form, baselines and grid searches),
-    per_user_bounds the squared-distance thresholds at the certified level
-    (None for baselines and grid searches). meta carries diagnostics such
-    as the outer bracket (bracket_lo/bracket_hi), the binding users
-    (binding: the sorted indices of the one or two worst users around
-    x_star) or grid slack estimates.
+    (x_star, x_star) for the shared-channel optimum, baselines and grid
+    searches), per_user_bounds the squared-distance thresholds at the
+    certified level (the least largest squared distance, for every user,
+    for the shared-channel optimum; None for baselines and grid searches).
+    meta carries diagnostics such as the outer bracket (bracket_lo/
+    bracket_hi), the binding users (binding: the sorted indices of the one
+    or two worst users around x_star) or grid slack estimates.
     """
 
     t_star: float
@@ -229,53 +221,6 @@ def solve_maxmin(scenario: Scenario, tol: SolverTolerances | None = None) -> Sol
     bound, gamma_max = _avg_bound(scenario, tol)
     return _solve_nested(scenario, bound, lambda ys, *_: _worst_avg_snr(scenario, ys),
                          2.0 * max(gamma_max), tol)
-
-
-def two_user_closed_form(scenario: Scenario) -> Solution:
-    """Closed-form optimum for two users with shared channel parameters.
-
-    With Delta = |x_2 - x_1| and C_max/C_min the larger/smaller offsets:
-    if Delta <= sqrt(C_max - C_min) the antenna sits at the limiting user
-    and alpha* = C_max (Delta = 0 included); otherwise alpha* =
-    Delta^2/4 + (C_1+C_2)/2 + (C_1-C_2)^2/(4 Delta^2) and x* is the biased
-    midpoint (x_1+x_2)/2 + (C_2-C_1)/(2 Delta). t* = f(alpha*).
-    """
-    if scenario.n_users != 2:
-        raise InvalidScenario(f"closed form needs exactly 2 users, got {scenario.n_users}")
-    p1, p2 = scenario.channels
-    for name in ("rho", "mu_sq", "beta", "eta"):
-        if getattr(p1, name) != getattr(p2, name):
-            raise UnsupportedScenario(
-                f"closed form assumes equal per-user parameters; {name} differs "
-                f"({getattr(p1, name)} vs {getattr(p2, name)})"
-            )
-    (u1, u2) = scenario.users
-    if u1.x > u2.x:
-        u1, u2 = u2, u1
-    c1 = u1.y * u1.y + scenario.dv * scenario.dv
-    c2 = u2.y * u2.y + scenario.dv * scenario.dv
-    delta = u2.x - u1.x
-    c_max = max(c1, c2)
-    c_min = min(c1, c2)
-    if delta <= math.sqrt(c_max - c_min):
-        alpha = c_max
-        x_star = u2.x if c2 >= c1 else u1.x
-    else:
-        alpha = 0.25 * delta * delta + 0.5 * (c1 + c2) + (c1 - c2) ** 2 / (4.0 * delta * delta)
-        x_star = 0.5 * (u1.x + u2.x) + (c2 - c1) / (2.0 * delta)
-    if not 0.0 <= x_star <= scenario.dx:
-        raise BoundaryRegime(
-            f"closed-form optimum x={x_star} lies outside [0, {scenario.dx}]; "
-            "solve_maxmin handles the constrained case"
-        )
-    return Solution(
-        t_star=f_scalar(p1, alpha),
-        x_star=x_star,
-        feasible=Interval(x_star, x_star),
-        outer_iterations=0,
-        per_user_bounds=(alpha, alpha),
-        meta={"alpha_star": alpha},
-    )
 
 
 def fixed_antenna_baseline(scenario: Scenario) -> Solution:

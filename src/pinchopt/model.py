@@ -170,7 +170,5 @@ def squared_distance_range(scenario: Scenario, user_index: int) -> SquaredDistan
         raise IndexError(f"user index {user_index} out of range")
     user = scenario.users[user_index]
     c = scenario.c_const(user_index)
-    nearest = min(max(user.x, 0.0), scenario.dx)
-    y_min = (user.x - nearest) ** 2 + c
     y_max = c + max(user.x * user.x, (scenario.dx - user.x) ** 2)
-    return SquaredDistanceRange(y_min=y_min, y_max=y_max)
+    return SquaredDistanceRange(y_min=c, y_max=y_max)  # Scenario keeps x_m in [0, dx]

@@ -11,7 +11,9 @@ order, so scheduling cannot change results.
 
 The grid searches are the independent optimality oracles for both
 solvers; they evaluate the analytic objectives exhaustively and report
-the discretization slack alongside the best point.
+the discretization slack alongside the best point. Where every user
+shares one channel (and one outage target), shared_channel_optimum is an
+exact one for both metrics at any number of users.
 """
 
 from __future__ import annotations
@@ -22,14 +24,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .maxmin import Interval, Solution
-from .model import ChannelParams, Scenario, squared_distance_range
-from .outage import _THRESHOLD_REL_TOL, OutageSpec, _markov_ceiling
+from .maxmin import Interval, Solution, _distances
+from .model import ChannelParams, Scenario, f_scalar, squared_distance_range
+from .outage import _THRESHOLD_REL_TOL, OutageSpec, _markov_ceiling, _threshold_root
 from .special import ccdf_inst_snr_batch
 
 
 # Samples drawn and reduced per block; the block index seeds its generator.
 _BATCH = 250_000
+
+
+class UnsupportedScenario(ValueError):
+    """Users do not share one channel (or one outage target)."""
 
 
 @dataclass(frozen=True)
@@ -160,6 +166,58 @@ def grid_search_maxmin(scenario: Scenario, grid_points: int) -> Solution:
         outer_iterations=0,
         per_user_bounds=None,
         meta={"t_slack": 0.5 * spacing * max_slope, "grid_points": grid_points},
+    )
+
+
+def shared_channel_optimum(scenario: Scenario, spec: OutageSpec | None = None) -> Solution:
+    """Exact optimum of either metric when all users share one channel.
+
+    One strictly decreasing f then serves every user, and under one shared
+    outage target so does the threshold root. So both metrics peak where
+    the largest squared distance y(x) = max_m (x - x_m)^2 + C_m is least,
+    at t* = f(y*) (spec None) or the threshold root at y* (spec given).
+    y(x) is x^2 plus the upper envelope of the lines -2 x_m x + x_m^2 + C_m,
+    built left to right from the users sorted by (x, C), so user order
+    cannot change the result. On each envelope segment y(x) = (x - x_m)^2
+    + C_m, so x* is the vertex x_m of the first segment that reaches it, or
+    that segment's left end, the crossing of two users, all within
+    [min x_m, max x_m]. Raises UnsupportedScenario when the users' rho,
+    mu_sq, beta or eta, or their outage targets, differ.
+    """
+    params = scenario.channels[0]
+    for m, other in enumerate(scenario.channels):
+        for name in ("rho", "mu_sq", "beta", "eta"):
+            if getattr(other, name) != getattr(params, name):
+                raise UnsupportedScenario(f"users[{m}].{name} differs from users[0]")
+    if spec is not None:
+        spec = spec.for_scenario(scenario)
+        for m, eps in enumerate(spec.epsilons):
+            if eps != spec.epsilons[0]:
+                raise UnsupportedScenario(f"outage.epsilons[{m}] differs from epsilons[0]")
+    points = sorted((u.x, scenario.c_const(m)) for m, u in enumerate(scenario.users))
+    hull = []  # (x_m, C_m, left end of the segment where user m is farthest), by falling x_m
+    for x_m, c_m in reversed(points):
+        if hull and hull[-1][0] == x_m:
+            continue  # an equal x_m with a smaller C_m is never the farthest
+        while hull:
+            x_j, c_j, s_j = hull[-1]
+            start = (x_j * x_j + c_j - x_m * x_m - c_m) / (2.0 * (x_j - x_m))
+            if start > s_j:
+                break
+            hull.pop()
+        hull.append((x_m, c_m, start if hull else -math.inf))
+    ends = [s for _, _, s in hull[1:]] + [math.inf]
+    x_star = next(max(x_m, s) for (x_m, _, s), end in zip(hull, ends) if x_m <= end)
+    y_star = max(_distances(scenario, x_star))
+    t_star = (f_scalar(params, y_star) if spec is None
+              else _threshold_root(params, y_star, spec.epsilons[0]))
+    return Solution(
+        t_star=t_star,
+        x_star=x_star,
+        feasible=Interval(x_star, x_star),
+        outer_iterations=0,
+        per_user_bounds=(y_star,) * scenario.n_users,
+        meta={"alpha_star": y_star},
     )
 
 

@@ -4,7 +4,7 @@ and library users call."""
 import pinchopt
 
 PUBLIC = {
-    "BoundaryRegime", "ChannelParams", "Interval", "InvalidScenario",
+    "ChannelParams", "Interval", "InvalidScenario",
     "McConfig", "McEstimate", "OutageSpec", "Scenario", "ScenarioBundle", "ScenarioFormatError",
     "Solution", "SolverAnomaly", "SolverTolerances", "SquaredDistanceRange",
     "UnsupportedScenario", "UserPosition",
@@ -13,12 +13,12 @@ PUBLIC = {
     "fixed_antenna_baseline", "fixed_antenna_outage_baseline", "grid_search_maxmin",
     "grid_search_outage", "invert_ccdf", "invert_f", "load_scenario", "marcum_q1",
     "max_threshold_at", "min_avg_snr", "parse_scenario_dict", "serialize_scenario",
-    "solve_maxmin", "solve_outage", "squared_distance_range", "two_user_closed_form",
+    "shared_channel_optimum", "solve_maxmin", "solve_outage", "squared_distance_range",
 }
 
 
 def test_all_is_the_exact_public_surface():
-    assert len(PUBLIC) == 40
+    assert len(PUBLIC) == 39
     assert set(pinchopt.__all__) == PUBLIC
     assert len(pinchopt.__all__) == len(PUBLIC)  # no name listed twice
 

@@ -16,6 +16,15 @@ TWO_USERS = {
 }
 
 
+# One channel for every user, with a shared outage target: the shapes on
+# which shared-channel-optimum-vs-solvers checks the scenario's own users.
+SHARED_DOCS = {
+    "one-user": dict(TWO_USERS, users=[{"x": 12.0, "y": 2.0}], outage={"epsilon": 0.1}),
+    "three-users": dict(TWO_USERS, users=[{"x": 4.0, "y": 3.0}, {"x": 15.0, "y": -4.0},
+                                          {"x": 27.0, "y": 1.0}], outage={"epsilon": 0.05}),
+}
+
+
 @pytest.fixture
 def two_user_file(tmp_path):
     path = tmp_path / "two_users.json"
@@ -61,6 +70,19 @@ class TestVerify:
         report = tmp_path / "report.json"
         rc = cli.main(["verify", path, "--samples", "20000", "--seed", "0",
                        "--eta-scale", "1.5", "--report", str(report)])
+        assert rc == cli.EXIT_CHECK_FAILED
+        doc = json.loads(report.read_text(encoding="utf-8"))
+        assert {c["name"] for c in doc["checks"] if not c["pass"]} == {
+            "avg-snr-formula-vs-mc", "ccdf-formula-vs-mc"}
+
+    @pytest.mark.parametrize("shape", sorted(SHARED_DOCS))
+    def test_shared_channel_check_at_any_user_count(self, tmp_path, capsys, shape):
+        path = _write(tmp_path, SHARED_DOCS[shape])
+        assert cli.main(["verify", path, "--samples", "20000"]) == cli.EXIT_OK
+        assert "PASS shared-channel-optimum-vs-solvers" in capsys.readouterr().out
+        report = tmp_path / "report.json"
+        rc = cli.main(["verify", path, "--samples", "20000", "--eta-scale", "1.5",
+                       "--report", str(report)])
         assert rc == cli.EXIT_CHECK_FAILED
         doc = json.loads(report.read_text(encoding="utf-8"))
         assert {c["name"] for c in doc["checks"] if not c["pass"]} == {
@@ -260,6 +282,22 @@ def test_ccdf_bad_flag_is_invalid_input(two_user_file, tmp_path, capsys, flags, 
 def test_closed_form(two_user_file, capsys):
     assert cli.main(["closed-form", str(two_user_file)]) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["metric"] == "avg-snr-closed-form"
+
+
+@pytest.mark.parametrize("shape", sorted(SHARED_DOCS))
+def test_closed_form_matches_solve_at_any_user_count(tmp_path, capsys, shape):
+    path = _write(tmp_path, SHARED_DOCS[shape])
+    assert cli.main(["closed-form", path]) == cli.EXIT_OK
+    closed = json.loads(capsys.readouterr().out)["solution"]["t_star"]
+    assert cli.main(["solve", path, "--metric", "avg-snr"]) == cli.EXIT_OK
+    solved = json.loads(capsys.readouterr().out)["pinching"]["t_star"]
+    assert abs(closed - solved) <= SolverTolerances().eps_t * closed
+
+
+def test_closed_form_on_per_user_channels_is_invalid_input(tmp_path, capsys):
+    doc = dict(TWO_USERS, users=[{"x": 6.0, "y": 2.0}, {"x": 21.0, "y": -3.0, "mu_sq_db": -87.0}])
+    assert cli.main(["closed-form", _write(tmp_path, doc)]) == cli.EXIT_INVALID
+    assert capsys.readouterr().err == "error: users[1].mu_sq differs from users[0]\n"
 
 
 def _subcommand_options():

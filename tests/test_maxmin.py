@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 
 from pinchopt import (
-    BoundaryRegime,
     Interval,
-    InvalidScenario,
     SolverTolerances,
     UnsupportedScenario,
     f_scalar,
     fixed_antenna_baseline,
     invert_f,
     min_avg_snr,
+    shared_channel_optimum,
     solve_maxmin,
     squared_distance_range,
-    two_user_closed_form,
 )
 from pinchopt.maxmin import _avg_bound, _feasible_set
 from pinchopt.model import ChannelParams
@@ -265,15 +263,17 @@ class TestWorstUserFinish:
 
 
 class TestTwoUserClosedForm:
+    """The shared-channel optimum on two users: the vertex or the biased midpoint."""
+
     def test_degenerate_same_position(self):
         sc = make_scenario([(10.0, 2.0), (10.0, -4.0)])
-        sol = two_user_closed_form(sc)
+        sol = shared_channel_optimum(sc)
         assert sol.x_star == 10.0
         assert sol.meta["alpha_star"] == pytest.approx(max(sc.c_const(0), sc.c_const(1)))
 
     def test_symmetric_offsets_midpoint(self):
         sc = make_scenario([(8.0, 3.0), (20.0, -3.0)])
-        sol = two_user_closed_form(sc)
+        sol = shared_channel_optimum(sc)
         assert sol.x_star == pytest.approx(14.0, rel=1e-12)
         assert sol.meta["alpha_star"] == pytest.approx(36.0 + sc.c_const(0), rel=1e-12)
 
@@ -281,20 +281,20 @@ class TestTwoUserClosedForm:
         # |x2 - x1| below sqrt(C_max - C_min): place at the larger-offset user
         sc = make_scenario([(10.0, 0.0), (12.0, 5.0)])
         assert math.sqrt(sc.c_const(1) - sc.c_const(0)) > 2.0
-        sol = two_user_closed_form(sc)
+        sol = shared_channel_optimum(sc)
         assert sol.x_star == 12.0
         assert sol.meta["alpha_star"] == pytest.approx(sc.c_const(1))
 
     def test_biased_midpoint_shifts_toward_larger_offset(self):
         sc = make_scenario([(5.0, 0.0), (25.0, 5.0)])
-        sol = two_user_closed_form(sc)
+        sol = shared_channel_optimum(sc)
         assert sol.x_star > 15.0
 
     def test_matches_bisection(self):
         rng = np.random.Generator(np.random.Philox(10))
         for _ in range(25):
             sc = random_scenario(rng, 2)
-            closed = two_user_closed_form(sc)
+            closed = shared_channel_optimum(sc)
             solved = solve_maxmin(sc)
             assert abs(closed.t_star - solved.t_star) / closed.t_star <= 10.0 * TOL.eps_t
             assert abs(closed.x_star - solved.x_star) <= solved.feasible.hi - solved.feasible.lo + 1e-9
@@ -302,11 +302,7 @@ class TestTwoUserClosedForm:
     def test_order_independent(self):
         a = make_scenario([(20.0, -1.0), (6.0, 4.0)])
         b = make_scenario([(6.0, 4.0), (20.0, -1.0)])
-        assert two_user_closed_form(a).x_star == two_user_closed_form(b).x_star
-
-    def test_wrong_user_count(self):
-        with pytest.raises(InvalidScenario):
-            two_user_closed_form(make_scenario([(10.0, 0.0)]))
+        assert shared_channel_optimum(a).x_star == shared_channel_optimum(b).x_star
 
     def test_unequal_parameters(self):
         base = make_scenario([(10.0, 0.0), (20.0, 0.0)])
@@ -319,16 +315,9 @@ class TestTwoUserClosedForm:
         sc = make_scenario([(10.0, 0.0), (20.0, 0.0)])
         sc = type(sc)(dx=sc.dx, dy=sc.dy, dv=sc.dv, users=sc.users,
                       channels=(sc.channels[0], other))
-        with pytest.raises(UnsupportedScenario):
-            two_user_closed_form(sc)
-
-    def test_boundary_regime_guard(self):
-        # users inside the region always give an interior optimum, so force
-        # a corrupted position to exercise the defensive contract
-        sc = make_scenario([(1.0, 0.0), (8.0, 4.9)], dx=30.0)
-        object.__setattr__(sc.users[0], "x", -40.0)
-        with pytest.raises(BoundaryRegime):
-            two_user_closed_form(sc)
+        named = r"^users\[1\]\.mu_sq differs from users\[0\]$"
+        with pytest.raises(UnsupportedScenario, match=named):
+            shared_channel_optimum(sc)
 
 
 class TestFixedBaseline:

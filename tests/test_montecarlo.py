@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pinchopt import (
     McConfig,
     OutageSpec,
+    SolverTolerances,
+    UnsupportedScenario,
     ccdf_inst_snr,
     estimate_avg_snr,
     estimate_ccdf_curve,
@@ -14,6 +17,7 @@ from pinchopt import (
     grid_search_maxmin,
     grid_search_outage,
     max_threshold_at,
+    shared_channel_optimum,
     solve_maxmin,
     solve_outage,
 )
@@ -225,6 +229,66 @@ class TestGridSearchOutage:
             grid_search_outage(sc, spec, 100, np.array([1.0, 2.0]))  # must start at 0
         with pytest.raises(ValueError):
             grid_search_outage(sc, spec, 1, 100)
+
+
+def _shared_drop(n_users, seed, beta, snap):
+    """Random users on one channel; snap rounds x to whole metres, so users
+    share positions and optima sit at vertices more often."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    xs = rng.uniform(0.0, 30.0, n_users)
+    ys = rng.uniform(-5.0, 5.0, n_users)
+    return make_scenario(zip(np.rint(xs) if snap else xs, ys), beta=beta)
+
+
+def _agrees(opt, sol):
+    assert abs(opt.t_star - sol.t_star) <= SolverTolerances().eps_t * opt.t_star
+    assert sol.feasible.lo - 1e-9 <= opt.x_star <= sol.feasible.hi + 1e-9
+
+
+_DROPS = dict(seed=st.integers(0, 2**32 - 1), beta=st.floats(0.0, 3e-2), snap=st.booleans())
+
+
+class TestSharedChannelOptimum:
+    @given(n_users=st.integers(1, 128), **_DROPS)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_maxmin_solver(self, n_users, seed, beta, snap):
+        sc = _shared_drop(n_users, seed, beta, snap)
+        _agrees(shared_channel_optimum(sc), solve_maxmin(sc))
+
+    @given(n_users=st.integers(1, 32), epsilon=st.floats(0.01, 0.5, exclude_min=True,
+                                                          exclude_max=True), **_DROPS)
+    @settings(max_examples=15, deadline=None)
+    def test_matches_outage_solver(self, n_users, epsilon, seed, beta, snap):
+        sc = _shared_drop(n_users, seed, beta, snap)
+        spec = OutageSpec.shared(epsilon, n_users)
+        _agrees(shared_channel_optimum(sc, spec), solve_outage(sc, spec))
+
+    def test_single_user_sits_at_the_user(self):
+        sc = make_scenario([(12.5, 3.0)])
+        sol = shared_channel_optimum(sc)
+        assert (sol.x_star, sol.meta["alpha_star"]) == (12.5, sc.c_const(0))
+        assert sol.t_star == f_scalar(sc.channels[0], sc.c_const(0))
+
+    def test_user_order_changes_nothing(self):
+        sc = _shared_drop(16, 3, 0.01, True)
+        flipped = make_scenario([(u.x, u.y) for u in reversed(sc.users)])
+        spec = OutageSpec.shared(0.1, 16)
+        for metric in (None, spec):
+            a, b = shared_channel_optimum(sc, metric), shared_channel_optimum(flipped, metric)
+            assert (a.t_star, a.x_star, a.meta) == (b.t_star, b.x_star, b.meta)
+
+    def test_both_metrics_share_the_position(self):
+        sc = _shared_drop(8, 5, 0.01, False)
+        avg = shared_channel_optimum(sc)
+        out = shared_channel_optimum(sc, OutageSpec.shared(0.1, 8))
+        assert out.x_star == avg.x_star
+        assert out.per_user_bounds == avg.per_user_bounds == (avg.meta["alpha_star"],) * 8
+
+    def test_unequal_targets_are_unsupported(self):
+        sc = make_scenario([(5.0, 0.0), (15.0, 1.0), (25.0, 2.0)])
+        named = r"^outage\.epsilons\[2\] differs from epsilons\[0\]$"
+        with pytest.raises(UnsupportedScenario, match=named):
+            shared_channel_optimum(sc, OutageSpec((0.1, 0.1, 0.2)))
 
 
 class TestDominance:
