@@ -12,7 +12,7 @@ Subcommands and the options each takes besides -h/--help:
     closed-form  exact max-min optimum when all users share one channel, at
                  any number of users: -o/--out
 
-TOL is --eps-t --eps-y, overrides of the scenario's solver
+TOL is --eps-t --eps-y (outage only), overrides of the scenario's solver
 tolerances. --workers acts on sweep only; solve and ccdf ignore it.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
@@ -80,7 +80,7 @@ CCDF_COLUMNS = ["t", "ccdf_analytic", "ccdf_mc", "mc_std_err"]
 
 _FLAGS = {
     "--eps-t": dict(type=float, help="override the relative outer tolerance on t"),
-    "--eps-y": dict(type=float, help="override the inner tolerance on r^2 in m^2 (both metrics)"),
+    "--eps-y": dict(type=float, help="override the outage inner tolerance on r^2 in m^2"),
     "--seed": dict(type=int, default=0, help="base RNG seed (>= 0)"),
     "--workers": dict(type=int, default=1, help="worker processes (>= 1); acts on sweep only"),
 }
@@ -145,6 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_tol_overrides(bundle: ScenarioBundle, args) -> ScenarioBundle:
+    if getattr(args, "metric", None) == "avg-snr" and args.eps_y is not None:
+        raise ScenarioFormatError("--eps-y: does not act on --metric avg-snr")
     tol = bundle.tol
     for field, flag in (("eps_t", "--eps-t"), ("eps_y", "--eps-y")):
         value = getattr(args, field)

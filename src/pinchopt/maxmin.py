@@ -5,8 +5,8 @@ r_m^2(x) <= alpha_m(t) with f(alpha_m(t)) = t, so the feasible positions
 form the interval [x_m - d_m, x_m + d_m] ∩ [0, dx], d_m =
 sqrt(max(alpha_m - C_m, 0)). Intersections of such intervals shrink
 monotonically in t, which makes the epigraph problem solvable by plain
-bisection on t with only scalar inner root-finds, then on x toward the
-worst user. Where all users share one channel, the exact optimum
+bisection on t with one closed-form inversion per user, then on x toward
+the worst user. Where all users share one channel, the exact optimum
 montecarlo.shared_channel_optimum is an independent cross-check.
 """
 
@@ -21,6 +21,7 @@ from .model import (
     SquaredDistanceRange,
     distance_squared,
     f_scalar,
+    lambert_w0,
     squared_distance_range,
 )
 
@@ -41,9 +42,9 @@ class Interval(NamedTuple):
 
 @dataclass(frozen=True)
 class SolverTolerances:
-    """eps_t: relative outer tolerance on t; eps_y: absolute tolerance in m^2 of
-    the inner inversion on r^2, one for both metrics (invert_f, invert_ccdf;
-    None selects 1e-9 * y_max per user)."""
+    """eps_t: relative outer tolerance on t (both metrics); eps_y: absolute
+    tolerance in m^2 of outage's inner inversion on r^2 (invert_ccdf; None
+    selects 1e-9 * y_max per user). Max-min inverts exactly and ignores it."""
 
     eps_t: float = 1e-3
     eps_y: float | None = None
@@ -80,29 +81,32 @@ class Solution:
     meta: dict = field(default_factory=dict)
 
 
-def invert_f(params, t: float, rng: SquaredDistanceRange, eps_y: float) -> float | None:
-    """Solve f(alpha) = t for alpha in [y_min, y_max] by bisection.
+def invert_f(params, t: float, rng: SquaredDistanceRange) -> float | None:
+    """Largest double alpha in [y_min, y_max] with f(alpha) >= t, in closed form.
 
-    The bracket shrinks to width eps_y, or to adjacent doubles when eps_y is
-    below their spacing. Returns its lower end, so callers build intervals
-    that never overstate feasibility. None marks infeasibility (t above
-    f(y_min), so no position reaches t); t at or below f(y_max) returns
-    y_max (the whole range satisfies the constraint).
+    f(y) = t reads t y - rho mu_sq = rho eta e^{-beta y}. With a = rho mu_sq / t
+    and c = rho eta / t the root is a + W0(beta c e^{-beta a}) / beta, that is
+    a + c e^{-beta a - W0}, and a + c at beta = 0. A Newton step and a walk of a
+    few ulps follow, so intervals never overstate feasibility. None marks t above
+    f(y_min) (no position reaches t); t = f(y_min) gives y_min, and t <= f(y_max)
+    gives y_max (every position meets t).
     """
-    if t > f_scalar(params, rng.y_min):
-        return None
+    f_min = f_scalar(params, rng.y_min)
+    if t >= f_min:
+        return None if t > f_min else rng.y_min
     if t <= f_scalar(params, rng.y_max):
         return rng.y_max
-    lo, hi = rng.y_min, rng.y_max
-    while hi - lo > eps_y:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if f_scalar(params, mid) >= t:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    beta, rho_eta, rho_mu = params.beta, params.rho * params.eta, params.rho * params.mu_sq
+    a, log_c = rho_mu / t, math.log(rho_eta) - math.log(t)
+    w = lambert_w0(math.log(beta) + log_c - beta * a) if beta > 0.0 else 0.0
+    y = a + math.exp(log_c - beta * a - w)
+    p = rho_eta * math.exp(-beta * y)
+    y = min(max(y - (t * y - p - rho_mu) / (t + beta * p), rng.y_min), rng.y_max)
+    while f_scalar(params, y) < t:  # stops by y_min, where f > t
+        y = math.nextafter(y, 0.0)
+    while f_scalar(params, up := math.nextafter(y, math.inf)) >= t:  # and below y_max
+        y = up
+    return y
 
 
 def _feasible_set(scenario: Scenario, bound, t: float):
@@ -126,18 +130,6 @@ def _feasible_set(scenario: Scenario, bound, t: float):
             return None
         bounds.append(b)
     return Interval(lo, hi), tuple(bounds)
-
-
-def _avg_bound(scenario: Scenario, tol: SolverTolerances):
-    """Per-user bound alpha_m(t) of the average-SNR metric, and each gamma_max."""
-    ranges = [squared_distance_range(scenario, m) for m in range(scenario.n_users)]
-    inner = [tol.inner_tol(r) for r in ranges]
-    gamma_max = [f_scalar(scenario.channels[m], ranges[m].y_min) for m in range(scenario.n_users)]
-
-    def bound(m: int, t: float) -> float | None:
-        return invert_f(scenario.channels[m], t, ranges[m], inner[m])
-
-    return bound, gamma_max
 
 
 def _distances(scenario: Scenario, x_pin: float) -> list[float]:
@@ -218,9 +210,10 @@ def solve_maxmin(scenario: Scenario, tol: SolverTolerances | None = None) -> Sol
     Solution.meta carries the bisection bracket and the binding users.
     """
     tol = tol or SolverTolerances()
-    bound, gamma_max = _avg_bound(scenario, tol)
-    return _solve_nested(scenario, bound, lambda ys, *_: _worst_avg_snr(scenario, ys),
-                         2.0 * max(gamma_max), tol)
+    ranges = [squared_distance_range(scenario, m) for m in range(scenario.n_users)]
+    t_hi = 2.0 * max(f_scalar(p, r.y_min) for p, r in zip(scenario.channels, ranges))
+    return _solve_nested(scenario, lambda m, t: invert_f(scenario.channels[m], t, ranges[m]),
+                         lambda ys, *_: _worst_avg_snr(scenario, ys), t_hi, tol)
 
 
 def fixed_antenna_baseline(scenario: Scenario) -> Solution:

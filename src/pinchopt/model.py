@@ -151,6 +151,19 @@ def f_scalar(params: ChannelParams, y: float) -> float:
     return params.rho * (params.eta * math.exp(-params.beta * y) + params.mu_sq) / y
 
 
+def lambert_w0(log_x: float) -> float:
+    """W0(x), the w >= 0 with w e^w = x, at x = e^log_x, so x itself may lie
+    outside the float range: three Halley steps on w + ln w = log_x from
+    ln(1 + x) (Corless et al., Adv. Comput. Math. 5, 1996)."""
+    if log_x < -40.0:  # W0(x) = x - x^2 + ...: x to the last bit
+        return math.exp(log_x)
+    w = log_x + math.log1p(math.exp(-log_x)) if log_x > 0.0 else math.log1p(math.exp(log_x))
+    for _ in range(3):
+        d = (w + math.log(w) - log_x) * w / (w + 1.0)
+        w -= d / (1.0 + d / (2.0 * w * (w + 1.0)))
+    return w
+
+
 def snr_variance(params: ChannelParams, y: float) -> float:
     """Variance of the instantaneous SNR rho*|h|^2 at squared distance y.
 

@@ -6,8 +6,9 @@ fall back to the reference simulation setup: f_c = 28 GHz, d_v = 10 m,
 P = 40 dBm, sigma^2 = -90 dBm, mu^2 = -90 dB, D_y = 10 m, beta = 0.01,
 guide index 1.4. fc_hz and guide_index must be positive, and every dB or
 dBm figure must map to a positive finite linear value. "tolerances" sets the
-one SolverTolerances of both metrics: eps_t = 1e-3 on the level t, and eps_y,
-the inner tolerance on r^2 in m^2 (default 1e-9 of each user's largest r^2).
+SolverTolerances: eps_t = 1e-3 on the level t, and eps_y, the outage inner
+tolerance on r^2 in m^2 (default 1e-9 of each user's largest r^2). One file
+serves both metrics, so eps_y is accepted there and max-min ignores it.
 
 Example document:
 

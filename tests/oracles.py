@@ -60,3 +60,16 @@ def marcum_q1_quad(a: float, b: float) -> float:
 def nlos_only_bound(rho: float, mu_sq: float, t: float, epsilon: float) -> float:
     """Pure-NLoS inversion: exp(-t y / (rho mu^2)) = 1 - eps  =>  y."""
     return -rho * mu_sq * math.log(1.0 - epsilon) / t
+
+
+def avg_snr_inverse(params, t: float) -> float:
+    """Root y of f(y) = rho (eta e^{-beta y} + mu_sq) / y = t by scipy's Lambert W.
+
+    t y - rho mu_sq = rho eta e^{-beta y} gives y = a + W0(beta c e^{-beta a})
+    / beta with a = rho mu_sq / t and c = rho eta / t, and y = a + c at beta = 0.
+    """
+    a, c = params.rho * params.mu_sq / t, params.rho * params.eta / t
+    if params.beta == 0.0:
+        return a + c
+    x = params.beta * c * math.exp(-params.beta * a)
+    return a + float(special.lambertw(x).real) / params.beta

@@ -152,10 +152,29 @@ class TestSolve:
             bounds.append(json.loads(out.read_text(encoding="utf-8"))["pinching"]["per_user_bounds"])
         assert bounds[0] != bounds[1]
 
-    def test_inner_tolerance_below_double_spacing_ends(self, two_user_file):
-        # no two doubles near the users' roots lie 1e-20 apart: invert_f ends on adjacent ones
-        rc = cli.main(["solve", str(two_user_file), "--metric", "avg-snr", "--eps-y", "1e-20"])
+    def test_inner_tolerance_below_double_spacing_ends(self, tmp_path):
+        # no two doubles near the users' roots lie 1e-20 apart: invert_ccdf ends on adjacent ones
+        path = _write(tmp_path, dict(TWO_USERS, outage={"epsilon": 0.1}))
+        rc = cli.main(["solve", path, "--metric", "outage", "--eps-y", "1e-20"])
         assert rc == cli.EXIT_OK
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_inner_tolerance_does_not_act_on_avg_snr(self, two_user_file, tmp_path, capsys,
+                                                     command):
+        # max-min inverts f exactly
+        rc = cli.main(_argv(command, str(two_user_file), tmp_path) + ["--eps-y", "1e-6"])
+        assert rc == cli.EXIT_INVALID
+        assert capsys.readouterr().err == "error: --eps-y: does not act on --metric avg-snr\n"
+
+    def test_bad_inner_tolerance_on_outage_is_invalid_input(self, tmp_path, capsys):
+        path = _write(tmp_path, dict(TWO_USERS, outage={"epsilon": 0.1}))
+        assert cli.main(["solve", path, "--metric", "outage", "--eps-y", "0"]) == cli.EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: --eps-y: eps_y must be finite")
+
+    def test_file_inner_tolerance_is_accepted_for_avg_snr(self, tmp_path):
+        # one file serves both metrics
+        path = _write(tmp_path, dict(TWO_USERS, tolerances={"eps_y": 1e-6}))
+        assert cli.main(["solve", path, "--metric", "avg-snr"]) == cli.EXIT_OK
 
     def test_retired_eps_u_field_is_invalid_input(self, tmp_path, capsys):
         path = _write(tmp_path, dict(TWO_USERS, tolerances={"eps_u": 1e-6}))

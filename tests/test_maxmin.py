@@ -1,7 +1,10 @@
 import math
+import sys
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pinchopt import (
     Interval,
@@ -15,17 +18,21 @@ from pinchopt import (
     solve_maxmin,
     squared_distance_range,
 )
-from pinchopt.maxmin import _avg_bound, _feasible_set
+from pinchopt.maxmin import _feasible_set
 from pinchopt.model import ChannelParams
 
 from conftest import heterogeneous_drop, make_params, make_scenario, random_scenario
+from oracles import avg_snr_inverse
 
 TOL = SolverTolerances()
 
 
 def _feasibility(sc, t):
     """The solver's intersection of all users' intervals at level t, None if empty."""
-    found = _feasible_set(sc, _avg_bound(sc, TOL)[0], t)
+    def bound(m, level):
+        return invert_f(sc.channels[m], level, squared_distance_range(sc, m))
+
+    found = _feasible_set(sc, bound, t)
     return found and found[0]
 
 
@@ -93,44 +100,70 @@ class TestInvertF:
         sc = make_scenario([(15.0, 0.0)], dx=30.0)
         rng = squared_distance_range(sc, 0)
         params = sc.channels[0]
-        assert invert_f(params, f_scalar(params, rng.y_min), rng, 1e-9) == rng.y_min
+        assert invert_f(params, f_scalar(params, rng.y_min), rng) == rng.y_min
 
     def test_bracket_endpoint(self):
         sc = make_scenario([(10.0, 5.0)], dx=30.0)
         rng = squared_distance_range(sc, 0)
         params = sc.channels[0]
-        assert invert_f(params, f_scalar(params, rng.y_max), rng, 1e-9) == rng.y_max
+        assert invert_f(params, f_scalar(params, rng.y_max), rng) == rng.y_max
 
     def test_round_trip_recovers_target(self):
         rng_np = np.random.Generator(np.random.Philox(5))
         sc = make_scenario([(10.0, 5.0)], dx=30.0)
         rng = squared_distance_range(sc, 0)
         params = sc.channels[0]
-        eps_y = 1e-9 * rng.y_max
         for _ in range(50):
             y_target = float(rng_np.uniform(rng.y_min, rng.y_max))
-            alpha = invert_f(params, f_scalar(params, y_target), rng, eps_y)
-            assert abs(alpha - y_target) <= eps_y
+            alpha = invert_f(params, f_scalar(params, y_target), rng)
+            assert abs(alpha - y_target) <= 2.0 * math.ulp(y_target)
 
     def test_infeasible_returns_none(self):
         sc = make_scenario([(10.0, 5.0)])
         rng = squared_distance_range(sc, 0)
         params = sc.channels[0]
-        assert invert_f(params, 1.01 * f_scalar(params, rng.y_min), rng, 1e-9) is None
+        assert invert_f(params, 1.01 * f_scalar(params, rng.y_min), rng) is None
 
     def test_below_range_returns_y_max(self):
         sc = make_scenario([(10.0, 5.0)])
         rng = squared_distance_range(sc, 0)
         params = sc.channels[0]
-        assert invert_f(params, 0.5 * f_scalar(params, rng.y_max), rng, 1e-9) == rng.y_max
+        assert invert_f(params, 0.5 * f_scalar(params, rng.y_max), rng) == rng.y_max
 
-    def test_tolerance_below_double_spacing_ends_on_adjacent_doubles(self):
+    def test_returns_the_largest_double_that_meets_the_level(self):
         sc = make_scenario([(10.0, 5.0)])
         rng = squared_distance_range(sc, 0)
         params = sc.channels[0]
         t = f_scalar(params, 0.5 * (rng.y_min + rng.y_max))
-        y = invert_f(params, t, rng, 1e-300)
+        y = invert_f(params, t, rng)
         assert f_scalar(params, y) >= t > f_scalar(params, math.nextafter(y, math.inf))
+
+    @given(beta=st.sampled_from([0.0, 1e-6, 1e-3, 1e-2, 3e-2]), log_mu_sq=st.floats(-12.0, -5.0),
+           log_rho=st.floats(9.0, 15.0), x=st.floats(0.0, 30.0), y=st.floats(-5.0, 5.0),
+           share=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_lambert_w_oracle(self, beta, log_mu_sq, log_rho, x, y, share):
+        sc = make_scenario([(x, y)], beta=beta, mu_sq=10.0 ** log_mu_sq, rho=10.0 ** log_rho)
+        rng, params = squared_distance_range(sc, 0), sc.channels[0]
+        t = f_scalar(params, rng.y_min + share * (rng.y_max - rng.y_min))
+        assume(f_scalar(params, rng.y_max) < t < f_scalar(params, rng.y_min))
+        calls = []
+        with patch("pinchopt.maxmin.f_scalar", lambda *a: calls.append(a) or f_scalar(*a)):
+            alpha = invert_f(params, t, rng)
+        assert f_scalar(params, alpha) >= t > f_scalar(params, math.nextafter(alpha, math.inf))
+        # the oracle carries its own rounding of W0 and e^{-beta a}: 3 eps at most seen
+        oracle = avg_snr_inverse(params, t)
+        assert abs(alpha - oracle) <= 4.0 * sys.float_info.epsilon * oracle
+        assert len(calls) <= 2 + 2 + 4  # end cases, both walk tests, at most 4 ulps walked
+
+    def test_lambert_argument_beyond_the_float_range(self):
+        # at t = f(7.05e8) ~ 9.4e-16, beta c e^{-beta a} = e^711.6 overflows a double
+        sc = make_scenario([(0.0, 0.0)], dx=3e4, beta=1e-6, eta=1e300, mu_sq=1e-300, rho=1.0)
+        rng, params = squared_distance_range(sc, 0), sc.channels[0]
+        t = f_scalar(params, 7.05e8)
+        alpha = invert_f(params, t, rng)
+        assert abs(alpha - 7.05e8) <= 2.0 * math.ulp(7.05e8)
+        assert f_scalar(params, alpha) >= t > f_scalar(params, math.nextafter(alpha, math.inf))
 
 
 class TestUserIntervalAvg:
@@ -159,7 +192,7 @@ class TestFeasibilityAvg:
         sc = make_scenario([(10.0, 5.0)])
         t = 0.7 * f_scalar(sc.channels[0], sc.c_const(0))
         rng = squared_distance_range(sc, 0)
-        d = math.sqrt(invert_f(sc.channels[0], t, rng, TOL.inner_tol(rng)) - sc.c_const(0))
+        d = math.sqrt(invert_f(sc.channels[0], t, rng) - sc.c_const(0))
         assert _feasibility(sc, t) == (max(10.0 - d, 0.0), min(10.0 + d, sc.dx))
 
     def test_disjoint_users_empty(self):
@@ -232,6 +265,10 @@ class TestSolveMaxmin:
         assert sol.meta["bracket_hi"] == math.nextafter(sol.meta["bracket_lo"], math.inf)
         assert sol.outer_iterations < 200
 
+    def test_eps_y_does_not_act(self):
+        sc = make_scenario([(6.0, 2.0), (21.0, -3.0), (14.0, 4.0)])
+        assert solve_maxmin(sc, SolverTolerances(eps_y=1e3)) == solve_maxmin(sc)
+
     def test_per_user_bounds_reported(self):
         sc = make_scenario([(4.0, 1.0), (18.0, -3.0)])
         sol = solve_maxmin(sc)
@@ -240,6 +277,22 @@ class TestSolveMaxmin:
             assert f_scalar(sc.channels[m], alpha) == pytest.approx(
                 sol.meta["bracket_lo"], rel=1e-6
             )
+
+
+class TestCertifiedBracket:
+    """On shared channels the exact optimum (t_opt, x_opt) lies in the certified
+    bracket and the certified interval at every eps_t."""
+
+    @pytest.mark.parametrize("eps_t", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_bracket_holds_the_shared_channel_optimum(self, eps_t):
+        rng = np.random.Generator(np.random.Philox(12))
+        for n_users in (2, 3, 8, 32) * 50:
+            sc = random_scenario(rng, n_users, beta=float(rng.uniform(0.0, 3e-2)))
+            opt = shared_channel_optimum(sc)
+            sol = solve_maxmin(sc, SolverTolerances(eps_t=eps_t))
+            assert sol.meta["bracket_lo"] <= opt.t_star <= sol.meta["bracket_hi"]
+            assert sol.t_star >= sol.meta["bracket_lo"]
+            assert sol.feasible.lo <= opt.x_star <= sol.feasible.hi
 
 
 class TestWorstUserFinish:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
 from pinchopt import (
     InvalidScenario,
@@ -13,6 +14,7 @@ from pinchopt import (
     f_scalar,
     squared_distance_range,
 )
+from pinchopt.model import lambert_w0
 from pinchopt.montecarlo import _channel_constants
 
 from conftest import make_params, make_scenario
@@ -137,6 +139,24 @@ class TestFScalar:
             f_scalar(make_params(), 0.0)
         with pytest.raises(ValueError):
             f_scalar(make_params(), -5.0)
+
+
+class TestLambertW0:
+    @given(log_x=st.floats(-60.0, 60.0))
+    @settings(max_examples=200)
+    def test_matches_scipy(self, log_x):
+        assert lambert_w0(log_x) == pytest.approx(special.lambertw(math.exp(log_x)).real,
+                                                  rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("log_x", [710.0, 1e4, 1e300])
+    def test_x_beyond_the_float_range(self, log_x):
+        w = lambert_w0(log_x)  # e^log_x overflows; the log form does not
+        assert w + math.log(w) == pytest.approx(log_x, rel=1e-15)
+
+    @pytest.mark.parametrize("log_x", [-41.0, -745.0, -1e4])
+    def test_tiny_x_is_its_own_w(self, log_x):
+        # W0(x) = x - x^2 + ...; e^-745 is subnormal and e^-1e4 underflows to 0
+        assert lambert_w0(log_x) == math.exp(log_x)
 
 
 class TestSquaredDistanceRange:
