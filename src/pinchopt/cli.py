@@ -2,18 +2,18 @@
 
 Subcommands and the options each takes besides -h/--help:
 
-    solve        one scenario: --metric -o/--out TOL --workers
+    solve        one scenario: --metric -o/--out --eps-t --workers
     sweep        CSV sweep over up to two axes: --metric --axis --drops --out
-                 TOL --seed --workers
+                 --eps-t --seed --workers
     ccdf         analytic vs Monte-Carlo CCDF of one link: --user --x-pin
                  --t-min --t-max --t-points --t-scale --samples --out --seed
                  --workers
-    verify       the oracle suite: --samples --eta-scale --report TOL --seed
+    verify       the oracle suite: --samples --eta-scale --report --eps-t --seed
     closed-form  exact max-min optimum when all users share one channel, at
                  any number of users: -o/--out
 
-TOL is --eps-t --eps-y (outage only), overrides of the scenario's solver
-tolerances. --workers acts on sweep only; solve and ccdf ignore it.
+--eps-t overrides the scenario's relative tolerance on the level t.
+--workers acts on sweep only; solve and ccdf ignore it.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 solver error (no positive level is feasible), 4 internal error (an
@@ -80,11 +80,9 @@ CCDF_COLUMNS = ["t", "ccdf_analytic", "ccdf_mc", "mc_std_err"]
 
 _FLAGS = {
     "--eps-t": dict(type=float, help="override the relative outer tolerance on t"),
-    "--eps-y": dict(type=float, help="override the outage inner tolerance on r^2 in m^2"),
     "--seed": dict(type=int, default=0, help="base RNG seed (>= 0)"),
     "--workers": dict(type=int, default=1, help="worker processes (>= 1); acts on sweep only"),
 }
-_TOLERANCE_FLAGS = ("--eps-t", "--eps-y")
 
 
 def _add_flags(parser: argparse.ArgumentParser, *flags: str):
@@ -104,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--metric", choices=["avg-snr", "outage"], required=True)
     p.add_argument("-o", "--out", default=None, help="result JSON path (default stdout)")
-    _add_flags(p, *_TOLERANCE_FLAGS, "--workers")
+    _add_flags(p, "--eps-t", "--workers")
 
     p = sub.add_parser("sweep", help="parameter sweep to CSV")
     p.add_argument("scenario")
@@ -115,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--drops", type=int, default=100, help="random user drops per grid point")
     p.add_argument("--out", required=True, help="output CSV path")
-    _add_flags(p, *_TOLERANCE_FLAGS, "--seed", "--workers")
+    _add_flags(p, "--eps-t", "--seed", "--workers")
 
     p = sub.add_parser("ccdf", help="CCDF table: analytic vs Monte Carlo")
     p.add_argument("scenario")
@@ -135,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-scale", type=float, default=1.0,
                    help="negative control: scale eta on the analytic side only")
     p.add_argument("--report", default=None, help="also write a JSON report here")
-    _add_flags(p, *_TOLERANCE_FLAGS, "--seed")
+    _add_flags(p, "--eps-t", "--seed")
 
     p = sub.add_parser("closed-form", help="exact max-min optimum of a shared-channel scenario")
     p.add_argument("scenario")
@@ -145,17 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_tol_overrides(bundle: ScenarioBundle, args) -> ScenarioBundle:
-    if getattr(args, "metric", None) == "avg-snr" and args.eps_y is not None:
-        raise ScenarioFormatError("--eps-y: does not act on --metric avg-snr")
-    tol = bundle.tol
-    for field, flag in (("eps_t", "--eps-t"), ("eps_y", "--eps-y")):
-        value = getattr(args, field)
-        if value is not None:
-            try:
-                tol = replace(tol, **{field: value})
-            except ValueError as exc:
-                raise ScenarioFormatError(f"{flag}: {exc}") from exc
-    return replace(bundle, tol=tol)
+    if args.eps_t is None:
+        return bundle
+    try:
+        return replace(bundle, tol=replace(bundle.tol, eps_t=args.eps_t))
+    except ValueError as exc:
+        raise ScenarioFormatError(f"--eps-t: {exc}") from exc
 
 
 def _check_seed_and_workers(args):

@@ -95,37 +95,19 @@ def _marcum_bessel(a: float, b: float) -> float:
         if k - 1 <= k_max:
             ratios[k - 1] = r
     pref = math.exp(-0.5 * (a - b) * (a - b))
-    if a <= b:
-        ratio = a / b
-        ik = i0_scaled(x)
-        rk = 1.0
-        s = 0.0
-        for k in range(k_max + 1):
+    first = 0 if a <= b else 1  # the sum's first k
+    ratio = min(a, b) / max(a, b)
+    rk, ik, s = 1.0, i0_scaled(x), 0.0  # (min/max)^k and e^{-x} I_k(x)
+    for k in range(k_max + 1):
+        if k >= first:
             term = rk * ik
             s += term
             if k > 2 and term < 1e-17 * s:
                 break
-            rk *= ratio
-            ik *= ratios[k]
-        out = pref * s
-        return 1.0 if out > 1.0 else out
-    ratio = b / a
-    ik = i0_scaled(x) * ratios[0]
-    rk = ratio
-    s = 0.0
-    for k in range(1, k_max + 1):
-        term = rk * ik
-        s += term
-        if k > 2 and term < 1e-17 * s:
-            break
         rk *= ratio
         ik *= ratios[k]
-    out = 1.0 - pref * s
-    if out < 0.0:
-        return 0.0
-    if out > 1.0:
-        return 1.0
-    return out
+    out = pref * s if first == 0 else 1.0 - pref * s
+    return min(max(out, 0.0), 1.0)
 
 
 def marcum_q1_scalar(a: float, b: float) -> float:

@@ -25,9 +25,6 @@ from .model import (
     squared_distance_range,
 )
 
-# Relative y-space tolerance used when SolverTolerances.eps_y is left None.
-AUTO_EPS_Y_REL = 1e-9
-
 
 class SolverAnomaly(RuntimeError):
     """Bisection failed to certify a feasible level; indicates broken inputs."""
@@ -42,21 +39,14 @@ class Interval(NamedTuple):
 
 @dataclass(frozen=True)
 class SolverTolerances:
-    """eps_t: relative outer tolerance on t (both metrics); eps_y: absolute
-    tolerance in m^2 of outage's inner inversion on r^2 (invert_ccdf; None
-    selects 1e-9 * y_max per user). Max-min inverts exactly and ignores it."""
+    """eps_t: relative tolerance on the level t, the one accuracy a caller
+    sets for both metrics."""
 
     eps_t: float = 1e-3
-    eps_y: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.eps_t < math.inf:
             raise ValueError(f"eps_t must be finite and positive, got {self.eps_t}")
-        if self.eps_y is not None and not 0.0 < self.eps_y < math.inf:
-            raise ValueError(f"eps_y must be finite and positive, got {self.eps_y}")
-
-    def inner_tol(self, rng: SquaredDistanceRange) -> float:
-        return self.eps_y if self.eps_y is not None else AUTO_EPS_Y_REL * rng.y_max
 
 
 @dataclass(frozen=True)

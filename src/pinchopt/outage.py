@@ -42,6 +42,8 @@ from .special import ccdf_inst_snr
 
 # Relative width at which the per-position threshold root stops.
 _THRESHOLD_REL_TOL = 1e-12
+# Width, relative to a user's largest r^2, at which the inversion on r^2 stops.
+_INVERSION_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -107,17 +109,18 @@ def _bracket_root(g, lo: float, g_lo: float, hi: float, g_hi: float,
     return lo, hi
 
 
-def invert_ccdf(params, t: float, epsilon: float, rng, eps_y: float,
+def invert_ccdf(params, t: float, epsilon: float, rng,
                 bracket: tuple[float, float] | None = None) -> float | None:
     """Largest y in [y_min, y_max] with ccdf(y, t) >= 1 - epsilon.
 
     None marks infeasibility (even y_min misses the target); y_max means
     the constraint binds nowhere on the deployment range. Otherwise the
-    unique root of the strictly decreasing CCDF is bracketed to eps_y and
-    its conservative (lower) end is returned. bracket (y_lo, y_hi) is where
-    the root is sought, by default the whole range. A y_lo that misses the
-    target or a y_hi that meets it gives None or y_max when it is the
-    range's end; anywhere else the search falls back to the whole range.
+    unique root of the strictly decreasing CCDF is bracketed to
+    _INVERSION_REL_TOL * y_max and its conservative (lower) end is returned.
+    bracket (y_lo, y_hi) is where the root is sought, by default the whole
+    range. A y_lo that misses the target or a y_hi that meets it gives None
+    or y_max when it is the range's end; anywhere else the search falls
+    back to the whole range.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -129,23 +132,23 @@ def invert_ccdf(params, t: float, epsilon: float, rng, eps_y: float,
     lo, hi = bracket or (rng.y_min, rng.y_max)
     g_lo = g(lo)
     if g_lo < 0.0:
-        return None if lo == rng.y_min else invert_ccdf(params, t, epsilon, rng, eps_y)
+        return None if lo == rng.y_min else invert_ccdf(params, t, epsilon, rng)
     g_hi = g(hi)
     if g_hi >= 0.0:
-        return rng.y_max if hi == rng.y_max else invert_ccdf(params, t, epsilon, rng, eps_y)
-    return _bracket_root(g, lo, g_lo, hi, g_hi, eps_y)[0]
+        return rng.y_max if hi == rng.y_max else invert_ccdf(params, t, epsilon, rng)
+    return _bracket_root(g, lo, g_lo, hi, g_hi, _INVERSION_REL_TOL * rng.y_max)[0]
 
 
-def _outage_bound(scenario: Scenario, epsilons, tol: SolverTolerances):
+def _outage_bound(scenario: Scenario, epsilons):
     """Per-user bound U_m(t) of the outage metric (None: target missed everywhere).
 
     U_m is nonincreasing in t, so each user's earlier inversions in this
     solve bracket the next: a y feasible at the nearest probe t' >= t is
     feasible at t, and one infeasible at the nearest probe t' <= t is
-    infeasible at t. A probe that returned y is infeasible from y + eps_y on.
+    infeasible at t. A probe that returned y is infeasible from y plus the
+    inversion width on.
     """
     ranges = [squared_distance_range(scenario, m) for m in range(scenario.n_users)]
-    inner = [tol.inner_tol(r) for r in ranges]
     # per user: probed thresholds, ascending, and at each (feasible y, infeasible y),
     # where the range's ends stand in for "none known"
     probes = [([], []) for _ in range(scenario.n_users)]
@@ -154,9 +157,10 @@ def _outage_bound(scenario: Scenario, epsilons, tol: SolverTolerances):
         (ts, ends), y_min, y_max = probes[m], ranges[m].y_min, ranges[m].y_max
         i, j = bisect_left(ts, t), bisect_right(ts, t)
         bracket = (ends[i][0] if i < len(ts) else y_min, ends[j - 1][1] if j else y_max)
-        y = invert_ccdf(scenario.channels[m], t, epsilons[m], ranges[m], inner[m], bracket)
+        y = invert_ccdf(scenario.channels[m], t, epsilons[m], ranges[m], bracket)
         ts.insert(i, t)
-        ends.insert(i, (y_min, y_min) if y is None else (y, min(y + inner[m], y_max)))
+        ends.insert(i, (y_min, y_min) if y is None
+                    else (y, min(y + _INVERSION_REL_TOL * y_max, y_max)))
         return y
 
     return bound
@@ -260,7 +264,7 @@ def solve_outage(
         for m, p in enumerate(scenario.channels)
     )
     return _solve_nested(
-        scenario, _outage_bound(scenario, spec.epsilons, tol),
+        scenario, _outage_bound(scenario, spec.epsilons),
         lambda ys, t_lo, t_hi: _min_threshold(scenario, spec, ys, t_lo, t_hi), t_hi, tol,
     )
 

@@ -6,9 +6,7 @@ fall back to the reference simulation setup: f_c = 28 GHz, d_v = 10 m,
 P = 40 dBm, sigma^2 = -90 dBm, mu^2 = -90 dB, D_y = 10 m, beta = 0.01,
 guide index 1.4. fc_hz and guide_index must be positive, and every dB or
 dBm figure must map to a positive finite linear value. "tolerances" sets the
-SolverTolerances: eps_t = 1e-3 on the level t, and eps_y, the outage inner
-tolerance on r^2 in m^2 (default 1e-9 of each user's largest r^2). One file
-serves both metrics, so eps_y is accepted there and max-min ignores it.
+SolverTolerances: eps_t, the relative tolerance on the level t (default 1e-3).
 
 Example document:
 
@@ -54,7 +52,7 @@ DEFAULTS = {
     "guide_index": 1.4,
 }
 REGION_DEFAULTS = {"dy": 10.0, "dv": 10.0}
-TOLERANCE_DEFAULTS = {"eps_t": 1e-3, "eps_y": None}
+TOLERANCE_DEFAULTS = {"eps_t": 1e-3}
 
 _USER_KEYS = {"x", "y", "noise_dbm", "mu_sq_db"}
 

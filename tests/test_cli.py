@@ -135,46 +135,12 @@ class TestSolve:
         assert "outage" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [
-        ("--eps-t", "-1"), ("--eps-t", "nan"), ("--eps-t", "inf"), ("--eps-y", "0"),
+        ("--eps-t", "-1"), ("--eps-t", "nan"), ("--eps-t", "inf"),
     ])
     def test_bad_tolerance_flag_is_invalid_input(self, two_user_file, capsys, flag, value):
         rc = cli.main(["solve", str(two_user_file), "--metric", "avg-snr", flag, value])
         assert rc == cli.EXIT_INVALID
         assert capsys.readouterr().err.startswith(f"error: {flag}:")
-
-    def test_inner_tolerance_flag_reaches_the_outage_solver(self, tmp_path):
-        path = _write(tmp_path, dict(TWO_USERS, outage={"epsilon": 0.1}))
-        bounds = []
-        for flags in ([], ["--eps-y", "1e3"]):
-            out = tmp_path / "out.json"
-            rc = cli.main(["solve", path, "--metric", "outage", "-o", str(out)] + flags)
-            assert rc == cli.EXIT_OK
-            bounds.append(json.loads(out.read_text(encoding="utf-8"))["pinching"]["per_user_bounds"])
-        assert bounds[0] != bounds[1]
-
-    def test_inner_tolerance_below_double_spacing_ends(self, tmp_path):
-        # no two doubles near the users' roots lie 1e-20 apart: invert_ccdf ends on adjacent ones
-        path = _write(tmp_path, dict(TWO_USERS, outage={"epsilon": 0.1}))
-        rc = cli.main(["solve", path, "--metric", "outage", "--eps-y", "1e-20"])
-        assert rc == cli.EXIT_OK
-
-    @pytest.mark.parametrize("command", ["solve", "sweep"])
-    def test_inner_tolerance_does_not_act_on_avg_snr(self, two_user_file, tmp_path, capsys,
-                                                     command):
-        # max-min inverts f exactly
-        rc = cli.main(_argv(command, str(two_user_file), tmp_path) + ["--eps-y", "1e-6"])
-        assert rc == cli.EXIT_INVALID
-        assert capsys.readouterr().err == "error: --eps-y: does not act on --metric avg-snr\n"
-
-    def test_bad_inner_tolerance_on_outage_is_invalid_input(self, tmp_path, capsys):
-        path = _write(tmp_path, dict(TWO_USERS, outage={"epsilon": 0.1}))
-        assert cli.main(["solve", path, "--metric", "outage", "--eps-y", "0"]) == cli.EXIT_INVALID
-        assert capsys.readouterr().err.startswith("error: --eps-y: eps_y must be finite")
-
-    def test_file_inner_tolerance_is_accepted_for_avg_snr(self, tmp_path):
-        # one file serves both metrics
-        path = _write(tmp_path, dict(TWO_USERS, tolerances={"eps_y": 1e-6}))
-        assert cli.main(["solve", path, "--metric", "avg-snr"]) == cli.EXIT_OK
 
     def test_retired_eps_u_field_is_invalid_input(self, tmp_path, capsys):
         path = _write(tmp_path, dict(TWO_USERS, tolerances={"eps_u": 1e-6}))
@@ -326,21 +292,19 @@ def _subcommand_options():
             for name, p in sub.choices.items()}
 
 
-_TOLERANCES = {"--eps-t", "--eps-y"}
-
-
 def test_each_subcommand_takes_only_the_options_that_act_on_it():
     # --workers on solve and ccdf is the one option that does nothing there
     options = _subcommand_options()
     assert options == {
-        "solve": {"--help", "--metric", "--out", "--workers"} | _TOLERANCES,
-        "sweep": {"--help", "--metric", "--axis", "--drops", "--out", "--seed", "--workers"} | _TOLERANCES,
+        "solve": {"--help", "--metric", "--out", "--eps-t", "--workers"},
+        "sweep": {"--help", "--metric", "--axis", "--drops", "--out", "--eps-t", "--seed",
+                  "--workers"},
         "ccdf": {"--help", "--user", "--x-pin", "--t-min", "--t-max", "--t-points", "--t-scale",
                  "--samples", "--out", "--seed", "--workers"},
-        "verify": {"--help", "--samples", "--eta-scale", "--report", "--seed"} | _TOLERANCES,
+        "verify": {"--help", "--samples", "--eta-scale", "--report", "--eps-t", "--seed"},
         "closed-form": {"--help", "--out"},
     }
-    assert sum(len(taken) for taken in options.values()) == 35
+    assert sum(len(taken) for taken in options.values()) == 32
 
 
 def _argv(command, path, tmp_path):
@@ -371,7 +335,8 @@ def test_out_of_range_seed_or_workers_is_invalid_input(two_user_file, tmp_path, 
     ("closed-form", "--eps-t", "0.1"), ("closed-form", "--seed", "7"), ("closed-form", "--workers", "9"),
     ("solve", "--eps-u", "nan"), ("solve", "--seed", "7"), ("ccdf", "--eps-y", "1e-6"),
     ("ccdf", "--max-iter", "5"), ("verify", "--workers", "2"), ("sweep", "--eps-u", "1e-6"),
-    ("solve", "--max-iter", "5"),
+    ("solve", "--max-iter", "5"), ("solve", "--eps-y", "1e-9"), ("sweep", "--eps-y", "1e-9"),
+    ("verify", "--eps-y", "1e-9"),
 ])
 def test_flag_a_subcommand_does_not_take_is_a_usage_error(two_user_file, tmp_path, capsys,
                                                           command, flag, value):

@@ -80,16 +80,9 @@ class TestFeasibleSet:
 class TestSolverTolerances:
     def test_defaults(self):
         assert TOL.eps_t == 1e-3
-        assert TOL.eps_y is None
 
-    def test_auto_inner_tolerance(self):
-        sc = make_scenario([(10.0, 5.0)])
-        rng = squared_distance_range(sc, 0)
-        assert TOL.inner_tol(rng) == pytest.approx(1e-9 * rng.y_max)
-
-    @pytest.mark.parametrize("kwargs", [dict(eps_t=0.0), dict(eps_y=-1.0), dict(eps_y=0.0),
-                                        dict(eps_t=math.nan), dict(eps_t=math.inf),
-                                        dict(eps_y=math.nan), dict(eps_y=math.inf)])
+    @pytest.mark.parametrize("kwargs", [dict(eps_t=0.0), dict(eps_t=-1.0),
+                                        dict(eps_t=math.nan), dict(eps_t=math.inf)])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SolverTolerances(**kwargs)
@@ -264,10 +257,6 @@ class TestSolveMaxmin:
         sol = solve_maxmin(sc, SolverTolerances(eps_t=1e-20))
         assert sol.meta["bracket_hi"] == math.nextafter(sol.meta["bracket_lo"], math.inf)
         assert sol.outer_iterations < 200
-
-    def test_eps_y_does_not_act(self):
-        sc = make_scenario([(6.0, 2.0), (21.0, -3.0), (14.0, 4.0)])
-        assert solve_maxmin(sc, SolverTolerances(eps_y=1e3)) == solve_maxmin(sc)
 
     def test_per_user_bounds_reported(self):
         sc = make_scenario([(4.0, 1.0), (18.0, -3.0)])

@@ -26,7 +26,7 @@ TOL = SolverTolerances()
 def _feasibility(sc, spec, t):
     """T(t) as the solver builds it: the intersection of the users' outage
     intervals, None if empty."""
-    found = _feasible_set(sc, outage._outage_bound(sc, spec.epsilons, TOL), t)
+    found = _feasible_set(sc, outage._outage_bound(sc, spec.epsilons), t)
     return found and found[0]
 
 
@@ -62,24 +62,23 @@ class TestInvertCcdf:
     def test_tiny_threshold_full_range(self):
         sc = make_scenario([(10.0, 5.0)])
         rng = squared_distance_range(sc, 0)
-        assert invert_ccdf(sc.channels[0], 1e-6, 0.5, rng, 1e-6) == rng.y_max
+        assert invert_ccdf(sc.channels[0], 1e-6, 0.5, rng) == rng.y_max
 
     def test_huge_threshold_infeasible(self):
         sc = make_scenario([(10.0, 5.0)])
         rng = squared_distance_range(sc, 0)
         params = sc.channels[0]
         t = 4.0 * params.rho * params.eta / rng.y_min  # beyond the LoS-limited drop
-        assert invert_ccdf(params, t, 0.1, rng, 1e-6) is None
+        assert invert_ccdf(params, t, 0.1, rng) is None
 
     def test_mid_range_round_trip(self):
         sc = make_scenario([(10.0, 5.0)], dx=30.0)
         rng = squared_distance_range(sc, 0)
         params = sc.channels[0]
         eps = 0.1
-        eps_y = 1e-9 * rng.y_max
         # pick t so the root lies strictly inside (y_min, y_max)
         t = max_threshold_at(sc, OutageSpec.shared(eps, 1), 2.0)
-        bound = invert_ccdf(params, t, eps, rng, eps_y)
+        bound = invert_ccdf(params, t, eps, rng)
         assert bound is not None and rng.y_min < bound < rng.y_max
         assert ccdf_inst_snr(params, bound, t) == pytest.approx(1.0 - eps, abs=1e-6)
 
@@ -91,30 +90,30 @@ class TestInvertCcdf:
         eps, t = 0.1, 5.0
         expected = nlos_only_bound(params.rho, params.mu_sq, t, eps)
         assert rng.y_min < expected < rng.y_max
-        bound = invert_ccdf(params, t, eps, rng, 1e-9 * rng.y_max)
+        bound = invert_ccdf(params, t, eps, rng)
         assert bound == pytest.approx(expected, rel=1e-6)
 
     def test_invalid_epsilon(self):
         sc = make_scenario([(10.0, 5.0)])
         rng = squared_distance_range(sc, 0)
         with pytest.raises(ValueError):
-            invert_ccdf(sc.channels[0], 1.0, 1.0, rng, 1e-6)
+            invert_ccdf(sc.channels[0], 1.0, 1.0, rng)
 
     def test_bound_nonincreasing_in_t(self):
         sc = make_scenario([(10.0, 5.0)], dx=30.0)
         rng = squared_distance_range(sc, 0)
         params = sc.channels[0]
-        eps_y = 1e-9 * rng.y_max
+        width = outage._INVERSION_REL_TOL * rng.y_max
         rng_np = np.random.Generator(np.random.Philox(13))
         cap = max_threshold_at(sc, OutageSpec.shared(0.1, 1), 10.0)
         for _ in range(40):
             t1, t2 = sorted(rng_np.uniform(0.1, 3.0 * cap, 2))
-            b1 = invert_ccdf(params, float(t1), 0.1, rng, eps_y)
-            b2 = invert_ccdf(params, float(t2), 0.1, rng, eps_y)
+            b1 = invert_ccdf(params, float(t1), 0.1, rng)
+            b2 = invert_ccdf(params, float(t2), 0.1, rng)
             if b2 is None:
                 continue
             assert b1 is not None
-            assert b1 >= b2 - eps_y
+            assert b1 >= b2 - width
 
 
 class TestUserIntervalOutage:
@@ -188,13 +187,6 @@ class TestSolveOutage:
             for m in range(2):
                 y = (sc.users[m].x - sol.x_star) ** 2 + sc.c_const(m)
                 assert ccdf_inst_snr(sc.channels[m], y, sol.t_star) >= 0.95 - 1e-6
-
-    def test_inner_tolerance_below_double_spacing_ends(self):
-        # no two doubles near y ~ 100 m^2 lie 1e-20 apart: the root ends on adjacent ones
-        sc = make_scenario([(8.0, 3.0), (20.0, -3.0)])
-        sol = solve_outage(sc, OutageSpec.shared(0.1, 2), SolverTolerances(eps_y=1e-20))
-        assert sol.t_star == pytest.approx(solve_outage(sc, OutageSpec.shared(0.1, 2)).t_star,
-                                           rel=3.0 * TOL.eps_t)
 
     def test_outer_bisection_ends_on_adjacent_doubles(self):
         # no two doubles near t* lie 1e-20 t* apart: the bracket ends on adjacent ones
@@ -352,12 +344,13 @@ class TestPrunedObjective:
 
 
 def _interior_root_case(rng):
-    """(params, t, epsilon, range, eps_y) of a one-user drop whose bound lies inside the range."""
+    """(params, t, epsilon, range, inversion width) of a one-user drop whose bound lies
+    inside the range."""
     sc, spec = heterogeneous_drop(rng, 1)
     params, y_range = sc.channels[0], squared_distance_range(sc, 0)
     y = float(rng.uniform(y_range.y_min, y_range.y_max))
     t = outage._threshold_root(params, y, spec.epsilons[0])
-    return params, t, spec.epsilons[0], y_range, 1e-9 * y_range.y_max
+    return params, t, spec.epsilons[0], y_range, outage._INVERSION_REL_TOL * y_range.y_max
 
 
 class TestWarmStart:
@@ -366,26 +359,26 @@ class TestWarmStart:
     def test_any_valid_bracket_gives_the_cold_bound(self):
         rng = np.random.Generator(np.random.Philox(60))
         for _ in range(20):
-            params, t, eps, y_range, eps_y = _interior_root_case(rng)
-            cold = invert_ccdf(params, t, eps, y_range, eps_y)
+            params, t, eps, y_range, width = _interior_root_case(rng)
+            cold = invert_ccdf(params, t, eps, y_range)
             assert y_range.y_min < cold < y_range.y_max
             for _ in range(5):
-                # every y <= cold meets the target, every y >= cold + eps_y misses it
+                # every y <= cold meets the target, every y >= cold + width misses it
                 bracket = (float(rng.uniform(y_range.y_min, cold)),
-                           float(rng.uniform(cold + eps_y, y_range.y_max)))
-                warm = invert_ccdf(params, t, eps, y_range, eps_y, bracket)
-                assert abs(warm - cold) <= eps_y
+                           float(rng.uniform(cold + width, y_range.y_max)))
+                warm = invert_ccdf(params, t, eps, y_range, bracket)
+                assert abs(warm - cold) <= width
                 assert ccdf_inst_snr(params, warm, t) >= 1.0 - eps
 
     def test_non_bracketing_hint_falls_back_to_cold(self):
         rng = np.random.Generator(np.random.Philox(61))
         for _ in range(10):
-            params, t, eps, y_range, eps_y = _interior_root_case(rng)
-            cold = invert_ccdf(params, t, eps, y_range, eps_y)
-            above = 0.5 * (cold + eps_y + y_range.y_max)  # misses the target
+            params, t, eps, y_range, width = _interior_root_case(rng)
+            cold = invert_ccdf(params, t, eps, y_range)
+            above = 0.5 * (cold + width + y_range.y_max)  # misses the target
             below = 0.5 * (y_range.y_min + cold)  # meets it
             for hint in ((above, y_range.y_max), (y_range.y_min, below), (above, below)):
-                assert invert_ccdf(params, t, eps, y_range, eps_y, hint) == cold
+                assert invert_ccdf(params, t, eps, y_range, hint) == cold
 
     @pytest.mark.parametrize("steps, root_step, width", [
         (7, 4, 1e-12), (1000, 1, 1e-9), (1000, 999, 1e-9), (3, 1, 1e-15),

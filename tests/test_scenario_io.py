@@ -52,8 +52,7 @@ def scenario_docs(draw):
     elif outage == "per-user":
         doc["outage"] = {"epsilons": [draw(_finite(1e-4, 0.9)) for _ in range(n_users)]}
     if draw(st.booleans()):
-        doc["tolerances"] = {"eps_t": draw(_finite(1e-6, 0.5)),
-                             "eps_y": draw(st.none() | _finite(1e-12, 1e-3))}
+        doc["tolerances"] = {"eps_t": draw(_finite(1e-6, 0.5))}
     return doc
 
 
@@ -107,7 +106,7 @@ def _edited(path, value):
     # values the model rejects
     (_edited(("users", 0, "x"), 31.0), "users[0].x"),
     (_edited(("tolerances",), {"eps_t": 0.0}), "eps_t"),
-    # retired fields: the outer loop has a fixed cap, and eps_y serves both metrics
+    # retired fields: the outer loop has a fixed cap, the outage inversion a fixed width
     (_edited(("tolerances",), {"max_iter": 200}), "tolerances: unknown field 'max_iter'"),
     (_edited(("tolerances",), {"eps_u": 1e-6}), "tolerances: unknown field 'eps_u'"),
     # link-budget values whose channel constants leave the float range
@@ -119,6 +118,8 @@ def _edited(path, value):
     (_edited(("users", 0, "noise_dbm"), 5000), "users[0].noise_dbm"),
     (_edited(("users", 0, "noise_dbm"), -5000), "users[0].noise_dbm"),
     (_edited(("defaults",), {"fc_hz": 1e-300}), "users[0]"),
+    # retired field, listed last so the earlier cases keep their ids
+    (_edited(("tolerances",), {"eps_y": 1e-9}), "tolerances: unknown field 'eps_y'"),
 ])
 def test_format_errors_name_the_field(doc, field):
     with pytest.raises(ScenarioFormatError) as info:

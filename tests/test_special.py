@@ -63,9 +63,12 @@ class TestMarcumQ1:
         assert marcum_q1(a, b) == pytest.approx(marcum_q1_quad(a, b), abs=1e-9)
 
     @pytest.mark.parametrize("a,b", [(30.0, 30.0), (25.0, 40.0), (40.0, 25.0),
-                                     (60.0, 61.0), (45.0, 2.0), (2.0, 45.0)])
+                                     (60.0, 61.0), (45.0, 2.0), (2.0, 45.0),
+                                     (22.5, 22.5), (22.5, math.nextafter(22.5, math.inf)),
+                                     (math.nextafter(22.5, math.inf), 22.5)])
     def test_large_argument_branch(self, a, b):
-        # crosses into the scaled-Bessel path (a*b > 500 or exp underflow)
+        # crosses into the scaled-Bessel path (a*b > 500 or exp underflow); the
+        # last three pin the switch between its a <= b and a > b sums
         assert marcum_q1(a, b) == pytest.approx(marcum_q1_quad(a, b), abs=1e-9)
 
     def test_complement_identity_large(self):
