@@ -3,9 +3,10 @@
 Two inner loops dominate the package's runtime and live here: the
 Monte-Carlo channel-power map (millions of samples per estimate), which
 is one vectorized numpy expression, and the Marcum-Q evaluation (tens of
-millions of calls inside the solvers and grid oracles), which has a
-scalar path for the solvers and a batch path over array lanes for the
-grid oracles. Results are deterministic for a given numpy build.
+millions of calls inside the solvers and grid oracles), which is one
+scalar kernel. marcum_q1_batch maps that kernel over array lanes, so a
+lane and a scalar call agree bit for bit. Results are deterministic for
+a given Python and numpy build.
 
 Marcum-Q evaluation strategy: the Poisson-mixture series runs in linear
 space while a*b <= 500 and both exp(-a^2/2), exp(-b^2/2) stay
@@ -126,28 +127,6 @@ def marcum_q1_scalar(a: float, b: float) -> float:
     return _marcum_bessel(a, b)
 
 
-def _marcum_series_numpy(a, b):
-    """Vectorized Poisson-mixture series over linear-region lanes."""
-    u = 0.5 * a * a
-    v = 0.5 * b * b
-    p = np.exp(-u)
-    w = np.exp(-v)
-    cdf = w.copy()
-    total = p * cdf
-    cum = p.copy()
-    k = 0
-    while k < MAX_TERMS:
-        if np.max(1.0 - cum) <= SERIES_TAIL:
-            break
-        k += 1
-        p *= u / k
-        w *= v / k
-        cdf += w
-        total += p * cdf
-        cum += p
-    return np.clip(total, 0.0, 1.0)
-
-
 def snr_samples(u, z_re, z_im, p_los, los_amp, nlos_scale, cos_ph, sin_ph, rho):
     """Instantaneous SNR rho*|h|^2 from pre-drawn uniforms and normals.
 
@@ -161,27 +140,8 @@ def snr_samples(u, z_re, z_im, p_los, los_amp, nlos_scale, cos_ph, sin_ph, rho):
 
 
 def marcum_q1_batch(a, b):
-    """Batched Q1 over float64 arrays of any shape (arguments assumed nonnegative)."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    a = np.broadcast_to(a, shape).ravel()
-    b = np.broadcast_to(b, shape).ravel()
-    out = np.empty_like(a)
-    linear = (a * b <= LINEAR_AB_LIMIT) & (0.5 * a * a < EXP_ARG_LIMIT) \
-        & (0.5 * b * b < EXP_ARG_LIMIT)
-    if np.any(linear):
-        out[linear] = _marcum_series_numpy(a[linear], b[linear])
-    hard = ~linear
-    if np.any(hard):
-        sat_one = hard & (a - b >= SATURATION_GAP)
-        sat_zero = hard & (b - a >= SATURATION_GAP)
-        out[sat_one] = 1.0
-        out[sat_zero] = 0.0
-        band = hard & ~sat_one & ~sat_zero
-        if np.any(band):
-            # nonnegative lanes outside the series region and the saturation
-            # gap have a, b > 0: the scalar dispatch would reach this form too
-            out[band] = [_marcum_bessel(float(ai), float(bi))
-                         for ai, bi in zip(a[band], b[band])]
-    return out.reshape(shape)
+    """marcum_q1_scalar over broadcastable float64 arrays, lane by lane
+    (arguments assumed nonnegative)."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+    lanes = map(marcum_q1_scalar, a.ravel().tolist(), b.ravel().tolist())
+    return np.fromiter(lanes, dtype=np.float64, count=a.size).reshape(a.shape)

@@ -26,8 +26,8 @@ import numpy as np
 from . import kernels
 from .maxmin import Interval, Solution, _distances
 from .model import ChannelParams, Scenario, f_scalar, squared_distance_range
-from .outage import _THRESHOLD_REL_TOL, OutageSpec, _markov_ceiling, _threshold_root
-from .special import ccdf_inst_snr_batch
+from .outage import OutageSpec, _threshold_root
+from .special import ccdf_inst_snr
 
 
 # Samples drawn and reduced per block; the block index seeds its generator.
@@ -225,26 +225,16 @@ def outage_grid_ceiling(scenario: Scenario, spec: OutageSpec) -> float:
     """Tight solver-independent cap on the outage optimum.
 
     By weak duality, max_x min_m g_m(x) <= min_m max_x g_m(x); the right
-    side is each user's best-case threshold at its own minimum distance.
-    Each is bisected on t from [0, Markov ceiling] with the batch CCDF that
-    the grid evaluates: the scalar CCDF can differ from it in the last bit,
-    and a cap exact in the scalar one could leave the top grid row
-    infeasible even where it is attained. Gridding [0, cap] keeps the
-    t-grid resolution commensurate with the optimum.
+    side is each user's threshold root at its own minimum distance. Each
+    root is the feasible end of its bracket in the CCDF arithmetic the grid
+    evaluates, so a top grid row at the cap is met wherever it is attained.
+    Gridding [0, cap] keeps the t-grid resolution commensurate with the
+    optimum.
     """
-    cap = math.inf
-    for m in range(scenario.n_users):
-        params, target = scenario.channels[m], 1.0 - spec.epsilons[m]
-        y = squared_distance_range(scenario, m).y_min
-        lo, hi = 0.0, _markov_ceiling(params, y, spec.epsilons[m])
-        while hi - lo > _THRESHOLD_REL_TOL * hi:
-            mid = 0.5 * (lo + hi)
-            if ccdf_inst_snr_batch(params, y, mid)[0] >= target:
-                lo = mid
-            else:
-                hi = mid
-        cap = min(cap, lo)
-    return cap
+    return min(
+        _threshold_root(params, squared_distance_range(scenario, m).y_min, spec.epsilons[m])
+        for m, params in enumerate(scenario.channels)
+    )
 
 
 def grid_search_outage(scenario: Scenario, spec: OutageSpec, grid_points: int,
@@ -253,9 +243,14 @@ def grid_search_outage(scenario: Scenario, spec: OutageSpec, grid_points: int,
 
     t_grid is either a point count (linspace from 0 to
     outage_grid_ceiling) or an explicit increasing array starting at 0.
-    Per position, the largest feasible t-grid index is found by a
-    vectorized binary search, valid because the CCDF is nonincreasing
-    in t.
+    The positions are scanned in order against the best row so far: a
+    position beats it only if every user meets the next row there, and
+    then climbs while every user meets the row above. Because the CCDF
+    is nonincreasing in t, this finds the highest row, and the first
+    position on it, that checking every (x, t) cell would find. It costs
+    about one scalar CCDF call per position (the first user that misses
+    ends the check, and the user that missed last is checked first) plus
+    M per row climbed.
     """
     if grid_points < 2:
         raise ValueError(f"grid needs at least 2 points, got {grid_points}")
@@ -271,31 +266,21 @@ def grid_search_outage(scenario: Scenario, spec: OutageSpec, grid_points: int,
         if t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
             raise ValueError("t grid must increase from 0")
     xs = np.linspace(0.0, scenario.dx, grid_points)
-    nt = t_grid.size
-    k_best = np.full(xs.shape, nt - 1, dtype=np.int64)
-    for m in range(scenario.n_users):
-        params = scenario.channels[m]
-        target = 1.0 - spec.epsilons[m]
-        y = (scenario.users[m].x - xs) ** 2 + scenario.c_const(m)
-        k_lo = np.zeros(xs.size, dtype=np.int64)  # t_grid[0] = 0 always feasible
-        k_hi = np.full(xs.size, nt - 1, dtype=np.int64)
-        top_ok = ccdf_inst_snr_batch(params, y, np.full(xs.size, t_grid[-1])) >= target
-        k_lo[top_ok] = nt - 1
-        while True:
-            active = k_lo < k_hi
-            if not np.any(active):
+    ts = t_grid.tolist()
+    users = [(scenario.channels[m], 1.0 - spec.epsilons[m],
+              ((scenario.users[m].x - xs) ** 2 + scenario.c_const(m)).tolist())
+             for m in range(scenario.n_users)]
+    best, k = 0, 1  # row 0 (t = 0) is met everywhere; k is the row to beat
+    for i in range(grid_points):
+        while k < len(ts):
+            miss = next((j for j, (params, target, ys) in enumerate(users)
+                         if ccdf_inst_snr(params, ys[i], ts[k]) < target), None)
+            if miss is not None:
+                users.insert(0, users.pop(miss))  # it likely misses at the next position too
                 break
-            mid = (k_lo[active] + k_hi[active] + 1) // 2
-            ok = ccdf_inst_snr_batch(params, y[active], t_grid[mid]) >= target
-            lo, hi = k_lo[active], k_hi[active]
-            lo[ok] = mid[ok]
-            hi[~ok] = mid[~ok] - 1
-            k_lo[active] = lo
-            k_hi[active] = hi
-        np.minimum(k_best, k_lo, out=k_best)
-    best = int(np.argmax(t_grid[k_best]))
+            best, k = i, k + 1
     return Solution(
-        t_star=float(t_grid[k_best[best]]),
+        t_star=ts[k - 1],
         x_star=float(xs[best]),
         feasible=Interval(float(xs[best]), float(xs[best])),
         outer_iterations=0,
@@ -304,6 +289,6 @@ def grid_search_outage(scenario: Scenario, spec: OutageSpec, grid_points: int,
             "t_spacing": float(np.max(np.diff(t_grid))),
             "x_spacing": scenario.dx / (grid_points - 1),
             "grid_points": grid_points,
-            "t_points": nt,
+            "t_points": len(ts),
         },
     )

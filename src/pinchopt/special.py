@@ -10,7 +10,9 @@ the mixture is strictly decreasing in r^2, which is what lets the outage
 solver turn each reliability constraint into a distance bound.
 
 The numeric evaluation lives in ``kernels``; this module owns validation
-and the channel-facing formulas.
+and the channel-facing formulas. There is one CCDF arithmetic, the scalar
+ccdf_inst_snr; ccdf_inst_snr_batch maps it over array lanes, so a lane and
+a scalar call agree bit for bit.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ def marcum_q1(a: float, b: float) -> float:
     return kernels.marcum_q1_scalar(a, b)
 
 
-def _marcum_ab(params: ChannelParams, r_sq, t, sqrt=math.sqrt):
-    """a = sqrt(2 eta)/mu and b = sqrt(2 r^2 t/rho)/mu; sqrt=np.sqrt maps arrays."""
+def _marcum_ab(params: ChannelParams, r_sq: float, t: float) -> tuple[float, float]:
+    """a = sqrt(2 eta)/mu and b = sqrt(2 r^2 t/rho)/mu."""
     mu = math.sqrt(params.mu_sq)
-    return math.sqrt(2.0 * params.eta) / mu, sqrt(2.0 * r_sq * t / params.rho) / mu
+    return math.sqrt(2.0 * params.eta) / mu, math.sqrt(2.0 * r_sq * t / params.rho) / mu
 
 
 def ccdf_inst_snr(params: ChannelParams, r_sq: float, t: float) -> float:
@@ -62,12 +64,8 @@ def ccdf_inst_snr(params: ChannelParams, r_sq: float, t: float) -> float:
 
 
 def ccdf_inst_snr_batch(params: ChannelParams, r_sq, t) -> np.ndarray:
-    """Vectorized ccdf_inst_snr over broadcastable arrays r_sq > 0, t >= 0."""
+    """ccdf_inst_snr over broadcastable arrays r_sq > 0, t >= 0, lane by lane."""
     r_sq, t = np.broadcast_arrays(np.asarray(r_sq, float), np.asarray(t, float))
-    a, b = _marcum_ab(params, r_sq, t, np.sqrt)
-    q1 = kernels.marcum_q1_batch(np.full_like(b, a), b)
-    p_los = np.exp(-params.beta * r_sq)
-    with np.errstate(under="ignore"):
-        nlos_tail = np.exp(-t * r_sq / (params.rho * params.mu_sq))
-    value = np.clip(p_los * q1 + (1.0 - p_los) * nlos_tail, 0.0, 1.0)
-    return np.where(t == 0.0, 1.0, value)
+    lanes = (ccdf_inst_snr(params, y, s)
+             for y, s in zip(r_sq.ravel().tolist(), t.ravel().tolist()))
+    return np.fromiter(lanes, dtype=float, count=r_sq.size).reshape(r_sq.shape)

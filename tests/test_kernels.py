@@ -36,7 +36,7 @@ class TestMarcumBackends:
         a, b = _random_args(11)
         batch = kernels.marcum_q1_batch(a, b)
         scalar = np.array([kernels.marcum_q1_scalar(ai, bi) for ai, bi in zip(a, b)])
-        np.testing.assert_allclose(batch, scalar, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(batch, scalar)
 
     def test_large_argument_lanes(self):
         # noncentrality past the linear-series underflow limit (a^2/2 > 700)
@@ -44,13 +44,13 @@ class TestMarcumBackends:
         b = np.geomspace(0.5, 200.0, 64)
         batch = kernels.marcum_q1_batch(a, b)
         scalar = np.array([kernels.marcum_q1_scalar(38.1, bi) for bi in b])
-        np.testing.assert_allclose(batch, scalar, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(batch, scalar)
         assert batch[0] == 1.0 and batch[-1] == 0.0
 
     @pytest.mark.parametrize("shape", [(600,), (20, 30)], ids=["dispatch", "numpy"])
     def test_mixed_regime_lanes(self, shape):
         # one call spanning linear-series, Bessel-band and both saturated regimes;
-        # the 2-D case checks the regime split on the raveled lanes maps back
+        # the 2-D case checks the raveled lanes map back to their shape
         a, b = _random_args(21, n=600, hi=45.0)
         linear = (a * b <= kernels.LINEAR_AB_LIMIT) & (0.5 * a * a < kernels.EXP_ARG_LIMIT) \
             & (0.5 * b * b < kernels.EXP_ARG_LIMIT)
@@ -62,14 +62,14 @@ class TestMarcumBackends:
         scalar = np.array([kernels.marcum_q1_scalar(ai, bi) for ai, bi in zip(a, b)])
         batch = kernels.marcum_q1_batch(a.reshape(shape), b.reshape(shape))
         assert batch.shape == shape
-        np.testing.assert_allclose(batch.ravel(), scalar, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(batch.ravel(), scalar)
 
     def test_numpy_batch_without_linear_lanes(self):
         # all lanes past the series limit
         a = np.full(5, 38.1)
         b = np.array([10.0, 30.0, 38.1, 45.0, 70.0])
         scalar = np.array([kernels.marcum_q1_scalar(38.1, bi) for bi in b])
-        np.testing.assert_allclose(kernels.marcum_q1_batch(a, b), scalar, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(kernels.marcum_q1_batch(a, b), scalar)
 
     def test_numpy_batch_zero_size(self):
         out = kernels.marcum_q1_batch(np.empty(0), np.empty(0))

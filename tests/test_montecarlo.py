@@ -25,7 +25,7 @@ from pinchopt import montecarlo
 from pinchopt.model import snr_variance
 from pinchopt.montecarlo import _draw_snr, outage_grid_ceiling
 
-from conftest import make_params, make_scenario, random_scenario
+from conftest import heterogeneous_drop, make_params, make_scenario, random_scenario
 
 CFG = McConfig(samples=200_000, seed=42)
 
@@ -214,6 +214,29 @@ class TestGridSearchOutage:
             allowed = (sol.t_star - max_threshold_at(sc, spec, x_near)) + t_sp \
                 + 1e-3 * sol.t_star
             assert sol.t_star - grid.t_star <= allowed + 1e-9 * sol.t_star
+
+    @pytest.mark.parametrize("drop", ["hetero-1", "hetero-2", "hetero-8", "nlos-0.1", "nlos-0.5"])
+    def test_scan_equals_every_cell(self, drop):
+        # the scan evaluates a few cells per position; checking every cell must give
+        # the same row and position. Rows run past the ceiling, so the scan stops below the top.
+        kind, arg = drop.split("-")
+        rng = np.random.Generator(np.random.Philox(31))
+        if kind == "hetero":
+            sc, spec = heterogeneous_drop(rng, int(arg))
+        else:
+            sc = random_scenario(rng, 3, mu_sq=1e-5)
+            spec = OutageSpec.shared(float(arg), 3)
+        t_grid = np.linspace(0.0, 1.5 * outage_grid_ceiling(sc, spec), 31)
+        xs = np.linspace(0.0, sc.dx, 41)
+        met = np.ones((xs.size, t_grid.size), dtype=bool)
+        for m, params in enumerate(sc.channels):
+            ys = (sc.users[m].x - xs) ** 2 + sc.c_const(m)
+            met &= [[ccdf_inst_snr(params, y, t) >= 1.0 - spec.epsilons[m]
+                     for t in t_grid.tolist()] for y in ys.tolist()]
+        k_star = np.flatnonzero(met.any(axis=0))[-1]
+        x_star = xs[np.flatnonzero(met[:, k_star])[0]]
+        sol = grid_search_outage(sc, spec, xs.size, t_grid)
+        assert (sol.t_star, sol.x_star) == (t_grid[k_star], x_star)
 
     def test_vacuous_constraints_reach_grid_top(self):
         sc = make_scenario([(15.0, 0.0)], dx=30.0)

@@ -160,8 +160,17 @@ class TestCcdfInstSnr:
         t = np.array([0.0, 1e3, 2e4, 6e4])
         batch = ccdf_inst_snr_batch(params, y, t)
         for i in range(y.size):
-            assert batch[i] == pytest.approx(ccdf_inst_snr(params, float(y[i]), float(t[i])),
-                                             rel=1e-12, abs=1e-15)
+            assert batch[i] == ccdf_inst_snr(params, float(y[i]), float(t[i]))
+
+    @pytest.mark.parametrize("mu_sq", [1e-9, 1e-8, 1e-7])
+    def test_batch_is_the_scalar_bit_for_bit(self, mu_sq):
+        # thresholds up to twice the LoS level rho eta / r^2, so the lanes span the Q1 regimes
+        params = make_params(mu_sq=mu_sq)
+        rng = np.random.Generator(np.random.Philox(7))
+        y = rng.uniform(100.0, 2600.0, 2000)
+        t = rng.uniform(0.0, 2.0, 2000) * params.rho * params.eta / y
+        scalar = [ccdf_inst_snr(params, a, b) for a, b in zip(y.tolist(), t.tolist())]
+        np.testing.assert_array_equal(ccdf_inst_snr_batch(params, y, t), scalar)
 
     def test_batch_broadcasts(self):
         params = make_params()
