@@ -8,6 +8,14 @@ monotonically in t, which makes the epigraph problem solvable by plain
 bisection on t with one closed-form inversion per user, then on x toward
 the worst user. Where all users share one channel, the exact optimum
 montecarlo.shared_channel_optimum is an independent cross-check.
+
+Both bisections run on an active set of users, the ones that can still
+bind. A user that meets the infeasible top of the t-bracket everywhere
+on the current intersection I meets every later probe there, so it is
+dropped: later probes intersect the active users' intervals from I, and
+the x finish evaluates the active users, all users only where their
+value reaches that top. Per-probe and finish work then scale with the
+users that bind, usually two or three, not with M.
 """
 
 from __future__ import annotations
@@ -71,7 +79,8 @@ class Solution:
     meta: dict = field(default_factory=dict)
 
 
-def invert_f(params, t: float, rng: SquaredDistanceRange) -> float | None:
+def invert_f(params, t: float, rng: SquaredDistanceRange,
+             f_ends: tuple[float, float] | None = None) -> float | None:
     """Largest double alpha in [y_min, y_max] with f(alpha) >= t, in closed form.
 
     f(y) = t reads t y - rho mu_sq = rho eta e^{-beta y}. With a = rho mu_sq / t
@@ -79,12 +88,13 @@ def invert_f(params, t: float, rng: SquaredDistanceRange) -> float | None:
     a + c e^{-beta a - W0}, and a + c at beta = 0. A Newton step and a walk of a
     few ulps follow, so intervals never overstate feasibility. None marks t above
     f(y_min) (no position reaches t); t = f(y_min) gives y_min, and t <= f(y_max)
-    gives y_max (every position meets t).
+    gives y_max (every position meets t). f_ends is (f(y_min), f(y_max)) when
+    the caller has it, as a solve does once per user.
     """
-    f_min = f_scalar(params, rng.y_min)
+    f_min, f_max = f_ends or (f_scalar(params, rng.y_min), f_scalar(params, rng.y_max))
     if t >= f_min:
         return None if t > f_min else rng.y_min
-    if t <= f_scalar(params, rng.y_max):
+    if t <= f_max:
         return rng.y_max
     beta, rho_eta, rho_mu = params.beta, params.rho * params.eta, params.rho * params.mu_sq
     a, log_c = rho_mu / t, math.log(rho_eta) - math.log(t)
@@ -99,17 +109,22 @@ def invert_f(params, t: float, rng: SquaredDistanceRange) -> float | None:
     return y
 
 
-def _feasible_set(scenario: Scenario, bound, t: float):
-    """Intersection over users of the position intervals at level t.
+def _feasible_set(scenario: Scenario, bound, t: float, users=None,
+                  within: Interval | None = None):
+    """Intersection of within (default [0, dx]) and the position intervals
+    at level t of users (default all, in user order).
 
     bound(m, t) is user m's squared-distance bound, None when no position
-    serves user m. User m's interval is |x - x_m| <= sqrt(bound - C_m),
-    clipped to [0, dx]. Returns (interval, bounds), bounds in user order,
-    or None as soon as a bound is None or the intersection is empty.
+    serves user m. User m's interval is |x - x_m| <= sqrt(bound - C_m).
+    The solver passes its active users and the last nonempty intersection
+    I: the intervals are nested in t, so above I's level the intersection
+    lies inside I, and a user dropped for slack on I cannot shrink it.
+    Returns (interval, bounds), bounds in the order of users, or None as
+    soon as a bound is None or the intersection is empty.
     """
-    lo, hi = 0.0, scenario.dx
+    lo, hi = within or (0.0, scenario.dx)
     bounds = []
-    for m in range(scenario.n_users):
+    for m in range(scenario.n_users) if users is None else users:
         b = bound(m, t)
         if b is None:
             return None
@@ -122,14 +137,16 @@ def _feasible_set(scenario: Scenario, bound, t: float):
     return Interval(lo, hi), tuple(bounds)
 
 
-def _distances(scenario: Scenario, x_pin: float) -> list[float]:
-    """Squared distance from the antenna at x_pin to every user."""
-    return [distance_squared(user, scenario.dv, x_pin) for user in scenario.users]
+def _distances(scenario: Scenario, x_pin: float, users=None) -> dict[int, float]:
+    """Squared distance from the antenna at x_pin to users (default all), by user."""
+    if users is None:
+        users = range(scenario.n_users)
+    return {m: distance_squared(scenario.users[m], scenario.dv, x_pin) for m in users}
 
 
 def _worst_avg_snr(scenario: Scenario, ys) -> tuple[float, int]:
-    """(min_m f_m(ys[m]), the user m that attains it)."""
-    return min((f_scalar(scenario.channels[m], ys[m]), m) for m in range(scenario.n_users))
+    """(min over the users m in ys of f_m(ys[m]), the user m that attains it)."""
+    return min((f_scalar(scenario.channels[m], y), m) for m, y in ys.items())
 
 
 def min_avg_snr(scenario: Scenario, x_pin: float) -> float:
@@ -137,55 +154,86 @@ def min_avg_snr(scenario: Scenario, x_pin: float) -> float:
     return _worst_avg_snr(scenario, _distances(scenario, x_pin))[0]
 
 
-def _solve_nested(scenario: Scenario, bound, objective, t_hi: float,
+def _solve_nested(scenario: Scenario, bound, meets, objective, t_hi: float,
                   tol: SolverTolerances) -> Solution:
-    """Solver shared by both metrics: bound(m, t) as in _feasible_set, the
-    exact objective(ys, t_lo, t_hi) -> (value, worst user) at squared
-    distances ys, and a level t_hi that no position meets.
+    """Solver shared by both metrics: bound(m, t) as in _feasible_set,
+    meets(m, t, y) whether user m meets level t at squared distance y, the
+    exact objective(ys, t_lo, t_hi, likely) -> (value, worst user) over the
+    users in ys = {m: squared distance}, and a level t_hi that no position
+    meets.
 
     Bisection on t certifies [t_lo, t_hi] to relative width eps_t, or to
-    adjacent doubles when eps_t is below their spacing. Bisection on x over
-    the last nonempty intersection then moves each midpoint's far end
-    toward its worst user m: every user's value strictly decreases in
-    |x - x_m|. The last such users on each side bind (meta["binding"]).
+    adjacent doubles when eps_t is below their spacing. It probes only the
+    active users. Once an intersection I is known, after each probe, every
+    active user is tested at t_hi at the end of I farther from x_m, where
+    its value on I is least (every user's value strictly decreases in
+    |x - x_m|). A user that meets t_hi there meets every later probe level
+    on all of I and is dropped, unless every active user does (then t_hi
+    proves nothing and none is dropped). Two rules keep the result that of
+    all users: each probe intersects from I, not [0, dx], so the interval
+    never widens to where a dropped user fails; and the finish evaluates
+    all users wherever the active ones reach t_hi, where a dropped user
+    may bind. per_user_bounds gets the dropped users' bounds at t_lo.
+
+    Bisection on x over I then moves each midpoint's far end toward its
+    worst user m. The last such users on each side bind (meta["binding"]).
     The objective also gets the certified t_lo and t_hi, which bracket its
-    value on that intersection up to the inner tolerance, to start its
-    roots from; it may ignore them.
+    value on I up to the inner tolerance, and the users that bind so far
+    (likely), to start its roots from; it may ignore them.
     """
-    t_lo, interval, bounds = 0.0, None, None
+    users, dv = scenario.users, scenario.dv
+    active = list(range(scenario.n_users))
+    t_lo, interval, bounds = 0.0, None, {}
     iters = 0
     while t_lo <= 0.0 or t_hi - t_lo > tol.eps_t * t_lo:
         t_mid = 0.5 * (t_lo + t_hi)
         if not t_lo < t_mid < t_hi:
             break
         iters += 1
-        found = _feasible_set(scenario, bound, t_mid)
+        found = _feasible_set(scenario, bound, t_mid, active, interval)
         if found is None:
             t_hi = t_mid
         else:
-            t_lo, (interval, bounds) = t_mid, found
+            t_lo, (interval, probed) = t_mid, found
+            bounds = dict(zip(active, probed))
+        if interval is not None:
+            # user m's least value on I is at the end farther from x_m
+            binds = [m for m in active if not meets(m, t_hi, max(
+                distance_squared(users[m], dv, interval.lo),
+                distance_squared(users[m], dv, interval.hi)))]
+            if binds:  # all meeting t_hi on I: it is no proof here, keep them all
+                active = binds
     if t_lo <= 0.0:
         raise SolverAnomaly(f"no positive level below {t_hi} is feasible")
+
+    def value_at(x: float) -> tuple[float, int]:
+        likely = {left, right}
+        value, m = objective(_distances(scenario, x, active), t_lo, t_hi, likely)
+        if value >= t_hi:  # dropped users are certified only up to t_hi
+            value, m = objective(_distances(scenario, x), t_lo, t_hi, likely | {m})
+        return value, m
+
     lo, hi = interval
     xtol = 1e-13 * max(abs(lo), abs(hi), 1.0)  # ulp-scale floor
     left = right = None
     while hi - lo > xtol:
         x_mid = 0.5 * (lo + hi)
-        m = objective(_distances(scenario, x_mid), t_lo, t_hi)[1]
+        m = value_at(x_mid)[1]
         # a worst user at x_mid itself stops the search there
-        if scenario.users[m].x >= x_mid:
+        if users[m].x >= x_mid:
             lo, left = x_mid, m
-        if scenario.users[m].x <= x_mid:
+        if users[m].x <= x_mid:
             hi, right = x_mid, m
     x_star = 0.5 * (lo + hi)
-    t_star, worst = objective(_distances(scenario, x_star), t_lo, t_hi)
+    t_star, worst = value_at(x_star)
     binding = tuple(sorted({left, right} - {None} or {worst}))
     return Solution(
         t_star=t_star,
         x_star=x_star,
         feasible=interval,
         outer_iterations=iters,
-        per_user_bounds=bounds,
+        per_user_bounds=tuple(bounds[m] if m in bounds else bound(m, t_lo)
+                              for m in range(scenario.n_users)),
         meta={"bracket_lo": t_lo, "bracket_hi": t_hi, "binding": binding},
     )
 
@@ -195,15 +243,19 @@ def solve_maxmin(scenario: Scenario, tol: SolverTolerances | None = None) -> Sol
 
     Outer bisection on the guaranteed level t between 0 (always feasible)
     and twice the best single-user SNR (structurally infeasible); each
-    probe runs one scalar inversion per user. x_star comes from bisection
-    on x toward the worst user, t_star is the exact objective there, and
-    Solution.meta carries the bisection bracket and the binding users.
+    probe runs one scalar inversion per active user, from f at each user's
+    range ends, evaluated once. x_star comes from bisection on x toward the
+    worst user, t_star is the exact objective there, and Solution.meta
+    carries the bisection bracket and the binding users.
     """
     tol = tol or SolverTolerances()
+    channels = scenario.channels
     ranges = [squared_distance_range(scenario, m) for m in range(scenario.n_users)]
-    t_hi = 2.0 * max(f_scalar(p, r.y_min) for p, r in zip(scenario.channels, ranges))
-    return _solve_nested(scenario, lambda m, t: invert_f(scenario.channels[m], t, ranges[m]),
-                         lambda ys, *_: _worst_avg_snr(scenario, ys), t_hi, tol)
+    ends = [(f_scalar(p, r.y_min), f_scalar(p, r.y_max)) for p, r in zip(channels, ranges)]
+    return _solve_nested(
+        scenario, lambda m, t: invert_f(channels[m], t, ranges[m], ends[m]),
+        lambda m, t, y: f_scalar(channels[m], y) >= t,
+        lambda ys, *_: _worst_avg_snr(scenario, ys), 2.0 * max(f for f, _ in ends), tol)
 
 
 def fixed_antenna_baseline(scenario: Scenario) -> Solution:

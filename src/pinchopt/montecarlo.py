@@ -208,7 +208,7 @@ def shared_channel_optimum(scenario: Scenario, spec: OutageSpec | None = None) -
         hull.append((x_m, c_m, start if hull else -math.inf))
     ends = [s for _, _, s in hull[1:]] + [math.inf]
     x_star = next(max(x_m, s) for (x_m, _, s), end in zip(hull, ends) if x_m <= end)
-    y_star = max(_distances(scenario, x_star))
+    y_star = max(_distances(scenario, x_star).values())
     t_star = (f_scalar(params, y_star) if spec is None
               else _threshold_root(params, y_star, spec.epsilons[0]))
     return Solution(

@@ -7,13 +7,21 @@ are nested in t, so the largest threshold with a nonempty intersection
 T(t) = ∩ J_m(t) is found by the same outer bisection as the average-SNR
 design, with the inner scalar inversion now running on the CCDF.
 
+The outer bisection and the x finish run on the shared skeleton's
+active set (maxmin._solve_nested): a user whose CCDF meets its target at
+the top of the t-bracket at the far end of the current intersection I is
+dropped. The inversion is conservative, so that top is no proof of
+infeasibility here; a dropped user can still bind where the active
+users reach it, and the finish evaluates every user there.
+
 The per-position objective is the smallest of the users' threshold
-roots, but only the users that bind need one: the farthest user's root
-is found first, every other user is checked once at the running minimum
-and skipped if it meets its target there, and a user that misses it gets
-a root below the running minimum. The result is feasible for every user
-and within _THRESHOLD_REL_TOL (1e-12) relative of the min of independent
-roots, and the user that set it is the worst user.
+roots, but only the users that bind need one: the likely worst user is
+visited first (in the finish, the farther of the users that bound its
+bracket so far; else the farthest user), every user is checked once at
+the running minimum and skipped if it meets its target there, and a user
+that misses it gets a root below the running minimum. The result is
+feasible for every user and within _THRESHOLD_REL_TOL (1e-12) relative of
+the min of independent roots, and the user that set it is the worst user.
 
 Every threshold search is capped by a ceiling that is infeasible by
 proof. By Markov's inequality P[snr >= t] <= f(y) / t, with f the average
@@ -212,30 +220,36 @@ def _threshold_root(params, y: float, epsilon: float, lo: float = 0.0,
 
 
 def _min_threshold(scenario: Scenario, spec: OutageSpec, ys, t_lo: float = 0.0,
-                   t_hi: float | None = None) -> tuple[float, int]:
-    """(min_m of the largest threshold user m meets at ys[m], the worst m).
+                   t_hi: float | None = None, likely=()) -> tuple[float, int]:
+    """(min over the users m in ys of the largest threshold m meets at ys[m],
+    the worst m), ys = {m: squared distance}.
 
     [t_lo, t_hi] is a guess at the bracket of the result, such as the
     solver's certified one; the default is cold, [0, Markov ceiling]. Only
-    binding users get a root. Users are visited farthest first (the
-    farthest always binds under shared channels and targets); the first
-    gets a root started on [t_lo, t_hi], the running minimum cur. Each
-    later user is checked once at cur: meeting its target there, it cannot
-    lower the minimum. Otherwise cur certifies that user infeasible, so its
-    root is started on [t_lo, cur] and becomes the new cur. The result meets
+    binding users get a root. Users in likely are visited first (the finish
+    passes the users that bound its bracket so far, one of which is usually
+    the worst again), each group farthest first (the farthest always binds
+    under shared channels and targets). Each user is checked once at the
+    running minimum cur, which starts at t_hi: meeting its target there, it
+    cannot lower the minimum. Otherwise cur certifies that user infeasible,
+    so its root is started on [t_lo, cur] and becomes the new cur. Without
+    t_hi the first user gets a root on [t_lo, Markov ceiling] instead; when
+    every user meets t_hi, the search reruns above it. The result meets
     every target and lies within _THRESHOLD_REL_TOL relative of the min of
-    independent roots; the worst user is the last one that lowered cur,
-    else the farthest.
+    independent roots; the worst user is the last one that lowered cur.
     """
     spec = spec.for_scenario(scenario)
-    order = sorted(range(scenario.n_users), key=lambda m: -ys[m])
-    worst = order[0]
-    cur = _threshold_root(scenario.channels[worst], ys[worst], spec.epsilons[worst], t_lo, t_hi)
-    for m in order[1:]:
+    cur, worst = t_hi, None
+    for m in sorted(ys, key=lambda m: (m not in likely, -ys[m])):
         params, epsilon = scenario.channels[m], spec.epsilons[m]
+        if cur is None:
+            cur, worst = _threshold_root(params, ys[m], epsilon, t_lo), m
+            continue
         g_cur = ccdf_inst_snr(params, ys[m], cur) - (1.0 - epsilon)
         if g_cur < 0.0:
             cur, worst = _threshold_root(params, ys[m], epsilon, min(t_lo, cur), cur, g_cur), m
+    if worst is None:  # every user meets t_hi
+        return _min_threshold(scenario, spec, ys, t_hi, None, likely)
     return cur, worst
 
 
@@ -263,9 +277,12 @@ def solve_outage(
         _markov_ceiling(p, squared_distance_range(scenario, m).y_min, spec.epsilons[m])
         for m, p in enumerate(scenario.channels)
     )
+    channels, epsilons = scenario.channels, spec.epsilons
     return _solve_nested(
-        scenario, _outage_bound(scenario, spec.epsilons),
-        lambda ys, t_lo, t_hi: _min_threshold(scenario, spec, ys, t_lo, t_hi), t_hi, tol,
+        scenario, _outage_bound(scenario, epsilons),
+        lambda m, t, y: ccdf_inst_snr(channels[m], y, t) >= 1.0 - epsilons[m],
+        lambda ys, t_lo, t_hi, likely: _min_threshold(scenario, spec, ys, t_lo, t_hi, likely),
+        t_hi, tol,
     )
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from unittest.mock import patch
@@ -18,6 +19,7 @@ from pinchopt import (
     solve_maxmin,
     squared_distance_range,
 )
+from pinchopt import maxmin
 from pinchopt.maxmin import _feasible_set
 from pinchopt.model import ChannelParams
 
@@ -229,6 +231,14 @@ class TestSolveMaxmin:
             sol = solve_maxmin(sc)
             assert min_avg_snr(sc, sol.x_star) == sol.t_star
             assert sol.t_star >= sol.meta["bracket_lo"] * (1.0 - 1e-12)
+        # per-user channels, where the active set drops most users early
+        for n_users, eps_t in itertools.product((2, 8, 32), (1e-3, 1e-9)):
+            rng = np.random.Generator(np.random.Philox(99))
+            for _ in range(6):
+                sc, _ = heterogeneous_drop(rng, n_users)
+                sol = solve_maxmin(sc, SolverTolerances(eps_t=eps_t))
+                assert min_avg_snr(sc, sol.x_star) == sol.t_star
+                assert sol.t_star >= sol.meta["bracket_lo"]
 
     def test_bracket_width_at_convergence(self):
         sc = make_scenario([(5.0, 2.0), (22.0, -4.0)])
@@ -266,6 +276,31 @@ class TestSolveMaxmin:
             assert f_scalar(sc.channels[m], alpha) == pytest.approx(
                 sol.meta["bracket_lo"], rel=1e-6
             )
+
+
+class TestActiveSet:
+    """Probes and the finish run only on the users that can still bind."""
+
+    def test_probes_invert_few_users(self, monkeypatch):
+        rng = np.random.Generator(np.random.Philox(70))
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return invert_f(*args)
+
+        monkeypatch.setattr(maxmin, "invert_f", counted)
+        for _ in range(10):
+            sc = random_scenario(rng, 128)
+            sol = solve_maxmin(sc)
+            # dropped users' bounds are reported at the certified level too
+            t_lo = sol.meta["bracket_lo"]
+            assert sol.per_user_bounds == tuple(
+                invert_f(sc.channels[m], t_lo, squared_distance_range(sc, m))
+                for m in range(128))
+        # every user inverted at every probe took 1 105 calls per solve here
+        assert calls / 10 < 500
 
 
 class TestCertifiedBracket:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -187,6 +188,15 @@ class TestSolveOutage:
             for m in range(2):
                 y = (sc.users[m].x - sol.x_star) ** 2 + sc.c_const(m)
                 assert ccdf_inst_snr(sc.channels[m], y, sol.t_star) >= 0.95 - 1e-6
+        # per-user channels and targets: users dropped from the active set may bind
+        # where the active ones reach the bracket's top, so the finish must see them
+        for n_users, eps_t in itertools.product((2, 8, 32), (1e-3, 1e-9)):
+            rng = np.random.Generator(np.random.Philox(99))
+            for _ in range(6):
+                sc, spec = heterogeneous_drop(rng, n_users)
+                sol = solve_outage(sc, spec, SolverTolerances(eps_t=eps_t))
+                cap = max_threshold_at(sc, spec, sol.x_star)
+                assert cap * (1.0 - 2e-12) <= sol.t_star <= cap * (1.0 + 2e-12)
 
     def test_outer_bisection_ends_on_adjacent_doubles(self):
         # no two doubles near t* lie 1e-20 t* apart: the bracket ends on adjacent ones
@@ -397,6 +407,22 @@ class TestWarmStart:
         assert hi - lo <= width
         assert lo <= root_step / steps <= hi
         assert g(lo) >= 0.0 > g(hi)
+
+    def test_active_set_cuts_ccdf_calls(self, monkeypatch):
+        rng = np.random.Generator(np.random.Philox(63))
+        calls = 0
+        real = outage.ccdf_inst_snr
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(outage, "ccdf_inst_snr", counted)
+        for _ in range(10):
+            solve_outage(random_scenario(rng, 32), OutageSpec.shared(0.1, 32))
+        # every user probed at every level and checked in the finish took 2 982 here
+        assert calls / 10 < 1600
 
     def test_outage_solve_stays_out_of_the_bessel_band(self, monkeypatch):
         rng = np.random.Generator(np.random.Philox(62))
