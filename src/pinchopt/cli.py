@@ -165,7 +165,6 @@ def _solution_dict(sol: Solution) -> dict:
         "x_star": sol.x_star,
         "feasible": {"lo": sol.feasible.lo, "hi": sol.feasible.hi},
         "outer_iterations": sol.outer_iterations,
-        "per_user_bounds": list(sol.per_user_bounds) if sol.per_user_bounds else None,
     }
 
 

@@ -15,7 +15,9 @@ on the current intersection I meets every later probe there, so it is
 dropped: later probes intersect the active users' intervals from I, and
 the x finish evaluates the active users, all users only where their
 value reaches that top. Per-probe and finish work then scale with the
-users that bind, usually two or three, not with M.
+users that bind, usually two or three, not with M. A solve reports what
+the bisections certify (level, position, bracket, binding users), so no
+user is inverted after the loop.
 """
 
 from __future__ import annotations
@@ -63,10 +65,7 @@ class Solution:
 
     feasible is the final certified interval, always nonempty (the point
     (x_star, x_star) for the shared-channel optimum, baselines and grid
-    searches), per_user_bounds the squared-distance thresholds at the
-    certified level (the least largest squared distance, for every user,
-    for the shared-channel optimum; None for baselines and grid searches).
-    meta carries diagnostics such as the outer bracket (bracket_lo/
+    searches). meta carries diagnostics such as the outer bracket (bracket_lo/
     bracket_hi), the binding users (binding: the sorted indices of the one
     or two worst users around x_star) or grid slack estimates.
     """
@@ -75,7 +74,6 @@ class Solution:
     x_star: float
     feasible: Interval
     outer_iterations: int
-    per_user_bounds: tuple[float, ...] | None = None
     meta: dict = field(default_factory=dict)
 
 
@@ -110,7 +108,7 @@ def invert_f(params, t: float, rng: SquaredDistanceRange,
 
 
 def _feasible_set(scenario: Scenario, bound, t: float, users=None,
-                  within: Interval | None = None):
+                  within: Interval | None = None) -> Interval | None:
     """Intersection of within (default [0, dx]) and the position intervals
     at level t of users (default all, in user order).
 
@@ -119,11 +117,9 @@ def _feasible_set(scenario: Scenario, bound, t: float, users=None,
     The solver passes its active users and the last nonempty intersection
     I: the intervals are nested in t, so above I's level the intersection
     lies inside I, and a user dropped for slack on I cannot shrink it.
-    Returns (interval, bounds), bounds in the order of users, or None as
-    soon as a bound is None or the intersection is empty.
+    Returns None as soon as a bound is None or the intersection is empty.
     """
     lo, hi = within or (0.0, scenario.dx)
-    bounds = []
     for m in range(scenario.n_users) if users is None else users:
         b = bound(m, t)
         if b is None:
@@ -133,8 +129,7 @@ def _feasible_set(scenario: Scenario, bound, t: float, users=None,
         lo, hi = max(lo, x_m - d), min(hi, x_m + d)
         if lo > hi:
             return None
-        bounds.append(b)
-    return Interval(lo, hi), tuple(bounds)
+    return Interval(lo, hi)
 
 
 def _distances(scenario: Scenario, x_pin: float, users=None) -> dict[int, float]:
@@ -173,7 +168,7 @@ def _solve_nested(scenario: Scenario, bound, meets, objective, t_hi: float,
     all users: each probe intersects from I, not [0, dx], so the interval
     never widens to where a dropped user fails; and the finish evaluates
     all users wherever the active ones reach t_hi, where a dropped user
-    may bind. per_user_bounds gets the dropped users' bounds at t_lo.
+    may bind.
 
     Bisection on x over I then moves each midpoint's far end toward its
     worst user m. The last such users on each side bind (meta["binding"]).
@@ -183,7 +178,7 @@ def _solve_nested(scenario: Scenario, bound, meets, objective, t_hi: float,
     """
     users, dv = scenario.users, scenario.dv
     active = list(range(scenario.n_users))
-    t_lo, interval, bounds = 0.0, None, {}
+    t_lo, interval = 0.0, None
     iters = 0
     while t_lo <= 0.0 or t_hi - t_lo > tol.eps_t * t_lo:
         t_mid = 0.5 * (t_lo + t_hi)
@@ -194,8 +189,7 @@ def _solve_nested(scenario: Scenario, bound, meets, objective, t_hi: float,
         if found is None:
             t_hi = t_mid
         else:
-            t_lo, (interval, probed) = t_mid, found
-            bounds = dict(zip(active, probed))
+            t_lo, interval = t_mid, found
         if interval is not None:
             # user m's least value on I is at the end farther from x_m
             binds = [m for m in active if not meets(m, t_hi, max(
@@ -232,8 +226,6 @@ def _solve_nested(scenario: Scenario, bound, meets, objective, t_hi: float,
         x_star=x_star,
         feasible=interval,
         outer_iterations=iters,
-        per_user_bounds=tuple(bounds[m] if m in bounds else bound(m, t_lo)
-                              for m in range(scenario.n_users)),
         meta={"bracket_lo": t_lo, "bracket_hi": t_hi, "binding": binding},
     )
 
@@ -266,5 +258,4 @@ def fixed_antenna_baseline(scenario: Scenario) -> Solution:
         x_star=x_fix,
         feasible=Interval(x_fix, x_fix),
         outer_iterations=0,
-        per_user_bounds=None,
     )

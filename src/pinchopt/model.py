@@ -114,6 +114,9 @@ class Scenario:
                 raise InvalidScenario(f"users[{m}].x = {user.x} outside [0, {self.dx}]")
             if not abs(user.y) <= 0.5 * self.dy:
                 raise InvalidScenario(f"users[{m}].y = {user.y} outside [-{self.dy/2}, {self.dy/2}]")
+            if not math.isfinite(squared_distance_range(self, m).y_max):
+                raise InvalidScenario(f"users[{m}]: largest squared distance to the antenna "
+                                      f"is not finite (dx, dv or users[{m}].y too large)")
 
     @property
     def n_users(self) -> int:
@@ -183,5 +186,6 @@ def squared_distance_range(scenario: Scenario, user_index: int) -> SquaredDistan
         raise IndexError(f"user index {user_index} out of range")
     user = scenario.users[user_index]
     c = scenario.c_const(user_index)
-    y_max = c + max(user.x * user.x, (scenario.dx - user.x) ** 2)
+    far = max(user.x, scenario.dx - user.x)
+    y_max = c + far * far
     return SquaredDistanceRange(y_min=c, y_max=y_max)  # Scenario keeps x_m in [0, dx]

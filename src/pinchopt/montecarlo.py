@@ -164,7 +164,6 @@ def grid_search_maxmin(scenario: Scenario, grid_points: int) -> Solution:
         x_star=float(xs[best]),
         feasible=Interval(float(xs[best]), float(xs[best])),
         outer_iterations=0,
-        per_user_bounds=None,
         meta={"t_slack": 0.5 * spacing * max_slope, "grid_points": grid_points},
     )
 
@@ -216,7 +215,6 @@ def shared_channel_optimum(scenario: Scenario, spec: OutageSpec | None = None) -
         x_star=x_star,
         feasible=Interval(x_star, x_star),
         outer_iterations=0,
-        per_user_bounds=(y_star,) * scenario.n_users,
         meta={"alpha_star": y_star},
     )
 
@@ -284,7 +282,6 @@ def grid_search_outage(scenario: Scenario, spec: OutageSpec, grid_points: int,
         x_star=float(xs[best]),
         feasible=Interval(float(xs[best]), float(xs[best])),
         outer_iterations=0,
-        per_user_bounds=None,
         meta={
             "t_spacing": float(np.max(np.diff(t_grid))),
             "x_spacing": scenario.dx / (grid_points - 1),

@@ -50,7 +50,8 @@ from .special import ccdf_inst_snr
 
 # Relative width at which the per-position threshold root stops.
 _THRESHOLD_REL_TOL = 1e-12
-# Width, relative to a user's largest r^2, at which the inversion on r^2 stops.
+# Width, relative to a user's least r^2, at which the inversion on r^2 stops:
+# relative to the largest, a long region's width would swamp every root.
 _INVERSION_REL_TOL = 1e-9
 
 
@@ -124,7 +125,7 @@ def invert_ccdf(params, t: float, epsilon: float, rng,
     None marks infeasibility (even y_min misses the target); y_max means
     the constraint binds nowhere on the deployment range. Otherwise the
     unique root of the strictly decreasing CCDF is bracketed to
-    _INVERSION_REL_TOL * y_max and its conservative (lower) end is returned.
+    _INVERSION_REL_TOL * y_min and its conservative (lower) end is returned.
     bracket (y_lo, y_hi) is where the root is sought, by default the whole
     range. A y_lo that misses the target or a y_hi that meets it gives None
     or y_max when it is the range's end; anywhere else the search falls
@@ -144,7 +145,7 @@ def invert_ccdf(params, t: float, epsilon: float, rng,
     g_hi = g(hi)
     if g_hi >= 0.0:
         return rng.y_max if hi == rng.y_max else invert_ccdf(params, t, epsilon, rng)
-    return _bracket_root(g, lo, g_lo, hi, g_hi, _INVERSION_REL_TOL * rng.y_max)[0]
+    return _bracket_root(g, lo, g_lo, hi, g_hi, _INVERSION_REL_TOL * rng.y_min)[0]
 
 
 def _outage_bound(scenario: Scenario, epsilons):
@@ -168,7 +169,7 @@ def _outage_bound(scenario: Scenario, epsilons):
         y = invert_ccdf(scenario.channels[m], t, epsilons[m], ranges[m], bracket)
         ts.insert(i, t)
         ends.insert(i, (y_min, y_min) if y is None
-                    else (y, min(y + _INVERSION_REL_TOL * y_max, y_max)))
+                    else (y, min(y + _INVERSION_REL_TOL * y_min, y_max)))
         return y
 
     return bound
@@ -294,5 +295,4 @@ def fixed_antenna_outage_baseline(scenario: Scenario, spec: OutageSpec) -> Solut
         x_star=x_fix,
         feasible=Interval(x_fix, x_fix),
         outer_iterations=0,
-        per_user_bounds=None,
     )

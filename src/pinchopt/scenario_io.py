@@ -207,8 +207,7 @@ def parse_scenario_dict(doc: dict, name: str = "scenario") -> ScenarioBundle:
     for key, value in (doc.get("tolerances") or {}).items():
         if key not in TOLERANCE_DEFAULTS:
             raise ScenarioFormatError(f"tolerances: unknown field '{key}'")
-        if value is not None:
-            tols[key] = _number(value, f"tolerances.{key}")
+        tols[key] = _number(value, f"tolerances.{key}")
     try:
         tol = SolverTolerances(**tols)
     except ValueError as exc:

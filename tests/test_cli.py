@@ -127,7 +127,13 @@ class TestSolve:
         assert pin["binding"] == [0, 1]  # the users' levels cross at the optimum
         t_lo, t_hi = pin["bracket"]
         assert 0.0 < t_lo <= pin["t_star"] and t_lo < t_hi
-        assert "bracket" not in result["fixed"] and "binding" not in result["fixed"]
+        # a solution reports what the solver certifies, nothing more
+        solution = {"t_star", "x_star", "feasible", "outer_iterations"}
+        assert set(pin) == solution | {"binding", "bracket"}
+        assert set(result["fixed"]) == solution
+        closed = tmp_path / "closed.json"
+        assert cli.main(["closed-form", _write(tmp_path, doc), "-o", str(closed)]) == cli.EXIT_OK
+        assert set(json.loads(closed.read_text(encoding="utf-8"))["solution"]) == solution
 
     def test_outage_without_outage_section_is_invalid(self, two_user_file, capsys):
         rc = cli.main(["solve", str(two_user_file), "--metric", "outage"])

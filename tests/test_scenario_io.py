@@ -120,6 +120,13 @@ def _edited(path, value):
     (_edited(("defaults",), {"fc_hz": 1e-300}), "users[0]"),
     # retired field, listed last so the earlier cases keep their ids
     (_edited(("tolerances",), {"eps_y": 1e-9}), "tolerances: unknown field 'eps_y'"),
+    (_edited(("tolerances",), {"eps_t": None}), "tolerances.eps_t"),
+    # each field finite, the largest squared distance not
+    (_edited(("region", "dx"), 1e160), "users[0]: largest squared distance"),
+    (_edited(("region", "dv"), 1e200), "users[0]: largest squared distance"),
+    (dict(BASE, region={"dx": 30.0, "dy": 1e200, "dv": 10.0},
+          users=[{"x": 6.0, "y": 2.0}, {"x": 21.0, "y": 1e170}]),
+     "users[1]: largest squared distance"),
 ])
 def test_format_errors_name_the_field(doc, field):
     with pytest.raises(ScenarioFormatError) as info:
