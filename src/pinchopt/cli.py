@@ -15,6 +15,8 @@ Subcommands and the options each takes besides -h/--help:
 --eps-t overrides the scenario's relative tolerance on the level t.
 --workers acts on sweep only; solve and ccdf ignore it.
 
+The argument parser is built once per process, on the first main() call.
+
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 solver error (no positive level is feasible), 4 internal error (an
 unexpected exception; a bug in pinchopt).
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -90,6 +93,7 @@ def _add_flags(parser: argparse.ArgumentParser, *flags: str):
         parser.add_argument(flag, **_FLAGS[flag])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pinchopt",
@@ -506,7 +510,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(argv)  # one parser per process
     except SystemExit as exc:  # usage error (2), --help or --version (0)
         return exc.code
     try:

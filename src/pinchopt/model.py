@@ -109,12 +109,15 @@ class Scenario:
             raise InvalidScenario(
                 f"{len(self.users)} users but {len(self.channels)} channel parameter sets"
             )
+        # every y_max = (y^2 + dv^2) + far^2 rounds to at most this: check users if it overflows
+        half = 0.5 * self.dy
+        region_finite = math.isfinite((half * half + self.dv * self.dv) + self.dx * self.dx)
         for m, user in enumerate(self.users):
             if not 0.0 <= user.x <= self.dx:
                 raise InvalidScenario(f"users[{m}].x = {user.x} outside [0, {self.dx}]")
-            if not abs(user.y) <= 0.5 * self.dy:
+            if not abs(user.y) <= half:
                 raise InvalidScenario(f"users[{m}].y = {user.y} outside [-{self.dy/2}, {self.dy/2}]")
-            if not math.isfinite(squared_distance_range(self, m).y_max):
+            if not region_finite and not math.isfinite(squared_distance_range(self, m).y_max):
                 raise InvalidScenario(f"users[{m}]: largest squared distance to the antenna "
                                       f"is not finite (dx, dv or users[{m}].y too large)")
 

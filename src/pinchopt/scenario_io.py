@@ -72,6 +72,14 @@ class ScenarioBundle:
     name: str = "scenario"
 
 
+def _section(doc: dict, key: str) -> dict:
+    """The object under key, {} when the key is absent; any other value is an error."""
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        raise ScenarioFormatError(f"{key}: expected an object")
+    return section
+
+
 def _require(doc: dict, key: str, where: str):
     if key not in doc:
         raise ScenarioFormatError(f"{where}: missing required field '{key}'")
@@ -114,7 +122,8 @@ def _channel_from(defaults: dict, rho: float, mu_sq: float) -> ChannelParams:
 
 
 def parse_scenario_dict(doc: dict, name: str = "scenario") -> ScenarioBundle:
-    """Validate and build a ScenarioBundle from a JSON-compatible dict."""
+    """Validate and build a ScenarioBundle from a JSON-compatible dict. Channels
+    are validated once per distinct (noise_dbm, mu_sq_db); users with it share one."""
     if not isinstance(doc, dict):
         raise ScenarioFormatError("top level: expected an object")
     schema = _require(doc, "schema", "top level")
@@ -132,9 +141,7 @@ def parse_scenario_dict(doc: dict, name: str = "scenario") -> ScenarioBundle:
     dv = _number(region.get("dv", REGION_DEFAULTS["dv"]), "region.dv")
 
     defaults = dict(DEFAULTS)
-    if not isinstance(doc.get("defaults") or {}, dict):
-        raise ScenarioFormatError("defaults: expected an object")
-    for key, value in (doc.get("defaults") or {}).items():
+    for key, value in _section(doc, "defaults").items():
         if key not in DEFAULTS:
             raise ScenarioFormatError(f"defaults: unknown field '{key}'")
         defaults[key] = _number(value, f"defaults.{key}")
@@ -149,6 +156,7 @@ def parse_scenario_dict(doc: dict, name: str = "scenario") -> ScenarioBundle:
     if not isinstance(users_doc, list) or not users_doc:
         raise ScenarioFormatError("users: expected a nonempty list")
     users, channels, norm_users = [], [], []
+    shared = {}  # (noise_dbm, mu_sq_db) -> the validated ChannelParams users with them share
     for m, entry in enumerate(users_doc):
         where = f"users[{m}]"
         if not isinstance(entry, dict):
@@ -160,12 +168,14 @@ def parse_scenario_dict(doc: dict, name: str = "scenario") -> ScenarioBundle:
         noise = _number(entry.get("noise_dbm", defaults["noise_dbm"]), f"{where}.noise_dbm")
         mu_sq_db = _number(entry.get("mu_sq_db", defaults["mu_sq_db"]), f"{where}.mu_sq_db")
         users.append(UserPosition(x=x, y=y))
-        rho = p_linear / _linear(noise, f"{where}.noise_dbm")
-        mu_sq = _linear(mu_sq_db, f"{where}.mu_sq_db")
-        try:
-            channels.append(_channel_from(defaults, rho, mu_sq))
-        except (InvalidScenario, OverflowError) as exc:  # fields valid alone, not together
-            raise ScenarioFormatError(f"{where}: channel constants out of range: {exc}") from exc
+        if (noise, mu_sq_db) not in shared:
+            rho = p_linear / _linear(noise, f"{where}.noise_dbm")
+            mu_sq = _linear(mu_sq_db, f"{where}.mu_sq_db")
+            try:
+                shared[noise, mu_sq_db] = _channel_from(defaults, rho, mu_sq)
+            except (InvalidScenario, OverflowError) as exc:  # fields valid alone, not together
+                raise ScenarioFormatError(f"{where}: channel constants out of range: {exc}") from exc
+        channels.append(shared[noise, mu_sq_db])
         norm = {"x": x, "y": y}
         if "noise_dbm" in entry:
             norm["noise_dbm"] = noise
@@ -178,11 +188,11 @@ def parse_scenario_dict(doc: dict, name: str = "scenario") -> ScenarioBundle:
     except ValueError as exc:
         raise ScenarioFormatError(str(exc)) from exc
 
-    outage_doc = doc.get("outage")
     outage = None
     norm_outage = None
-    if outage_doc is not None:
-        if not isinstance(outage_doc, dict) or ("epsilon" in outage_doc) == ("epsilons" in outage_doc):
+    if "outage" in doc:
+        outage_doc = _section(doc, "outage")
+        if ("epsilon" in outage_doc) == ("epsilons" in outage_doc):
             raise ScenarioFormatError("outage: give exactly one of 'epsilon' or 'epsilons'")
         try:
             if "epsilon" in outage_doc:
@@ -202,9 +212,7 @@ def parse_scenario_dict(doc: dict, name: str = "scenario") -> ScenarioBundle:
             raise ScenarioFormatError(f"outage: {exc}") from exc
 
     tols = dict(TOLERANCE_DEFAULTS)
-    if not isinstance(doc.get("tolerances") or {}, dict):
-        raise ScenarioFormatError("tolerances: expected an object")
-    for key, value in (doc.get("tolerances") or {}).items():
+    for key, value in _section(doc, "tolerances").items():
         if key not in TOLERANCE_DEFAULTS:
             raise ScenarioFormatError(f"tolerances: unknown field '{key}'")
         tols[key] = _number(value, f"tolerances.{key}")

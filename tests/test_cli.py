@@ -355,3 +355,39 @@ def test_flag_a_subcommand_does_not_take_is_a_usage_error(two_user_file, tmp_pat
 def test_version_and_help_return_zero(argv, capsys):
     assert cli.main(argv) == cli.EXIT_OK
     assert capsys.readouterr().out
+
+
+def test_reused_parser_keeps_no_state(two_user_file, tmp_path, capsys, monkeypatch):
+    # main reuses one parser per process; each call must print what a fresh parser gives
+    path, out = str(two_user_file), tmp_path / "out.csv"
+    sweep = ["sweep", path, "--metric", "avg-snr", "--drops", "1", "--out", str(out)]
+    sequence = [
+        sweep + ["--axis", "beta=0.01:0.02:2", "--axis", "dx=20:30:2"],
+        sweep + ["--axis", "beta=0.01:0.02:2"],  # the first call's axes must not pile up
+        ["solve", path, "--metric", "avg-snr", "--eps-t", "1e-6"],
+        ["solve", path, "--metric", "snr"],  # usage error: exit 2
+        ["--version"],
+        ["ccdf", path, "--x-pin", "6.0", "--t-points", "3", "--samples", "1000", "--seed", "3",
+         "--out", str(out)],
+        ["solve", path, "--metric", "avg-snr"],  # the earlier --eps-t must not carry over
+    ]
+
+    def run_all():
+        outputs = []
+        for argv in sequence:
+            out.unlink(missing_ok=True)
+            code = cli.main(argv)
+            rows = _csv(out) if out.exists() else []
+            if argv[0] == "sweep":  # every column but wall_time_s
+                rows = [row[:-1] for row in rows]
+            outputs.append((code, capsys.readouterr(), rows))
+        return outputs
+
+    assert cli.build_parser() is cli.build_parser()
+    reused = run_all()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = run_all()
+    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0, 0, 0]
+    assert reused == fresh
+    assert len(reused[0][2]) == 5 and len(reused[1][2]) == 3
+    assert reused[2][1].out != reused[6][1].out

@@ -8,8 +8,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pinchopt.model import dbm_to_linear, squared_distance_range
 from pinchopt.scenario_io import (
+    DEFAULTS,
     ScenarioFormatError,
+    _channel_from,
     load_scenario,
     parse_scenario_dict,
     serialize_scenario,
@@ -127,11 +130,40 @@ def _edited(path, value):
     (dict(BASE, region={"dx": 30.0, "dy": 1e200, "dv": 10.0},
           users=[{"x": 6.0, "y": 2.0}, {"x": 21.0, "y": 1e170}]),
      "users[1]: largest squared distance"),
+    # a section that is not an object, listed last so the earlier cases keep their ids
+    *[(_edited((section,), value), f"{section}: expected an object")
+      for section in ("defaults", "tolerances") for value in ([], 0, "", False, None)],
+    (_edited(("outage",), None), "outage: expected an object"),
 ])
 def test_format_errors_name_the_field(doc, field):
     with pytest.raises(ScenarioFormatError) as info:
         parse_scenario_dict(doc)
     assert field in str(info.value)
+
+
+def test_users_with_the_same_channel_fields_share_one_channel():
+    users = [{"x": 6.0, "y": 2.0}, {"x": 9.0, "y": 1.0, "mu_sq_db": -87.0},
+             {"x": 21.0, "y": -3.0}, {"x": 25.0, "y": 4.0, "mu_sq_db": -87.0, "noise_dbm": -85.0},
+             {"x": 28.0, "y": 0.0, "mu_sq_db": -87.0}]
+    channels = parse_scenario_dict(dict(BASE, users=users, outage={"epsilon": 0.1})).scenario.channels
+    assert channels[0] is channels[2]
+    assert channels[1] is channels[4]
+    assert len({id(channel) for channel in channels}) == 3
+    p_linear = dbm_to_linear(DEFAULTS["p_dbm"])
+    for user, channel in zip(users, channels):
+        noise, mu_sq_db = (user.get(key, DEFAULTS[key]) for key in ("noise_dbm", "mu_sq_db"))
+        alone = _channel_from(DEFAULTS, p_linear / dbm_to_linear(noise), dbm_to_linear(mu_sq_db))
+        assert channel == alone  # dataclass equality: field by field
+
+
+def test_region_whose_bound_overflows_loads_when_every_user_is_finite():
+    # (dy/2)^2 + dv^2 + dx^2 overflows, but users at y = 0 have y_max = dv^2 + dx^2
+    dx, dy = 1.3e154, 1e154
+    assert not math.isfinite((0.5 * dy) ** 2 + 10.0 ** 2 + dx * dx)
+    doc = dict(BASE, region={"dx": dx, "dy": dy, "dv": 10.0},
+               users=[{"x": 0.0, "y": 0.0}, {"x": dx, "y": 0.0}])
+    scenario = parse_scenario_dict(doc).scenario
+    assert all(math.isfinite(squared_distance_range(scenario, m).y_max) for m in range(2))
 
 
 def test_top_level_must_be_an_object():
