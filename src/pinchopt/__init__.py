@@ -52,7 +52,6 @@ from .scenario_io import (
     ScenarioFormatError,
     load_scenario,
     parse_scenario_dict,
-    serialize_scenario,
 )
 from .special import ccdf_inst_snr, ccdf_inst_snr_batch, marcum_q1
 
@@ -91,7 +90,6 @@ __all__ = [
     "max_threshold_at",
     "min_avg_snr",
     "parse_scenario_dict",
-    "serialize_scenario",
     "shared_channel_optimum",
     "solve_maxmin",
     "solve_outage",

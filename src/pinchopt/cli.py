@@ -15,6 +15,11 @@ Subcommands and the options each takes besides -h/--help:
 --eps-t overrides the scenario's relative tolerance on the level t.
 --workers acts on sweep only; solve and ccdf ignore it.
 
+sweep --axis m: at a user count other than the file's, every user takes
+user 0's channel and outage target, so the file's users must agree in
+noise_dbm, mu_sq_db and, where the targets act (--metric outage, no epsilon
+axis), outage.epsilons; else the sweep exits 2 before solving any point.
+
 The argument parser is built once per process, on the first main() call.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
@@ -247,11 +252,9 @@ def _drop_scenario(bundle: ScenarioBundle, overrides: dict, seed_key: tuple,
     base = bundle.scenario
     dx = overrides.get("dx", base.dx)
     n_users = int(overrides.get("m", base.n_users))
-    template = base.channels[0]
-    channels = []
-    for m in range(n_users):
-        src = base.channels[m] if m < base.n_users else template
-        channels.append(replace(src, beta=overrides.get("beta", src.beta)))
+    channels = base.channels if n_users == base.n_users else base.channels[:1] * n_users
+    if "beta" in overrides:
+        channels = [replace(channel, beta=overrides["beta"]) for channel in channels]
     if redraw_users:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=0, spawn_key=seed_key)))
         xs = rng.uniform(0.0, dx, n_users)
@@ -259,16 +262,26 @@ def _drop_scenario(bundle: ScenarioBundle, overrides: dict, seed_key: tuple,
         users = tuple(UserPosition(float(x), float(y)) for x, y in zip(xs, ys))
     else:
         users = base.users
-    scenario = Scenario(dx=dx, dy=base.dy, dv=base.dv, users=users, channels=tuple(channels))
+    scenario = Scenario(dx=dx, dy=base.dy, dv=base.dv, users=users, channels=channels)
     if "epsilon" in overrides:
         spec = OutageSpec.shared(float(overrides["epsilon"]), n_users)
-    elif bundle.outage is not None and len(bundle.outage.epsilons) == n_users:
-        spec = bundle.outage
-    elif bundle.outage is not None:
+    elif bundle.outage is not None and n_users != base.n_users:
         spec = OutageSpec.shared(bundle.outage.epsilons[0], n_users)
     else:
-        spec = None
+        spec = bundle.outage
     return scenario, spec
+
+
+def _check_user_counts(bundle: ScenarioBundle, counts, targets_act: bool):
+    """Another user count gives every user user 0's channel and target: refuse it
+    when the file's users differ in one of them."""
+    channels = bundle.scenario.channels
+    per_user = {"noise_dbm": {c.rho for c in channels}, "mu_sq_db": {c.mu_sq for c in channels},
+                "outage.epsilons": set(bundle.outage.epsilons) if targets_act else ()}
+    differ = [field for field, values in per_user.items() if len(values) > 1]
+    if differ and any(count != bundle.scenario.n_users for count in counts):
+        raise ScenarioFormatError(f"axis 'm' changes the user count, which needs one "
+                                  f"{differ[0]} for every user; the file's users differ in it")
 
 
 def _sweep_point(task: dict) -> list:
@@ -327,6 +340,8 @@ def cmd_sweep(args) -> int:
         raise ScenarioFormatError("outage sweep needs an epsilon axis or outage section")
     if args.metric == "avg-snr" and "epsilon" in names:
         raise ScenarioFormatError("axis 'epsilon' does not act on --metric avg-snr")
+    _check_user_counts(bundle, dict(axes).get("m", ()),
+                       args.metric == "outage" and "epsilon" not in names)
     workers = min(args.workers, len(tasks))  # a fork pool starts every worker at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

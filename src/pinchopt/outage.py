@@ -194,9 +194,8 @@ def _threshold_root(params, y: float, epsilon: float, lo: float = 0.0,
     """Largest t with ccdf(y, t) >= 1 - epsilon, as the feasible end of a bracket.
 
     The root is sought on [lo, hi]: lo falls back to 0 (always feasible) if
-    it misses the target; hi None starts at the Markov ceiling, and an hi
-    that still meets the target becomes lo, with hi at the ceiling. g_hi is
-    ccdf(y, hi) - (1 - epsilon) when the caller has it. The bracket
+    it misses the target. An hi given misses it, with g_hi = ccdf(y, hi) -
+    (1 - epsilon) < 0; hi None starts at the Markov ceiling. The bracket
     shrinks to _THRESHOLD_REL_TOL times max(lo, NLoS root), at most that
     share of the root: the LoS branch only helps, Q1(a, b) >= e^{-b^2/2},
     the NLoS tail.
@@ -208,11 +207,6 @@ def _threshold_root(params, y: float, epsilon: float, lo: float = 0.0,
 
     if lo == 0.0 or (g_lo := g(lo)) < 0.0:
         lo, g_lo = 0.0, 1.0 - target
-    if hi is not None:
-        if g_hi is None:
-            g_hi = g(hi)
-        if g_hi >= 0.0:
-            lo, g_lo, hi = hi, g_hi, None
     if hi is None:
         hi = _markov_ceiling(params, y, epsilon)
         g_hi = g(hi)

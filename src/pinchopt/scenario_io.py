@@ -1,4 +1,5 @@
-"""Scenario file parsing and serialization (JSON, schema version 1).
+"""Scenario file parsing (JSON, schema version 1) into the model: a Scenario,
+an optional OutageSpec and the SolverTolerances. No copy of the document is kept.
 
 Keys carry their unit in the name (p_dbm, fc_hz, mu_sq_db) because the
 source material mixes dB, dBm and linear scales freely. Missing defaults
@@ -6,7 +7,8 @@ fall back to the reference simulation setup: f_c = 28 GHz, d_v = 10 m,
 P = 40 dBm, sigma^2 = -90 dBm, mu^2 = -90 dB, D_y = 10 m, beta = 0.01,
 guide index 1.4. fc_hz and guide_index must be positive, and every dB or
 dBm figure must map to a positive finite linear value. "tolerances" sets the
-SolverTolerances: eps_t, the relative tolerance on the level t (default 1e-3).
+SolverTolerances: eps_t, the relative tolerance on the level t (SolverTolerances'
+default when absent).
 
 Example document:
 
@@ -52,7 +54,6 @@ DEFAULTS = {
     "guide_index": 1.4,
 }
 REGION_DEFAULTS = {"dy": 10.0, "dv": 10.0}
-TOLERANCE_DEFAULTS = {"eps_t": 1e-3}
 
 _USER_KEYS = {"x", "y", "noise_dbm", "mu_sq_db"}
 
@@ -63,12 +64,11 @@ class ScenarioFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioBundle:
-    """Parsed scenario plus solver configuration and the normalized document."""
+    """Parsed scenario plus solver configuration."""
 
     scenario: Scenario
     outage: OutageSpec | None
     tol: SolverTolerances
-    document: dict
     name: str = "scenario"
 
 
@@ -133,9 +133,8 @@ def parse_scenario_dict(doc: dict, name: str = "scenario") -> ScenarioBundle:
     if unknown:
         raise ScenarioFormatError(f"top level: unknown fields {sorted(unknown)}")
 
-    region = _require(doc, "region", "top level")
-    if not isinstance(region, dict):
-        raise ScenarioFormatError("region: expected an object")
+    _require(doc, "region", "top level")
+    region = _section(doc, "region")
     dx = _number(_require(region, "dx", "region"), "region.dx")
     dy = _number(region.get("dy", REGION_DEFAULTS["dy"]), "region.dy")
     dv = _number(region.get("dv", REGION_DEFAULTS["dv"]), "region.dv")
@@ -155,7 +154,7 @@ def parse_scenario_dict(doc: dict, name: str = "scenario") -> ScenarioBundle:
     users_doc = _require(doc, "users", "top level")
     if not isinstance(users_doc, list) or not users_doc:
         raise ScenarioFormatError("users: expected a nonempty list")
-    users, channels, norm_users = [], [], []
+    users, channels = [], []
     shared = {}  # (noise_dbm, mu_sq_db) -> the validated ChannelParams users with them share
     for m, entry in enumerate(users_doc):
         where = f"users[{m}]"
@@ -176,12 +175,6 @@ def parse_scenario_dict(doc: dict, name: str = "scenario") -> ScenarioBundle:
             except (InvalidScenario, OverflowError) as exc:  # fields valid alone, not together
                 raise ScenarioFormatError(f"{where}: channel constants out of range: {exc}") from exc
         channels.append(shared[noise, mu_sq_db])
-        norm = {"x": x, "y": y}
-        if "noise_dbm" in entry:
-            norm["noise_dbm"] = noise
-        if "mu_sq_db" in entry:
-            norm["mu_sq_db"] = mu_sq_db
-        norm_users.append(norm)
 
     try:
         scenario = Scenario(dx=dx, dy=dy, dv=dv, users=tuple(users), channels=tuple(channels))
@@ -189,7 +182,6 @@ def parse_scenario_dict(doc: dict, name: str = "scenario") -> ScenarioBundle:
         raise ScenarioFormatError(str(exc)) from exc
 
     outage = None
-    norm_outage = None
     if "outage" in doc:
         outage_doc = _section(doc, "outage")
         if ("epsilon" in outage_doc) == ("epsilons" in outage_doc):
@@ -198,45 +190,25 @@ def parse_scenario_dict(doc: dict, name: str = "scenario") -> ScenarioBundle:
             if "epsilon" in outage_doc:
                 eps = _number(outage_doc["epsilon"], "outage.epsilon")
                 outage = OutageSpec.shared(eps, scenario.n_users)
-                norm_outage = {"epsilon": eps}
             else:
                 eps_list = outage_doc["epsilons"]
                 if not isinstance(eps_list, list) or len(eps_list) != scenario.n_users:
-                    raise ScenarioFormatError(
-                        f"outage.epsilons: expected {scenario.n_users} values"
-                    )
+                    raise ScenarioFormatError(f"outage.epsilons: expected {scenario.n_users} values")
                 values = [_number(v, f"outage.epsilons[{i}]") for i, v in enumerate(eps_list)]
                 outage = OutageSpec(epsilons=tuple(values))
-                norm_outage = {"epsilons": values}
         except ValueError as exc:
             raise ScenarioFormatError(f"outage: {exc}") from exc
 
-    tols = dict(TOLERANCE_DEFAULTS)
+    tols = {}
     for key, value in _section(doc, "tolerances").items():
-        if key not in TOLERANCE_DEFAULTS:
+        if key != "eps_t":
             raise ScenarioFormatError(f"tolerances: unknown field '{key}'")
         tols[key] = _number(value, f"tolerances.{key}")
     try:
         tol = SolverTolerances(**tols)
     except ValueError as exc:
         raise ScenarioFormatError(f"tolerances: {exc}") from exc
-
-    document = {
-        "schema": SCHEMA_VERSION,
-        "region": {"dx": dx, "dy": dy, "dv": dv},
-        "defaults": defaults,
-        "users": norm_users,
-    }
-    if norm_outage is not None:
-        document["outage"] = norm_outage
-    document["tolerances"] = tols
-    return ScenarioBundle(
-        scenario=scenario,
-        outage=outage,
-        tol=tol,
-        document=document,
-        name=name,
-    )
+    return ScenarioBundle(scenario=scenario, outage=outage, tol=tol, name=name)
 
 
 def load_scenario(path) -> ScenarioBundle:
@@ -253,8 +225,3 @@ def load_scenario(path) -> ScenarioBundle:
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     return parse_scenario_dict(doc, name=path.stem)
-
-
-def serialize_scenario(bundle: ScenarioBundle) -> str:
-    """Normalized JSON text; parsing it again yields an identical Scenario."""
-    return json.dumps(bundle.document, indent=2) + "\n"

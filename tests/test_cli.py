@@ -23,6 +23,9 @@ SHARED_DOCS = {
     "three-users": dict(TWO_USERS, users=[{"x": 4.0, "y": 3.0}, {"x": 15.0, "y": -4.0},
                                           {"x": 27.0, "y": 1.0}], outage={"epsilon": 0.05}),
 }
+# The same three users with per-user targets: at another user count of a
+# sweep's m axis every user would take user 0's.
+THREE_TARGETS = dict(SHARED_DOCS["three-users"], outage={"epsilons": [0.05, 0.2, 0.1]})
 
 
 @pytest.fixture
@@ -237,6 +240,44 @@ class TestSweep:
         assert rc == cli.EXIT_INVALID
         err = capsys.readouterr().err
         assert "axis 'epsilon'" in err and "avg-snr" in err
+
+    @pytest.mark.parametrize("doc, metric, field", [
+        (THREE_TARGETS, "outage", "outage.epsilons"),
+        (dict(THREE_TARGETS, users=[{"x": 4.0, "y": 3.0}, {"x": 15.0, "y": -4.0, "noise_dbm": -85.0},
+                                    {"x": 27.0, "y": 1.0}]), "avg-snr", "noise_dbm"),
+        # the first field that differs is named
+        (dict(THREE_TARGETS, users=[{"x": 4.0, "y": 3.0}, {"x": 15.0, "y": -4.0},
+                                    {"x": 27.0, "y": 1.0, "mu_sq_db": -88.0}]), "outage", "mu_sq_db"),
+    ], ids=["targets", "noise", "first-field"])
+    def test_m_axis_on_per_user_fields_is_invalid_input(self, tmp_path, capsys, doc, metric, field):
+        out = tmp_path / "sweep.csv"
+        rc = cli.main(["sweep", _write(tmp_path, doc), "--metric", metric, "--axis", "m=2:5:4",
+                       "--drops", "1", "--out", str(out)])
+        assert rc == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "axis 'm'" in err and f"one {field} for every user" in err
+        assert not out.exists()  # refused before any point is solved
+
+    @pytest.mark.parametrize("doc, metric, axes, points", [
+        (SHARED_DOCS["three-users"], "outage", ["m=2:4:3"], 3),
+        (SHARED_DOCS["one-user"], "outage", ["m=8:8:1"], 1),
+        (THREE_TARGETS, "outage", ["m=3:3:1"], 1),  # the file's own count keeps per-user targets
+        (THREE_TARGETS, "avg-snr", ["m=2:4:3"], 3),  # no target acts
+        (THREE_TARGETS, "outage", ["m=2:4:3", "epsilon=0.1:0.1:1"], 3),  # the axis sets every target
+    ], ids=["shared", "one-user", "file-count", "avg-snr", "epsilon-axis"])
+    def test_m_axis_on_fields_every_user_shares_runs(self, tmp_path, doc, metric, axes, points):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", _write(tmp_path, doc), "--metric", metric, "--drops", "1", "--out", str(out)]
+        assert cli.main(argv + [arg for axis in axes for arg in ("--axis", axis)]) == cli.EXIT_OK
+        assert len(_csv(out)) == points + 1
+
+    def test_file_user_count_keeps_each_users_channel_and_target(self, tmp_path):
+        doc = dict(THREE_TARGETS, users=[{"x": 4.0, "y": 3.0, "mu_sq_db": -88.0},
+                                         {"x": 15.0, "y": -4.0}, {"x": 27.0, "y": 1.0}])
+        bundle = cli.load_scenario(_write(tmp_path, doc))
+        scenario, spec = cli._drop_scenario(bundle, {"m": 3}, (0, 0, 0), True)
+        assert scenario.channels == bundle.scenario.channels
+        assert spec == bundle.outage and spec.epsilons == (0.05, 0.2, 0.1)
 
     @pytest.mark.parametrize("axis", ["beta=nan:nan:1", "dx=10:inf:2", "epsilon=0:0.5:3",
                                       "epsilon=0.1:1:2", "m=0:0:1", "speed=1:2:2"])

@@ -1,5 +1,5 @@
-"""Scenario JSON parsing: round trip through serialize_scenario, and errors
-that name the offending field."""
+"""Scenario JSON parsing: the model built from a document, and errors that
+name the offending field."""
 
 import copy
 import json
@@ -8,14 +8,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pinchopt.model import dbm_to_linear, squared_distance_range
+from pinchopt.model import UserPosition, dbm_to_linear, squared_distance_range
 from pinchopt.scenario_io import (
     DEFAULTS,
     ScenarioFormatError,
     _channel_from,
     load_scenario,
     parse_scenario_dict,
-    serialize_scenario,
 )
 
 BASE = {
@@ -61,13 +60,24 @@ def scenario_docs(draw):
 
 @settings(max_examples=150)
 @given(scenario_docs())
-def test_parse_serialize_parse_round_trip(doc):
-    first = parse_scenario_dict(doc)
-    again = parse_scenario_dict(json.loads(serialize_scenario(first)))
-    assert again.scenario == first.scenario
-    assert again.outage == first.outage
-    assert again.tol == first.tol
-    assert again.document == first.document
+def test_parsed_model_matches_the_document(doc):
+    bundle = parse_scenario_dict(doc)
+    scenario, users = bundle.scenario, doc["users"]
+    assert (scenario.dx, scenario.dy, scenario.dv) == tuple(doc["region"][k] for k in ("dx", "dy", "dv"))
+    assert scenario.users == tuple(UserPosition(user["x"], user["y"]) for user in users)
+    defaults = dict(DEFAULTS, **doc["defaults"])
+    p_linear = dbm_to_linear(defaults["p_dbm"])
+    for user, channel in zip(users, scenario.channels):
+        noise, mu_sq_db = (user.get(key, defaults[key]) for key in ("noise_dbm", "mu_sq_db"))
+        alone = _channel_from(defaults, p_linear / dbm_to_linear(noise), dbm_to_linear(mu_sq_db))
+        assert channel == alone  # each user's own fields over the defaults, field by field
+    outage = doc.get("outage")
+    if outage is None:
+        assert bundle.outage is None
+    else:
+        epsilons = outage.get("epsilons") or [outage["epsilon"]] * len(users)
+        assert bundle.outage.epsilons == tuple(epsilons)
+    assert bundle.tol.eps_t == doc.get("tolerances", {}).get("eps_t", 1e-3)
 
 
 def _edited(path, value):
