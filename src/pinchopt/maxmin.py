@@ -9,15 +9,19 @@ bisection on t with one closed-form inversion per user, then on x toward
 the worst user. Where all users share one channel, the exact optimum
 montecarlo.shared_channel_optimum is an independent cross-check.
 
+Every probe's verdict is a proof: user m's bound is a pair (inner, outer),
+every position within inner meets t and none beyond outer does (here both
+are alpha_m), so a nonempty inner intersection proves t feasible and an
+empty outer one proves it infeasible.
+
 Both bisections run on an active set of users, the ones that can still
 bind. A user that meets the infeasible top of the t-bracket everywhere
 on the current intersection I meets every later probe there, so it is
 dropped: later probes intersect the active users' intervals from I, and
-the x finish evaluates the active users, all users only where their
-value reaches that top. Per-probe and finish work then scale with the
-users that bind, usually two or three, not with M. A solve reports what
-the bisections certify (level, position, bracket, binding users), so no
-user is inverted after the loop.
+the x finish evaluates only the active users. Per-probe and finish work
+then scale with the users that bind, usually two or three, not with M.
+A solve reports what the bisections certify (level, position, bracket,
+binding users), so no user is inverted after the loop.
 """
 
 from __future__ import annotations
@@ -65,9 +69,11 @@ class Solution:
 
     feasible is the final certified interval, always nonempty (the point
     (x_star, x_star) for the shared-channel optimum, baselines and grid
-    searches). meta carries diagnostics such as the outer bracket (bracket_lo/
-    bracket_hi), the binding users (binding: the sorted indices of the one
-    or two worst users around x_star) or grid slack estimates.
+    searches). For outage it is the outer interval at bracket_lo: it holds
+    every position that meets bracket_lo and may exceed that set by the
+    inversion width. meta carries diagnostics such as the outer bracket
+    (bracket_lo/bracket_hi), the binding users (binding: the sorted indices
+    of the one or two worst users around x_star) or grid slack estimates.
     """
 
     t_star: float
@@ -108,28 +114,32 @@ def invert_f(params, t: float, rng: SquaredDistanceRange,
 
 
 def _feasible_set(scenario: Scenario, bound, t: float, users=None,
-                  within: Interval | None = None) -> Interval | None:
-    """Intersection of within (default [0, dx]) and the position intervals
-    at level t of users (default all, in user order).
+                  within: Interval | None = None) -> tuple[Interval | None, bool]:
+    """(outer intersection, whether the inner one is nonempty) of within
+    (default [0, dx]) and the intervals at level t of users (default all).
 
-    bound(m, t) is user m's squared-distance bound, None when no position
-    serves user m. User m's interval is |x - x_m| <= sqrt(bound - C_m).
-    The solver passes its active users and the last nonempty intersection
-    I: the intervals are nested in t, so above I's level the intersection
-    lies inside I, and a user dropped for slack on I cannot shrink it.
-    Returns None as soon as a bound is None or the intersection is empty.
+    bound(m, t) is user m's pair (inner, outer) of squared-distance bounds,
+    None when no position serves user m; a bound b admits |x - x_m| <=
+    sqrt(b - C_m). The solver passes its active users and its last feasible
+    intersection I: the intervals are nested in t, so above I's level the
+    intersection lies inside I, and a user dropped for slack on I cannot
+    shrink it. Returns (None, False) as soon as a bound is None or the
+    outer intersection is empty.
     """
-    lo, hi = within or (0.0, scenario.dx)
+    lo, hi = in_lo, in_hi = within or (0.0, scenario.dx)
     for m in range(scenario.n_users) if users is None else users:
         b = bound(m, t)
         if b is None:
-            return None
-        d = math.sqrt(max(b - scenario.c_const(m), 0.0))
-        x_m = scenario.users[m].x
+            return None, False
+        x_m, c_m = scenario.users[m].x, scenario.c_const(m)
+        d = math.sqrt(max(b[1] - c_m, 0.0))
         lo, hi = max(lo, x_m - d), min(hi, x_m + d)
         if lo > hi:
-            return None
-    return Interval(lo, hi)
+            return None, False
+        if b[0] < b[1]:  # else user m's inner interval is its outer one, inside [lo, hi]
+            d = math.sqrt(max(b[0] - c_m, 0.0))
+            in_lo, in_hi = max(in_lo, x_m - d), min(in_hi, x_m + d)
+    return Interval(lo, hi), max(lo, in_lo) <= min(hi, in_hi)
 
 
 def _distances(scenario: Scenario, x_pin: float, users=None) -> dict[int, float]:
@@ -153,28 +163,23 @@ def _solve_nested(scenario: Scenario, bound, meets, objective, t_hi: float,
                   tol: SolverTolerances) -> Solution:
     """Solver shared by both metrics: bound(m, t) as in _feasible_set,
     meets(m, t, y) whether user m meets level t at squared distance y, the
-    exact objective(ys, t_lo, t_hi, likely) -> (value, worst user) over the
-    users in ys = {m: squared distance}, and a level t_hi that no position
-    meets.
+    exact objective(ys, t_lo, t_hi) -> (value, worst user) over the users
+    in ys = {m: squared distance}, and a level t_hi that no position meets.
 
-    Bisection on t certifies [t_lo, t_hi] to relative width eps_t, or to
-    adjacent doubles when eps_t is below their spacing. It probes only the
-    active users. Once an intersection I is known, after each probe, every
-    active user is tested at t_hi at the end of I farther from x_m, where
-    its value on I is least (every user's value strictly decreases in
-    |x - x_m|). A user that meets t_hi there meets every later probe level
-    on all of I and is dropped, unless every active user does (then t_hi
-    proves nothing and none is dropped). Two rules keep the result that of
-    all users: each probe intersects from I, not [0, dx], so the interval
-    never widens to where a dropped user fails; and the finish evaluates
-    all users wherever the active ones reach t_hi, where a dropped user
-    may bind.
+    Bisection on t certifies [t_lo, t_hi] to relative width eps_t, to
+    adjacent doubles, or until a probe is neither proven feasible nor
+    infeasible. It probes only the active users. After each probe, every
+    active user is tested at t_hi at the end of the last feasible
+    intersection I farther from x_m, where its value on I is least (every
+    user's value strictly decreases in |x - x_m|). A user that meets t_hi
+    there meets every later probe on all of I and is dropped; each probe
+    intersects from I, not [0, dx], so the interval never widens to where
+    a dropped user fails.
 
-    Bisection on x over I then moves each midpoint's far end toward its
-    worst user m. The last such users on each side bind (meta["binding"]).
-    The objective also gets the certified t_lo and t_hi, which bracket its
-    value on I up to the inner tolerance, and the users that bind so far
-    (likely), to start its roots from; it may ignore them.
+    Bisection on x over I, which holds the argmax, then moves each
+    midpoint's far end toward its worst user m. The last such users on
+    each side bind (meta["binding"]). The objective also gets t_lo and
+    t_hi, which bracket its value on I, to start its roots from.
     """
     users, dv = scenario.users, scenario.dv
     active = list(range(scenario.n_users))
@@ -185,41 +190,35 @@ def _solve_nested(scenario: Scenario, bound, meets, objective, t_hi: float,
         if not t_lo < t_mid < t_hi:
             break
         iters += 1
-        found = _feasible_set(scenario, bound, t_mid, active, interval)
+        found, proven = _feasible_set(scenario, bound, t_mid, active, interval)
         if found is None:
             t_hi = t_mid
-        else:
+        elif proven:
             t_lo, interval = t_mid, found
+        else:  # the inversions cannot decide t_mid: the bracket is as tight as they allow
+            break
         if interval is not None:
             # user m's least value on I is at the end farther from x_m
             binds = [m for m in active if not meets(m, t_hi, max(
                 distance_squared(users[m], dv, interval.lo),
                 distance_squared(users[m], dv, interval.hi)))]
-            if binds:  # all meeting t_hi on I: it is no proof here, keep them all
+            if binds:  # a guard against rounding only: some user misses t_hi on I
                 active = binds
     if t_lo <= 0.0:
         raise SolverAnomaly(f"no positive level below {t_hi} is feasible")
-
-    def value_at(x: float) -> tuple[float, int]:
-        likely = {left, right}
-        value, m = objective(_distances(scenario, x, active), t_lo, t_hi, likely)
-        if value >= t_hi:  # dropped users are certified only up to t_hi
-            value, m = objective(_distances(scenario, x), t_lo, t_hi, likely | {m})
-        return value, m
-
     lo, hi = interval
     xtol = 1e-13 * max(abs(lo), abs(hi), 1.0)  # ulp-scale floor
     left = right = None
     while hi - lo > xtol:
         x_mid = 0.5 * (lo + hi)
-        m = value_at(x_mid)[1]
+        m = objective(_distances(scenario, x_mid, active), t_lo, t_hi)[1]
         # a worst user at x_mid itself stops the search there
         if users[m].x >= x_mid:
             lo, left = x_mid, m
         if users[m].x <= x_mid:
             hi, right = x_mid, m
     x_star = 0.5 * (lo + hi)
-    t_star, worst = value_at(x_star)
+    t_star, worst = objective(_distances(scenario, x_star, active), t_lo, t_hi)
     binding = tuple(sorted({left, right} - {None} or {worst}))
     return Solution(
         t_star=t_star,
@@ -244,8 +243,13 @@ def solve_maxmin(scenario: Scenario, tol: SolverTolerances | None = None) -> Sol
     channels = scenario.channels
     ranges = [squared_distance_range(scenario, m) for m in range(scenario.n_users)]
     ends = [(f_scalar(p, r.y_min), f_scalar(p, r.y_max)) for p, r in zip(channels, ranges)]
+
+    def bound(m: int, t: float) -> tuple[float, float] | None:  # exact: inner = outer
+        y = invert_f(channels[m], t, ranges[m], ends[m])
+        return None if y is None else (y, y)
+
     return _solve_nested(
-        scenario, lambda m, t: invert_f(channels[m], t, ranges[m], ends[m]),
+        scenario, bound,
         lambda m, t, y: f_scalar(channels[m], y) >= t,
         lambda ys, *_: _worst_avg_snr(scenario, ys), 2.0 * max(f for f, _ in ends), tol)
 

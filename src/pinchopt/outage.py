@@ -7,21 +7,18 @@ are nested in t, so the largest threshold with a nonempty intersection
 T(t) = ∩ J_m(t) is found by the same outer bisection as the average-SNR
 design, with the inner scalar inversion now running on the CCDF.
 
-The outer bisection and the x finish run on the shared skeleton's
-active set (maxmin._solve_nested): a user whose CCDF meets its target at
-the top of the t-bracket at the far end of the current intersection I is
-dropped. The inversion is conservative, so that top is no proof of
-infeasibility here; a dropped user can still bind where the active
-users reach it, and the finish evaluates every user there.
+Each inversion brackets its root to _INVERSION_REL_TOL * y_min and a
+probe gets both ends, so its verdict is a proof (maxmin._feasible_set);
+a probe the brackets cannot decide, about 1e-9 relative from the
+optimum, ends the bisection. The outer bisection and the x finish run
+on the shared skeleton's active set (maxmin._solve_nested).
 
 The per-position objective is the smallest of the users' threshold
-roots, but only the users that bind need one: the likely worst user is
-visited first (in the finish, the farther of the users that bound its
-bracket so far; else the farthest user), every user is checked once at
-the running minimum and skipped if it meets its target there, and a user
-that misses it gets a root below the running minimum. The result is
-feasible for every user and within _THRESHOLD_REL_TOL (1e-12) relative of
-the min of independent roots, and the user that set it is the worst user.
+roots, but only the users that bind need one: users are visited farthest
+first, each is checked once at the running minimum and gets a root below
+it only if it misses its target there. The result is feasible for every
+user and within _THRESHOLD_REL_TOL (1e-12) relative of the min of
+independent roots, and the user that set it is the worst user.
 
 Every threshold search is capped by a ceiling that is infeasible by
 proof. By Markov's inequality P[snr >= t] <= f(y) / t, with f the average
@@ -149,28 +146,29 @@ def invert_ccdf(params, t: float, epsilon: float, rng,
 
 
 def _outage_bound(scenario: Scenario, epsilons):
-    """Per-user bound U_m(t) of the outage metric (None: target missed everywhere).
+    """Per-user bounds (inner, outer) on U_m(t) of the outage metric (None:
+    target missed everywhere): an inversion that returned y is infeasible
+    from y plus the inversion width on, so the pair is (y, y + width).
 
     U_m is nonincreasing in t, so each user's earlier inversions in this
     solve bracket the next: a y feasible at the nearest probe t' >= t is
     feasible at t, and one infeasible at the nearest probe t' <= t is
-    infeasible at t. A probe that returned y is infeasible from y plus the
-    inversion width on.
+    infeasible at t.
     """
     ranges = [squared_distance_range(scenario, m) for m in range(scenario.n_users)]
     # per user: probed thresholds, ascending, and at each (feasible y, infeasible y),
     # where the range's ends stand in for "none known"
     probes = [([], []) for _ in range(scenario.n_users)]
 
-    def bound(m: int, t: float) -> float | None:
+    def bound(m: int, t: float) -> tuple[float, float] | None:
         (ts, ends), y_min, y_max = probes[m], ranges[m].y_min, ranges[m].y_max
         i, j = bisect_left(ts, t), bisect_right(ts, t)
         bracket = (ends[i][0] if i < len(ts) else y_min, ends[j - 1][1] if j else y_max)
         y = invert_ccdf(scenario.channels[m], t, epsilons[m], ranges[m], bracket)
+        pair = None if y is None else (y, min(y + _INVERSION_REL_TOL * y_min, y_max))
         ts.insert(i, t)
-        ends.insert(i, (y_min, y_min) if y is None
-                    else (y, min(y + _INVERSION_REL_TOL * y_min, y_max)))
-        return y
+        ends.insert(i, pair or (y_min, y_min))
+        return pair
 
     return bound
 
@@ -215,27 +213,27 @@ def _threshold_root(params, y: float, epsilon: float, lo: float = 0.0,
 
 
 def _min_threshold(scenario: Scenario, spec: OutageSpec, ys, t_lo: float = 0.0,
-                   t_hi: float | None = None, likely=()) -> tuple[float, int]:
+                   t_hi: float | None = None) -> tuple[float, int]:
     """(min over the users m in ys of the largest threshold m meets at ys[m],
     the worst m), ys = {m: squared distance}.
 
     [t_lo, t_hi] is a guess at the bracket of the result, such as the
-    solver's certified one; the default is cold, [0, Markov ceiling]. Only
-    binding users get a root. Users in likely are visited first (the finish
-    passes the users that bound its bracket so far, one of which is usually
-    the worst again), each group farthest first (the farthest always binds
-    under shared channels and targets). Each user is checked once at the
-    running minimum cur, which starts at t_hi: meeting its target there, it
-    cannot lower the minimum. Otherwise cur certifies that user infeasible,
-    so its root is started on [t_lo, cur] and becomes the new cur. Without
-    t_hi the first user gets a root on [t_lo, Markov ceiling] instead; when
-    every user meets t_hi, the search reruns above it. The result meets
+    solver's certified one, whose t_hi no position meets; the default is
+    cold, [0, Markov ceiling]. Only binding users get a root. Users are
+    visited farthest first (the farthest always binds under shared channels
+    and targets). Each user is checked once at the running minimum cur,
+    which starts at t_hi: meeting its target there, it cannot lower the
+    minimum. Otherwise cur certifies that user infeasible, so its root is
+    started on [t_lo, cur] and becomes the new cur. Without t_hi the first
+    user gets a root on [t_lo, Markov ceiling] instead. The result meets
     every target and lies within _THRESHOLD_REL_TOL relative of the min of
-    independent roots; the worst user is the last one that lowered cur.
+    independent roots; the worst user is the last one that lowered cur,
+    the farthest if rounding lets every user meet t_hi.
     """
     spec = spec.for_scenario(scenario)
-    cur, worst = t_hi, None
-    for m in sorted(ys, key=lambda m: (m not in likely, -ys[m])):
+    order = sorted(ys, key=lambda m: -ys[m])
+    cur, worst = t_hi, order[0]
+    for m in order:
         params, epsilon = scenario.channels[m], spec.epsilons[m]
         if cur is None:
             cur, worst = _threshold_root(params, ys[m], epsilon, t_lo), m
@@ -243,8 +241,6 @@ def _min_threshold(scenario: Scenario, spec: OutageSpec, ys, t_lo: float = 0.0,
         g_cur = ccdf_inst_snr(params, ys[m], cur) - (1.0 - epsilon)
         if g_cur < 0.0:
             cur, worst = _threshold_root(params, ys[m], epsilon, min(t_lo, cur), cur, g_cur), m
-    if worst is None:  # every user meets t_hi
-        return _min_threshold(scenario, spec, ys, t_hi, None, likely)
     return cur, worst
 
 
@@ -276,7 +272,7 @@ def solve_outage(
     return _solve_nested(
         scenario, _outage_bound(scenario, epsilons),
         lambda m, t, y: ccdf_inst_snr(channels[m], y, t) >= 1.0 - epsilons[m],
-        lambda ys, t_lo, t_hi, likely: _min_threshold(scenario, spec, ys, t_lo, t_hi, likely),
+        lambda ys, t_lo, t_hi: _min_threshold(scenario, spec, ys, t_lo, t_hi),
         t_hi, tol,
     )
 

@@ -186,16 +186,15 @@ def parse_scenario_dict(doc: dict, name: str = "scenario") -> ScenarioBundle:
         outage_doc = _section(doc, "outage")
         if ("epsilon" in outage_doc) == ("epsilons" in outage_doc):
             raise ScenarioFormatError("outage: give exactly one of 'epsilon' or 'epsilons'")
+        if "epsilon" in outage_doc:
+            values = [_number(outage_doc["epsilon"], "outage.epsilon")] * scenario.n_users
+        else:
+            eps_list = outage_doc["epsilons"]
+            if not isinstance(eps_list, list) or len(eps_list) != scenario.n_users:
+                raise ScenarioFormatError(f"outage.epsilons: expected {scenario.n_users} values")
+            values = [_number(v, f"outage.epsilons[{i}]") for i, v in enumerate(eps_list)]
         try:
-            if "epsilon" in outage_doc:
-                eps = _number(outage_doc["epsilon"], "outage.epsilon")
-                outage = OutageSpec.shared(eps, scenario.n_users)
-            else:
-                eps_list = outage_doc["epsilons"]
-                if not isinstance(eps_list, list) or len(eps_list) != scenario.n_users:
-                    raise ScenarioFormatError(f"outage.epsilons: expected {scenario.n_users} values")
-                values = [_number(v, f"outage.epsilons[{i}]") for i, v in enumerate(eps_list)]
-                outage = OutageSpec(epsilons=tuple(values))
+            outage = OutageSpec(epsilons=tuple(values))
         except ValueError as exc:
             raise ScenarioFormatError(f"outage: {exc}") from exc
 

@@ -30,21 +30,30 @@ TOL = SolverTolerances()
 
 
 def _feasibility(sc, t):
-    """The solver's intersection of all users' intervals at level t, None if empty."""
+    """The solver's intersection of all users' intervals at level t, None if empty.
+    The closed-form bounds are exact, so a nonempty intersection is proven."""
     def bound(m, level):
-        return invert_f(sc.channels[m], level, squared_distance_range(sc, m))
+        y = invert_f(sc.channels[m], level, squared_distance_range(sc, m))
+        return None if y is None else (y, y)
 
-    return _feasible_set(sc, bound, t)
+    interval, proven = _feasible_set(sc, bound, t)
+    assert proven == (interval is not None)
+    return interval
 
 
 class TestFeasibleSet:
     """The scan on hand-built bounds: users at y = 0 have C_m = dv^2 = 100, so
-    bound 100 + d^2 admits |x - x_m| <= d."""
+    bound 100 + d^2 admits |x - x_m| <= d. It returns the outer intersection
+    and whether the inner one is nonempty."""
 
     @staticmethod
     def _scan(xs, ds, calls=None):
+        """ds[m]: None (no position serves user m), one half-width for both
+        bounds, or the pair (inner, outer) of half-widths."""
         sc = make_scenario([(x, 0.0) for x in xs], dx=30.0)
-        bounds = [None if d is None else 100.0 + d * d for d in ds]
+        bounds = [None if d is None else tuple(100.0 + h * h for h in
+                                               (d if isinstance(d, tuple) else (d, d)))
+                  for d in ds]
 
         def bound(m, t):
             if calls is not None:
@@ -54,25 +63,31 @@ class TestFeasibleSet:
         return _feasible_set(sc, bound, 1.0)
 
     def test_touching_intervals_stay_nonempty(self):
-        assert self._scan([5.0, 11.0], [3.0, 3.0]) == Interval(8.0, 8.0)
+        assert self._scan([5.0, 11.0], [3.0, 3.0]) == (Interval(8.0, 8.0), True)
 
     def test_disjoint_intervals_give_none(self):
         calls = []
-        assert self._scan([5.0, 12.0, 20.0], [3.0, 3.0, 3.0], calls) is None
+        assert self._scan([5.0, 12.0, 20.0], [3.0, 3.0, 3.0], calls) == (None, False)
         assert calls == [0, 1]
 
     def test_none_bound_gives_none(self):
         calls = []
-        assert self._scan([5.0, 6.0, 7.0], [3.0, None, 3.0], calls) is None
+        assert self._scan([5.0, 6.0, 7.0], [3.0, None, 3.0], calls) == (None, False)
         assert calls == [0, 1]
 
     def test_clipped_at_zero_and_dx(self):
-        assert self._scan([2.0], [5.0]) == Interval(0.0, 7.0)
-        assert self._scan([28.0], [5.0]) == Interval(23.0, 30.0)
-        assert self._scan([15.0], [40.0]) == Interval(0.0, 30.0)
+        assert self._scan([2.0], [5.0]) == (Interval(0.0, 7.0), True)
+        assert self._scan([28.0], [5.0]) == (Interval(23.0, 30.0), True)
+        assert self._scan([15.0], [40.0]) == (Interval(0.0, 30.0), True)
 
     def test_intersection_of_three_users(self):
-        assert self._scan([5.0, 7.0, 6.0], [4.0, 3.0, 5.0]) == Interval(4.0, 9.0)
+        assert self._scan([5.0, 7.0, 6.0], [4.0, 3.0, 5.0]) == (Interval(4.0, 9.0), True)
+
+    def test_empty_inner_intersection_proves_nothing(self):
+        # inner intervals [2.5, 7.5] and [8.5, 13.5] are disjoint, outer ones overlap
+        assert self._scan([5.0, 11.0], [(2.5, 3.5), (2.5, 3.5)]) == (Interval(7.5, 8.5), False)
+        # inner intervals [2.5, 7.5] and [7.5, 14.5] touch: proven
+        assert self._scan([5.0, 11.0], [(2.5, 3.5), (3.5, 4.5)]) == (Interval(6.5, 8.5), True)
 
 
 class TestSolverTolerances:

@@ -7,11 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from pinchopt import (
     OutageSpec,
+    Scenario,
     SolverTolerances,
+    UserPosition,
     ccdf_inst_snr,
     fixed_antenna_outage_baseline,
     invert_ccdf,
     max_threshold_at,
+    shared_channel_optimum,
     solve_outage,
     squared_distance_range,
 )
@@ -25,8 +28,8 @@ TOL = SolverTolerances()
 
 
 def _feasibility(sc, spec, t):
-    """T(t) as the solver builds it: the intersection of the users' outage
-    intervals, None if empty."""
+    """T(t) as the solver builds it: (the intersection of the users' outer
+    outage intervals, None if empty; whether the inner one is nonempty)."""
     return _feasible_set(sc, outage._outage_bound(sc, spec.epsilons), t)
 
 
@@ -121,17 +124,17 @@ class TestUserIntervalOutage:
         sc = make_scenario([(10.0, 5.0)])
         params = sc.channels[0]
         t = 4.0 * params.rho * params.eta / squared_distance_range(sc, 0).y_min
-        assert _feasibility(sc, OutageSpec.shared(0.1, 1), t) is None
+        assert _feasibility(sc, OutageSpec.shared(0.1, 1), t) == (None, False)
 
     def test_unbinding_constraint_full_region(self):
         sc = make_scenario([(10.0, 5.0)], dx=30.0)
-        assert _feasibility(sc, OutageSpec.shared(0.5, 1), 1e-6) == (0.0, 30.0)
+        assert _feasibility(sc, OutageSpec.shared(0.5, 1), 1e-6) == ((0.0, 30.0), True)
 
     def test_mid_range_centered_at_user(self):
         sc = make_scenario([(10.0, 5.0)], dx=30.0)
         t = max_threshold_at(sc, OutageSpec.shared(0.1, 1), 4.0)
-        iv = _feasibility(sc, OutageSpec.shared(0.1, 1), t)
-        assert iv is not None
+        iv, proven = _feasibility(sc, OutageSpec.shared(0.1, 1), t)
+        assert iv is not None and proven
         assert iv.lo <= 10.0 <= iv.hi
         assert 0.5 * (iv.lo + iv.hi) == pytest.approx(10.0, abs=1e-6) or iv.lo == 0.0
 
@@ -144,11 +147,11 @@ class TestFeasibilityOutage:
             spec = OutageSpec.shared(0.1, 2)
             cap = max_threshold_at(sc, spec, 0.5 * sc.dx)
             t1, t2 = sorted(rng.uniform(0.0, 3.0 * cap, 2))
-            outer = _feasibility(sc, spec, float(t1))
-            inner = _feasibility(sc, spec, float(t2))
-            if inner is not None:
-                assert outer is not None
-                assert outer.lo <= inner.lo + 1e-9 and inner.hi <= outer.hi + 1e-9
+            low = _feasibility(sc, spec, float(t1))[0]
+            high = _feasibility(sc, spec, float(t2))[0]
+            if high is not None:
+                assert low is not None
+                assert low.lo <= high.lo + 1e-9 and high.hi <= low.hi + 1e-9
 
 
 class TestSolveOutage:
@@ -174,8 +177,8 @@ class TestSolveOutage:
             sc = random_scenario(rng, 2)
             spec = OutageSpec.shared(0.1, 2)
             sol = solve_outage(sc, spec)
-            assert _feasibility(sc, spec, sol.meta["bracket_lo"]) is not None
-            assert _feasibility(sc, spec, sol.t_star * (1.0 + 3.0 * TOL.eps_t)) is None
+            assert _feasibility(sc, spec, sol.meta["bracket_lo"])[1]
+            assert _feasibility(sc, spec, sol.t_star * (1.0 + 3.0 * TOL.eps_t)) == (None, False)
 
     def test_reported_level_is_achieved(self):
         rng = np.random.Generator(np.random.Philox(16))
@@ -197,11 +200,16 @@ class TestSolveOutage:
                 cap = max_threshold_at(sc, spec, sol.x_star)
                 assert cap * (1.0 - 2e-12) <= sol.t_star <= cap * (1.0 + 2e-12)
 
-    def test_outer_bisection_ends_on_adjacent_doubles(self):
-        # no two doubles near t* lie 1e-20 t* apart: the bracket ends on adjacent ones
+    def test_tiny_eps_t_stops_at_a_certified_bracket(self):
+        # no two doubles near t* lie 1e-20 t* apart: the bisection stops at the first
+        # probe the inversions cannot decide, on a bracket that still holds the optimum
         sc = make_scenario([(6.0, 2.0), (21.0, -3.0)])
-        sol = solve_outage(sc, OutageSpec.shared(0.1, 2), SolverTolerances(eps_t=1e-20))
-        assert sol.meta["bracket_hi"] == math.nextafter(sol.meta["bracket_lo"], math.inf)
+        spec = OutageSpec.shared(0.1, 2)
+        sol = solve_outage(sc, spec, SolverTolerances(eps_t=1e-20))
+        t_opt = shared_channel_optimum(sc, spec).t_star
+        lo, hi = sol.meta["bracket_lo"], sol.meta["bracket_hi"]
+        assert lo <= t_opt * (1.0 + 2e-12) and t_opt <= hi
+        assert hi - lo <= 1e-8 * lo
         assert sol.outer_iterations < 200
 
     def test_region_length_changes_nothing(self):
@@ -217,6 +225,42 @@ class TestSolveOutage:
                   for eps in (0.02, 0.06, 0.1, 0.5)]
         assert values == sorted(values)
         assert values[0] < values[-1]
+
+
+class TestCertifiedBracket:
+    """Every probe verdict is a proof: on shared channels the exact optimum lies in
+    the certified bracket at every eps_t, and t_star reaches it."""
+
+    @pytest.mark.parametrize("eps_t", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_bracket_holds_the_shared_channel_optimum(self, eps_t):
+        rng = np.random.Generator(np.random.Philox(12))
+        for n_users in (2, 3, 8, 32) * 50:
+            sc = random_scenario(rng, n_users, beta=float(rng.uniform(0.0, 3e-2)))
+            spec = OutageSpec.shared(0.1, n_users)
+            # a feasible-end root, within 1e-12 below the optimum
+            t_opt = shared_channel_optimum(sc, spec).t_star
+            sol = solve_outage(sc, spec, SolverTolerances(eps_t=eps_t))
+            lo, hi = sol.meta["bracket_lo"], sol.meta["bracket_hi"]
+            assert lo <= t_opt * (1.0 + 2e-12) and t_opt <= hi
+            assert sol.t_star >= lo and sol.t_star >= t_opt * (1.0 - 2e-12)
+
+    @pytest.mark.parametrize("eps_t", [1e-9, 1e-12])
+    def test_argmax_just_outside_the_inner_intersection(self, eps_t):
+        # per-user channels where the inner intersection at t_lo ends just short of
+        # the argmax: a finish confined to it ended there with one binding user
+        users = (UserPosition(25.4556, 2.4878), UserPosition(7.1030, 0.0560))
+        channels = (make_params(beta=8.594e-3, mu_sq=1.215e-9, eta=0.981 * ETA_28GHZ),
+                    make_params(beta=4.682e-3, mu_sq=1.591e-9, eta=0.581 * ETA_28GHZ))
+        sc = Scenario(dx=30.0, dy=10.0, dv=10.0, users=users, channels=channels)
+        spec = OutageSpec(epsilons=(0.222, 0.115))
+        sol = solve_outage(sc, spec, SolverTolerances(eps_t=eps_t))
+        assert sol.meta["bracket_lo"] <= sol.t_star <= sol.meta["bracket_hi"]
+        assert sol.meta["binding"] == (0, 1)
+        # no grid point beats t_star by more than 1e-12: some user misses that level there
+        level = sol.t_star * (1.0 + 1e-12)
+        for x in np.linspace(sol.x_star - 1e-6, sol.x_star + 1e-6, 2001):
+            assert any(ccdf_inst_snr(sc.channels[m], (u.x - x) ** 2 + sc.c_const(m), level)
+                       < 1.0 - spec.epsilons[m] for m, u in enumerate(users))
 
 
 class TestWorstUserFinish:

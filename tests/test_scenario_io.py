@@ -144,11 +144,17 @@ def _edited(path, value):
     *[(_edited((section,), value), f"{section}: expected an object")
       for section in ("defaults", "tolerances") for value in ([], 0, "", False, None)],
     (_edited(("outage",), None), "outage: expected an object"),
+    # outage numbers, listed last so the earlier cases keep their ids
+    (_edited(("outage",), {"epsilon": "0.1"}), "outage.epsilon: expected a number"),
+    (_edited(("outage", "epsilons"), [0.1, "a"]), "outage.epsilons[1]: expected a number"),
 ])
 def test_format_errors_name_the_field(doc, field):
     with pytest.raises(ScenarioFormatError) as info:
         parse_scenario_dict(doc)
-    assert field in str(info.value)
+    message = str(info.value)
+    assert field in message
+    section = message.split(":")[0]
+    assert not message[len(section) + 1:].lstrip().startswith(section)  # named once
 
 
 def test_users_with_the_same_channel_fields_share_one_channel():
