@@ -2,11 +2,11 @@
 
 Two inner loops dominate the package's runtime and live here: the
 Monte-Carlo channel-power map (millions of samples per estimate), which
-is one vectorized numpy expression, and the Marcum-Q evaluation (tens of
-millions of calls inside the solvers and grid oracles), which is one
-scalar kernel. marcum_q1_batch maps that kernel over array lanes, so a
-lane and a scalar call agree bit for bit. Results are deterministic for
-a given Python and numpy build.
+runs in place over the caller's draw arrays, and the Marcum-Q
+evaluation (tens of millions of calls inside the solvers and grid
+oracles), which is one scalar kernel. marcum_q1_batch maps that kernel
+over array lanes, so a lane and a scalar call agree bit for bit. Results
+are deterministic for a given Python and numpy build.
 
 Marcum-Q evaluation strategy: the Poisson-mixture series runs in linear
 space while a*b <= 500 and both exp(-a^2/2), exp(-b^2/2) stay
@@ -132,11 +132,24 @@ def snr_samples(u, z_re, z_im, p_los, los_amp, nlos_scale, cos_ph, sin_ph, rho):
 
     gamma = 1{u < p_los} gates a deterministic LoS phasor of magnitude
     los_amp and phase -phi; the NLoS term is nlos_scale*(z_re + j z_im).
+    Works in place: it overwrites u, z_re and z_im and returns z_re, so a
+    batch allocates only the LoS mask. Every lane equals rho*(re*re + im*im)
+    on fresh arrays bit for bit: the products are the same, the sums only
+    commuted, and a blocked lane's LoS term can differ only in the sign of
+    a zero, which is squared away.
     """
-    gated = np.where(u < p_los, los_amp, 0.0)
-    re = gated * cos_ph + nlos_scale * z_re
-    im = nlos_scale * z_im - gated * sin_ph
-    return rho * (re * re + im * im)
+    los = u < p_los
+    np.multiply(los, los_amp * cos_ph, out=u)
+    z_re *= nlos_scale
+    z_re += u
+    np.multiply(los, los_amp * sin_ph, out=u)
+    z_im *= nlos_scale
+    z_im -= u
+    z_re *= z_re
+    z_im *= z_im
+    z_re += z_im
+    z_re *= rho
+    return z_re
 
 
 def marcum_q1_batch(a, b):

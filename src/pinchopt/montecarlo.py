@@ -19,6 +19,7 @@ exact one for both metrics at any number of users.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,10 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.seed < 0:
@@ -101,7 +106,8 @@ def estimate_avg_snr(params: ChannelParams, r_sq: float, cfg: McConfig,
     for index, n in _batches(cfg):
         values = _draw_snr(params, r_sq, _batch_rng(cfg.seed, index), n, x_pin, params.rho)
         sums.append(np.sum(values))
-        sq_sums.append(np.sum(values * values))
+        values *= values
+        sq_sums.append(np.sum(values))
     total = float(np.sum(np.asarray(sums)))
     total_sq = float(np.sum(np.asarray(sq_sums)))
     n = cfg.samples
@@ -125,6 +131,9 @@ def estimate_ccdf_curve(params: ChannelParams, r_sq: float, thresholds, cfg: McC
     """Empirical P[rho*|h|^2 >= t] with a binomial standard error, for each t in
     thresholds, all counted on one set of draws."""
     thresholds = np.asarray(thresholds, dtype=float)
+    bad = thresholds[~(thresholds >= 0.0)]
+    if bad.size:
+        raise ValueError(f"thresholds must be nonnegative, got {bad[0]}")
     hits = np.zeros(thresholds.size, dtype=np.int64)
     for index, n in _batches(cfg):
         values = _draw_snr(params, r_sq, _batch_rng(cfg.seed, index), n, x_pin, params.rho)

@@ -32,7 +32,7 @@ def marcum_q1(a: float, b: float) -> float:
     increasing in a, strictly decreasing in b. Q1(a, 0) = 1 and
     Q1(0, b) = exp(-b^2/2) exactly.
     """
-    if a < 0.0 or b < 0.0:
+    if not (a >= 0.0 and b >= 0.0):
         raise ValueError(f"marcum_q1 needs a, b >= 0, got a={a}, b={b}")
     return kernels.marcum_q1_scalar(a, b)
 
@@ -50,7 +50,7 @@ def ccdf_inst_snr(params: ChannelParams, r_sq: float, t: float) -> float:
     exp(-t r^2 / (rho mu^2)). Clamped to [0, 1] to absorb the 1-ulp
     series residue.
     """
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"threshold must be nonnegative, got {t}")
     if not r_sq > 0.0:
         raise ValueError(f"squared distance must be positive, got {r_sq}")

@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's own series code: the Marcum-Q
 oracle integrates the defining integral with adaptive quadrature (scipy),
-Bessel references come from a raw power series / mpmath, and the pure-NLoS
-outage bound has a logarithmic closed form.
+Bessel references come from a raw power series / mpmath, the pure-NLoS
+outage bound has a logarithmic closed form, and the Monte-Carlo SNR map
+has an out-of-place twin that leaves its draws untouched.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 
 import mpmath
+import numpy as np
 from scipy import integrate, special
 
 
@@ -73,3 +75,11 @@ def avg_snr_inverse(params, t: float) -> float:
         return a + c
     x = params.beta * c * math.exp(-params.beta * a)
     return a + float(special.lambertw(x).real) / params.beta
+
+
+def snr_samples_reference(u, z_re, z_im, p_los, los_amp, nlos_scale, cos_ph, sin_ph, rho):
+    """rho*|h|^2 as one out-of-place numpy expression, a fresh array per step."""
+    gated = np.where(u < p_los, los_amp, 0.0)
+    re = gated * cos_ph + nlos_scale * z_re
+    im = nlos_scale * z_im - gated * sin_ph
+    return rho * (re * re + im * im)

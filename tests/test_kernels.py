@@ -1,4 +1,5 @@
-"""Kernel checks: the Monte-Carlo SNR map, and batch against scalar Marcum Q1."""
+"""Kernel checks: the Monte-Carlo SNR map against its out-of-place twin, and batch
+against scalar Marcum Q1."""
 
 import math
 
@@ -7,23 +8,47 @@ import pytest
 
 from pinchopt import kernels
 
+from oracles import snr_samples_reference
+
 
 def _draws(n=5000, seed=3):
     rng = np.random.Generator(np.random.Philox(seed))
     return rng.random(n), rng.standard_normal(n), rng.standard_normal(n)
 
 
-class TestSnrSamplesBackends:
+class TestSnrSamples:
     def test_no_los_reduces_to_nlos_power(self):
         u, z_re, z_im = _draws()
-        out = kernels.snr_samples(u, z_re, z_im, 0.0, 5e-4, 1e-5, 1.0, 0.0, 1.0)
         expected = (1e-5 * z_re) ** 2 + (1e-5 * z_im) ** 2
+        out = kernels.snr_samples(u, z_re, z_im, 0.0, 5e-4, 1e-5, 1.0, 0.0, 1.0)
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
     def test_certain_los_no_fading(self):
         u, z_re, z_im = _draws()
         out = kernels.snr_samples(u, z_re, np.zeros_like(z_im), 1.0, 5e-4, 0.0, 0.6, 0.8, 1.0)
         np.testing.assert_allclose(out, np.full_like(u, (5e-4) ** 2), rtol=1e-12)
+
+    def test_returns_z_re_in_place(self):
+        u, z_re, z_im = _draws()
+        assert kernels.snr_samples(u, z_re, z_im, 0.5, 5e-4, 1e-5, 0.6, 0.8, 1.0) is z_re
+
+    @pytest.mark.parametrize("phase", [0.3, 2.0, 4.0, 5.5], ids=["++", "-+", "--", "+-"])
+    @pytest.mark.parametrize("p_los, los_amp, nlos_scale, rho", [
+        (0.0, 5e-4, 1e-5, 1.0),
+        (0.5, 5e-4, 1e-5, 1e13),
+        (1.0, 5e-4, 1e-5, 3.7),
+        (0.5, 0.0, 1e-5, 1e13),
+        (0.5, 5e-4, 0.0, 1e13),
+    ], ids=["no-los", "half", "all-los", "los-amp-0", "nlos-scale-0"])
+    def test_matches_out_of_place_reference_bit_for_bit(self, phase, p_los, los_amp,
+                                                         nlos_scale, rho):
+        u, z_re, z_im = _draws()
+        u[:50] = p_los  # the gate's edge: u == p_los is blocked
+        z_re[50:60], z_im[60:70] = 0.0, -0.0  # signed zeros meet a zero LoS term
+        args = (p_los, los_amp, nlos_scale, math.cos(phase), math.sin(phase), rho)
+        expected = snr_samples_reference(u.copy(), z_re.copy(), z_im.copy(), *args)
+        out = kernels.snr_samples(u, z_re, z_im, *args)
+        assert np.array_equal(out.view(np.int64), expected.view(np.int64))
 
 
 def _random_args(seed, n=400, hi=20.0):

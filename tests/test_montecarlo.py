@@ -26,6 +26,7 @@ from pinchopt.model import snr_variance
 from pinchopt.montecarlo import _draw_snr, outage_grid_ceiling
 
 from conftest import heterogeneous_drop, make_params, make_scenario, random_scenario
+from oracles import snr_samples_reference
 
 CFG = McConfig(samples=200_000, seed=42)
 
@@ -39,12 +40,40 @@ def _estimate_ccdf(params, r_sq, t, cfg):
     return estimate_ccdf_curve(params, r_sq, [t], cfg)[0]
 
 
+# three batches, the last one ragged
+RAGGED_BATCH, RAGGED_SIZES = 4000, (4000, 4000, 2001)
+
+
+def _reference_batches(params, r_sq, seed, x_pin):
+    """The sampler's draws per batch, mapped by the out-of-place reference."""
+    consts = montecarlo._channel_constants(params, r_sq, x_pin)
+    for index, n in enumerate(RAGGED_SIZES):
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+        rng = np.random.Generator(np.random.Philox(seq))
+        u = rng.random(n)
+        z_re = rng.standard_normal(n)
+        z_im = rng.standard_normal(n)
+        yield snr_samples_reference(u, z_re, z_im, *consts, params.rho)
+
+
 class TestMcConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             McConfig(samples=0)
         with pytest.raises(ValueError, match="seed"):
             McConfig(seed=-1)
+
+    @pytest.mark.parametrize("field, value", [("samples", True), ("samples", 1e5),
+                                              ("samples", np.float64(10.0)), ("seed", False),
+                                              ("seed", 1.5), ("seed", "3")])
+    def test_rejects_bool_and_non_integral(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            McConfig(**{field: value})
+
+    def test_accepts_python_and_numpy_ints(self):
+        cfg = McConfig(samples=np.int64(10), seed=np.uint32(3))
+        assert estimate_avg_snr(make_params(), 150.0, cfg) == \
+            estimate_avg_snr(make_params(), 150.0, McConfig(samples=10, seed=3))
 
 
 class TestSampleChannelPower:
@@ -104,6 +133,19 @@ class TestEstimateAvgSnr:
         b = estimate_avg_snr(params, 150.0, CFG)
         assert a == b
 
+    def test_matches_out_of_place_reference_bit_for_bit(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_BATCH", RAGGED_BATCH)
+        params = make_params(beta=0.004)
+        sums, sq_sums = [], []
+        for values in _reference_batches(params, 150.0, 9, 7.3):
+            sums.append(np.sum(values))
+            sq_sums.append(np.sum(values * values))
+        n = sum(RAGGED_SIZES)
+        mean = float(np.sum(np.asarray(sums))) / n
+        var = max(float(np.sum(np.asarray(sq_sums))) - n * mean * mean, 0.0) / (n - 1)
+        est = estimate_avg_snr(params, 150.0, McConfig(samples=n, seed=9), x_pin=7.3)
+        assert (est.mean, est.std_error) == (mean, math.sqrt(var / n))
+
     def test_batch_split_changes_nothing_statistical(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_BATCH", 10_000)
         params = make_params()
@@ -126,6 +168,24 @@ class TestEstimateAvgSnr:
 
 
 class TestEstimateCcdf:
+    def test_hits_match_out_of_place_reference(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_BATCH", RAGGED_BATCH)
+        params = make_params(beta=0.004)
+        batches = list(_reference_batches(params, 150.0, 9, 7.3))
+        draws = np.concatenate(batches)
+        # quantiles, and sample values themselves, which count as hits (>= t)
+        ts = np.concatenate([np.quantile(draws, np.linspace(0.0, 1.0, 21)), draws[:5], [0.0]])
+        hits = sum(v.size - np.searchsorted(np.sort(v), ts, side="left") for v in batches)
+        n = sum(RAGGED_SIZES)
+        curve = estimate_ccdf_curve(params, 150.0, ts, McConfig(samples=n, seed=9), x_pin=7.3)
+        assert [est.mean for est in curve] == [int(k) / n for k in hits]
+        assert np.count_nonzero((0 < hits) & (hits < n)) >= 20  # the counts are not trivial
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -1e-300])
+    def test_rejects_nan_or_negative_threshold(self, bad):
+        with pytest.raises(ValueError, match="thresholds must be nonnegative"):
+            estimate_ccdf_curve(make_params(), 150.0, [1.0, bad], McConfig(samples=10))
+
     def test_zero_threshold_exact_one(self):
         est = _estimate_ccdf(make_params(), 150.0, 0.0, McConfig(samples=50_000, seed=7))
         assert est.mean == 1.0

@@ -101,6 +101,12 @@ class TestMarcumQ1:
         with pytest.raises(ValueError):
             marcum_q1(1.0, -0.1)
 
+    def test_rejects_nan_arguments(self):
+        with pytest.raises(ValueError, match="a, b >= 0, got a=nan"):
+            marcum_q1(math.nan, 1.0)
+        with pytest.raises(ValueError, match="b=nan"):
+            marcum_q1(1.0, math.nan)
+
     def test_marcum_args_from_channel(self):
         params = make_params()
         a, b = _marcum_ab(params, 150.0, 5e3)
@@ -153,6 +159,10 @@ class TestCcdfInstSnr:
     def test_rejects_negative_threshold(self):
         with pytest.raises(ValueError):
             ccdf_inst_snr(make_params(), 150.0, -1.0)
+
+    def test_rejects_nan_threshold(self):
+        with pytest.raises(ValueError, match="threshold must be nonnegative, got nan"):
+            ccdf_inst_snr(make_params(), 150.0, math.nan)
 
     def test_batch_matches_scalar(self):
         params = make_params()
