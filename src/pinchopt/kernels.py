@@ -2,11 +2,12 @@
 
 Two inner loops dominate the package's runtime and live here: the
 Monte-Carlo channel-power map (millions of samples per estimate), which
-runs in place over the caller's draw arrays, and the Marcum-Q
-evaluation (tens of millions of calls inside the solvers and grid
-oracles), which is one scalar kernel. marcum_q1_batch maps that kernel
-over array lanes, so a lane and a scalar call agree bit for bit. Results
-are deterministic for a given Python and numpy build.
+runs in place over the caller's draws (two normals per LoS lane, one
+exponential per blocked lane), and the Marcum-Q evaluation (tens of
+millions of calls inside the solvers and grid oracles), which is one
+scalar kernel. marcum_q1_batch maps that kernel over array lanes, so a
+lane and a scalar call agree bit for bit. Results are deterministic for
+a given Python and numpy build.
 
 Marcum-Q evaluation strategy: the Poisson-mixture series runs in linear
 space while a*b <= 500 and both exp(-a^2/2), exp(-b^2/2) stay
@@ -127,29 +128,29 @@ def marcum_q1_scalar(a: float, b: float) -> float:
     return _marcum_bessel(a, b)
 
 
-def snr_samples(u, z_re, z_im, p_los, los_amp, nlos_scale, cos_ph, sin_ph, rho):
-    """Instantaneous SNR rho*|h|^2 from pre-drawn uniforms and normals.
+def snr_samples(values, z_im, los_amp, nlos_scale, cos_ph, sin_ph, rho):
+    """Instantaneous SNR rho*|h|^2, in place, from pre-drawn LoS and blocked lanes.
 
-    gamma = 1{u < p_los} gates a deterministic LoS phasor of magnitude
-    los_amp and phase -phi; the NLoS term is nlos_scale*(z_re + j z_im).
-    Works in place: it overwrites u, z_re and z_im and returns z_re, so a
-    batch allocates only the LoS mask. Every lane equals rho*(re*re + im*im)
-    on fresh arrays bit for bit: the products are the same, the sums only
-    commuted, and a blocked lane's LoS term can differ only in the sign of
-    a zero, which is squared away.
+    With k = len(z_im), values[:k] holds standard normals z_re and z_im the
+    matching imaginary ones: these LoS lanes carry the deterministic phasor
+    of magnitude los_amp and phase -phi plus the NLoS term
+    nlos_scale*(z_re + j z_im). values[k:] holds standard exponentials:
+    a blocked lane is |nlos_scale*(z_re + j z_im)|^2, which is exponential
+    with mean 2*nlos_scale^2. Overwrites values and z_im and returns values.
+    A LoS lane equals rho*(re*re + im*im) on fresh arrays bit for bit: the
+    products are the same and the sums only commuted.
     """
-    los = u < p_los
-    np.multiply(los, los_amp * cos_ph, out=u)
-    z_re *= nlos_scale
-    z_re += u
-    np.multiply(los, los_amp * sin_ph, out=u)
+    los = values[:z_im.size]
+    los *= nlos_scale
+    los += los_amp * cos_ph
     z_im *= nlos_scale
-    z_im -= u
-    z_re *= z_re
+    z_im -= los_amp * sin_ph
+    los *= los
     z_im *= z_im
-    z_re += z_im
-    z_re *= rho
-    return z_re
+    los += z_im
+    values[z_im.size:] *= 2.0 * nlos_scale * nlos_scale
+    values *= rho
+    return values
 
 
 def marcum_q1_batch(a, b):

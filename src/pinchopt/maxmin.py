@@ -89,8 +89,10 @@ def invert_f(params, t: float, rng: SquaredDistanceRange,
 
     f(y) = t reads t y - rho mu_sq = rho eta e^{-beta y}. With a = rho mu_sq / t
     and c = rho eta / t the root is a + W0(beta c e^{-beta a}) / beta, that is
-    a + c e^{-beta a - W0}, and a + c at beta = 0. A Newton step and a walk of a
-    few ulps follow, so intervals never overstate feasibility. None marks t above
+    a + c e^{-beta a - W0}, and a + c at beta = 0. A Newton step and a search
+    over ulps follow, so intervals never overstate feasibility; the search
+    costs O(log ulps) calls of f even where f is flat over millions of ulps
+    (subnormal levels). None marks t above
     f(y_min) (no position reaches t); t = f(y_min) gives y_min, and t <= f(y_max)
     gives y_max (every position meets t). f_ends is (f(y_min), f(y_max)) when
     the caller has it, as a solve does once per user.
@@ -106,11 +108,24 @@ def invert_f(params, t: float, rng: SquaredDistanceRange,
     y = a + math.exp(log_c - beta * a - w)
     p = rho_eta * math.exp(-beta * y)
     y = min(max(y - (t * y - p - rho_mu) / (t + beta * p), rng.y_min), rng.y_max)
-    while f_scalar(params, y) < t:  # stops by y_min, where f > t
-        y = math.nextafter(y, 0.0)
-    while f_scalar(params, up := math.nextafter(y, math.inf)) >= t:  # and below y_max
-        y = up
-    return y
+    # f(y_min) > t > f(y_max): gallop 1, 2, 4, ... ulps from y to a bracket
+    # [lo, hi] with f(lo) >= t > f(hi), then bisect it to adjacent doubles
+    step = math.ulp(y)
+    if f_scalar(params, y) >= t:
+        lo = y
+        while (hi := min(y + step, rng.y_max)) < rng.y_max and f_scalar(params, hi) >= t:
+            lo, step = hi, 2.0 * step
+    else:
+        hi = y
+        while (lo := max(y - step, rng.y_min)) > rng.y_min and f_scalar(params, lo) < t:
+            hi, step = lo, 2.0 * step
+    # the midpoint falls strictly inside [lo, hi] unless the two are adjacent
+    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
+        if f_scalar(params, mid) >= t:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _feasible_set(scenario: Scenario, bound, t: float, users=None,

@@ -1,13 +1,29 @@
 """Monte-Carlo simulator of the composite channel and brute-force oracles.
 
-The sampler draws the channel exactly as modeled: a Bernoulli LoS gate
-with success probability exp(-beta r^2), a deterministic LoS phasor of
-magnitude sqrt(eta)/r and phase 2 pi r / lambda + 2 pi x_pin / lambda_g,
-and an aggregate complex-Gaussian NLoS term with per-component variance
-mu^2 / (2 r^2). Estimates are reproducible: batch i uses the Philox
-counter-based generator seeded by SeedSequence(seed, spawn_key=(i,)), and
-per-batch partials are reduced with numpy's pairwise summation in batch
-order, so scheduling cannot change results.
+The channel as modeled: a Bernoulli LoS gate with success probability
+p = exp(-beta r^2), a deterministic LoS phasor of magnitude sqrt(eta)/r
+and phase 2 pi r / lambda + 2 pi x_pin / lambda_g, and an aggregate
+complex-Gaussian NLoS term with per-component variance s^2 = mu^2 / (2 r^2).
+The sampler draws it as its LoS/NLoS mixture. Batch i uses the Philox
+counter-based generator seeded by SeedSequence(seed, spawn_key=(i,)) and
+draws, in this order: the LoS count k ~ Binomial(n, p); k real, then k
+imaginary standard normals for the LoS lanes values[:k]; n - k standard
+exponentials for the blocked lanes values[k:]. Two identities make this
+exact in distribution:
+
+- n iid lanes from the mixture p*LoS + (1 - p)*blocked are, as a
+  multiset, a Binomial(n, p) count of iid LoS lanes and the rest iid
+  blocked lanes. Both estimators (sums of values and squares, and counts
+  at thresholds on the sorted batch) ignore lane order, so they have the
+  same joint law as with a Bernoulli gate on every lane.
+- A blocked lane is |s (z_re + j z_im)|^2 = s^2 (z_re^2 + z_im^2), and
+  z_re^2 + z_im^2 is chi-square with 2 degrees of freedom, that is
+  exponential with mean 2. So the lane is 2 s^2 = mu^2 / r^2 times one
+  standard exponential.
+
+Per-batch partials are reduced with numpy's pairwise summation in batch
+order, so scheduling cannot change results, and estimates are
+reproducible bit for bit per seed.
 
 The grid searches are the independent optimality oracles for both
 solvers; they evaluate the analytic objectives exhaustively and report
@@ -83,10 +99,12 @@ def _channel_constants(params: ChannelParams, r_sq: float, x_pin: float):
 
 def _draw_snr(params, r_sq, rng, n, x_pin, rho):
     p_los, los_amp, nlos_scale, cos_ph, sin_ph = _channel_constants(params, r_sq, x_pin)
-    u = rng.random(n)
-    z_re = rng.standard_normal(n)
-    z_im = rng.standard_normal(n)
-    return kernels.snr_samples(u, z_re, z_im, p_los, los_amp, nlos_scale, cos_ph, sin_ph, rho)
+    k = rng.binomial(n, p_los)
+    values = np.empty(n)
+    rng.standard_normal(out=values[:k])
+    z_im = rng.standard_normal(k)
+    rng.standard_exponential(out=values[k:])
+    return kernels.snr_samples(values, z_im, los_amp, nlos_scale, cos_ph, sin_ph, rho)
 
 
 def _batches(cfg: McConfig):

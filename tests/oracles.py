@@ -3,8 +3,9 @@
 These deliberately avoid the package's own series code: the Marcum-Q
 oracle integrates the defining integral with adaptive quadrature (scipy),
 Bessel references come from a raw power series / mpmath, the pure-NLoS
-outage bound has a logarithmic closed form, and the Monte-Carlo SNR map
-has an out-of-place twin that leaves its draws untouched.
+outage bound has a logarithmic closed form, and the Monte-Carlo sampler
+has two out-of-place twins: the as-modeled per-lane map, and its per-batch
+LoS/NLoS mixture stream on fresh arrays.
 """
 
 from __future__ import annotations
@@ -83,3 +84,25 @@ def snr_samples_reference(u, z_re, z_im, p_los, los_amp, nlos_scale, cos_ph, sin
     re = gated * cos_ph + nlos_scale * z_re
     im = nlos_scale * z_im - gated * sin_ph
     return rho * (re * re + im * im)
+
+
+def mixture_batches_reference(seed, sizes, p_los, los_amp, nlos_scale, cos_ph, sin_ph, rho):
+    """rho*|h|^2 per batch of the given sizes, drawn as the sampler's mixture
+    stream on fresh arrays.
+
+    Batch i uses Philox seeded by SeedSequence(seed, spawn_key=(i,)) and draws
+    the LoS count k ~ Binomial(n, p_los), then k real and k imaginary normals
+    for the LoS lanes, then n - k exponentials for the blocked lanes, which
+    come last. A blocked lane is |nlos_scale*(z_re + j z_im)|^2, exponential
+    with mean 2*nlos_scale^2.
+    """
+    for index, n in enumerate(sizes):
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+        rng = np.random.Generator(np.random.Philox(seq))
+        k = rng.binomial(n, p_los)
+        z_re = rng.standard_normal(k)
+        z_im = rng.standard_normal(k)
+        blocked = rng.standard_exponential(n - k)
+        re = los_amp * cos_ph + nlos_scale * z_re
+        im = nlos_scale * z_im - los_amp * sin_ph
+        yield rho * np.concatenate([re * re + im * im, 2.0 * nlos_scale * nlos_scale * blocked])

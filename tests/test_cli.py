@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import time
 
 import pytest
 
@@ -137,6 +138,18 @@ class TestSolve:
         closed = tmp_path / "closed.json"
         assert cli.main(["closed-form", _write(tmp_path, doc), "-o", str(closed)]) == cli.EXIT_OK
         assert set(json.loads(closed.read_text(encoding="utf-8"))["solution"]) == solution
+
+    def test_subnormal_levels_solve_within_a_second(self, tmp_path):
+        # rho ~ 1e-306: f is flat over millions of ulps of y near each root, and the
+        # inversion's search for the last double that meets t must not step through them
+        doc = dict(SHARED_DOCS["three-users"], defaults={"p_dbm": -3150.0})
+        out = tmp_path / "out.json"
+        start = time.perf_counter()
+        rc = cli.main(["solve", _write(tmp_path, doc), "--metric", "avg-snr", "-o", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert rc == cli.EXIT_OK
+        pin = json.loads(out.read_text(encoding="utf-8"))["pinching"]
+        assert 0.0 < pin["bracket"][0] <= pin["t_star"] < 1e-300
 
     def test_outage_without_outage_section_is_invalid(self, two_user_file, capsys):
         rc = cli.main(["solve", str(two_user_file), "--metric", "outage"])

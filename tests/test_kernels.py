@@ -1,5 +1,5 @@
-"""Kernel checks: the Monte-Carlo SNR map against its out-of-place twin, and batch
-against scalar Marcum Q1."""
+"""Kernel checks: the Monte-Carlo SNR map against its out-of-place twin on LoS lanes,
+and batch against scalar Marcum Q1."""
 
 import math
 
@@ -16,21 +16,25 @@ def _draws(n=5000, seed=3):
     return rng.random(n), rng.standard_normal(n), rng.standard_normal(n)
 
 
+def _exponentials(n, seed=4):
+    return np.random.Generator(np.random.Philox(seed)).standard_exponential(n)
+
+
 class TestSnrSamples:
     def test_no_los_reduces_to_nlos_power(self):
-        u, z_re, z_im = _draws()
-        expected = (1e-5 * z_re) ** 2 + (1e-5 * z_im) ** 2
-        out = kernels.snr_samples(u, z_re, z_im, 0.0, 5e-4, 1e-5, 1.0, 0.0, 1.0)
+        blocked = _exponentials(5000)
+        expected = 2.0 * 1e-5 * 1e-5 * blocked
+        out = kernels.snr_samples(blocked, np.empty(0), 5e-4, 1e-5, 1.0, 0.0, 1.0)
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
     def test_certain_los_no_fading(self):
-        u, z_re, z_im = _draws()
-        out = kernels.snr_samples(u, z_re, np.zeros_like(z_im), 1.0, 5e-4, 0.0, 0.6, 0.8, 1.0)
-        np.testing.assert_allclose(out, np.full_like(u, (5e-4) ** 2), rtol=1e-12)
+        _, z_re, z_im = _draws()
+        out = kernels.snr_samples(z_re, np.zeros_like(z_im), 5e-4, 0.0, 0.6, 0.8, 1.0)
+        np.testing.assert_allclose(out, np.full_like(z_re, (5e-4) ** 2), rtol=1e-12)
 
-    def test_returns_z_re_in_place(self):
-        u, z_re, z_im = _draws()
-        assert kernels.snr_samples(u, z_re, z_im, 0.5, 5e-4, 1e-5, 0.6, 0.8, 1.0) is z_re
+    def test_returns_values_in_place(self):
+        _, z_re, z_im = _draws()
+        assert kernels.snr_samples(z_re, z_im[:100], 5e-4, 1e-5, 0.6, 0.8, 1.0) is z_re
 
     @pytest.mark.parametrize("phase", [0.3, 2.0, 4.0, 5.5], ids=["++", "-+", "--", "+-"])
     @pytest.mark.parametrize("p_los, los_amp, nlos_scale, rho", [
@@ -42,13 +46,20 @@ class TestSnrSamples:
     ], ids=["no-los", "half", "all-los", "los-amp-0", "nlos-scale-0"])
     def test_matches_out_of_place_reference_bit_for_bit(self, phase, p_los, los_amp,
                                                          nlos_scale, rho):
+        # the lanes the reference's gate lets through are the kernel's LoS lanes
         u, z_re, z_im = _draws()
         u[:50] = p_los  # the gate's edge: u == p_los is blocked
-        z_re[50:60], z_im[60:70] = 0.0, -0.0  # signed zeros meet a zero LoS term
-        args = (p_los, los_amp, nlos_scale, math.cos(phase), math.sin(phase), rho)
-        expected = snr_samples_reference(u.copy(), z_re.copy(), z_im.copy(), *args)
-        out = kernels.snr_samples(u, z_re, z_im, *args)
-        assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+        u[50:70] = 0.0  # LoS lanes wherever p_los > 0
+        z_re[50:60], z_im[60:70] = 0.0, -0.0  # signed zeros; a zero LoS term at los_amp 0
+        los = u < p_los
+        k = np.count_nonzero(los)
+        blocked = _exponentials(u.size - k)
+        args = (los_amp, nlos_scale, math.cos(phase), math.sin(phase), rho)
+        expected = snr_samples_reference(u, z_re, z_im, p_los, *args)[los]
+        out = kernels.snr_samples(np.concatenate([z_re[los], blocked]), z_im[los], *args)
+        assert np.array_equal(out[:k].view(np.int64), expected.view(np.int64))
+        nlos_power = rho * (2.0 * nlos_scale * nlos_scale * blocked)
+        assert np.array_equal(out[k:].view(np.int64), nlos_power.view(np.int64))
 
 
 def _random_args(seed, n=400, hi=20.0):

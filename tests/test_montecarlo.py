@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from pinchopt import (
     McConfig,
@@ -26,7 +27,7 @@ from pinchopt.model import snr_variance
 from pinchopt.montecarlo import _draw_snr, outage_grid_ceiling
 
 from conftest import heterogeneous_drop, make_params, make_scenario, random_scenario
-from oracles import snr_samples_reference
+from oracles import mixture_batches_reference, snr_samples_reference
 
 CFG = McConfig(samples=200_000, seed=42)
 
@@ -45,15 +46,9 @@ RAGGED_BATCH, RAGGED_SIZES = 4000, (4000, 4000, 2001)
 
 
 def _reference_batches(params, r_sq, seed, x_pin):
-    """The sampler's draws per batch, mapped by the out-of-place reference."""
+    """The sampler's per-batch stream, drawn and mapped on fresh arrays."""
     consts = montecarlo._channel_constants(params, r_sq, x_pin)
-    for index, n in enumerate(RAGGED_SIZES):
-        seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-        rng = np.random.Generator(np.random.Philox(seq))
-        u = rng.random(n)
-        z_re = rng.standard_normal(n)
-        z_im = rng.standard_normal(n)
-        yield snr_samples_reference(u, z_re, z_im, *consts, params.rho)
+    return mixture_batches_reference(seed, RAGGED_SIZES, *consts, params.rho)
 
 
 class TestMcConfig:
@@ -113,6 +108,59 @@ class TestSampleChannelPower:
         se = squares.std(ddof=1) / math.sqrt(squares.size)
         expected = snr_variance(params, r_sq) + f_scalar(params, r_sq) ** 2
         assert abs(squares.mean() - expected) <= 4.0 * se
+
+
+def _as_modeled(params, r_sq, x_pin, n, seed):
+    """n draws of the composite channel as modeled: a Bernoulli LoS gate and two
+    normals on every lane."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    u, z_re, z_im = rng.random(n), rng.standard_normal(n), rng.standard_normal(n)
+    consts = montecarlo._channel_constants(params, r_sq, x_pin)
+    return snr_samples_reference(u, z_re, z_im, *consts, params.rho)
+
+
+def _assert_same_law(draws, reference, quantiles=25, family_alpha=1e-4):
+    """Two-sample checks of the CCDF at quantiles of the reference (binomial error
+    bars) and of the mean (CLT error bars), each at a Bonferroni z for the family."""
+    z_max = stats.norm.isf(family_alpha / (2.0 * (quantiles + 1)))
+    n1, n2 = draws.size, reference.size
+    ts = np.quantile(reference, np.linspace(0.02, 0.98, quantiles))
+    for t in ts:
+        p1, p2 = np.count_nonzero(draws >= t) / n1, np.count_nonzero(reference >= t) / n2
+        pooled = (p1 * n1 + p2 * n2) / (n1 + n2)
+        se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2))
+        assert abs(p1 - p2) <= z_max * se, f"CCDF at {t}: {p1} vs {p2}"
+    se = math.sqrt(draws.var(ddof=1) / n1 + reference.var(ddof=1) / n2)
+    assert abs(draws.mean() - reference.mean()) <= z_max * se
+
+
+class TestMixtureSampler:
+    """The sampler draws the LoS count, then each branch: the same law as a
+    Bernoulli gate and two normals on every lane."""
+
+    # certain LoS (k = n), two mixtures, NLoS-dominated, and k ~ 0 (p_LoS = e^-150)
+    @pytest.mark.parametrize("beta, r_sq, x_pin", [(0.0, 150.0, 0.0), (0.004, 150.0, 7.3),
+                                                   (0.01, 300.0, 3.0), (0.03, 110.0, 20.0),
+                                                   (1.0, 150.0, 0.0)])
+    def test_matches_as_modeled_law(self, beta, r_sq, x_pin):
+        params = make_params(beta=beta)
+        rng = np.random.Generator(np.random.Philox(21))
+        draws = _draw_snr(params, r_sq, rng, 1_000_000, x_pin, params.rho)
+        _assert_same_law(draws, _as_modeled(params, r_sq, x_pin, 1_000_000, 22))
+
+    def test_one_sample_batches(self):
+        params = make_params(beta=0.004)  # p_LoS = 0.55 at r^2 = 150
+        rng = np.random.Generator(np.random.Philox(23))
+        draws = np.concatenate([_draw_snr(params, 150.0, rng, 1, 7.3, params.rho)
+                                for _ in range(20_000)])
+        _assert_same_law(draws, _as_modeled(params, 150.0, 7.3, 1_000_000, 24))
+
+    def test_underflowing_los_probability(self):
+        params = make_params(beta=10.0)
+        assert montecarlo._channel_constants(params, 150.0, 0.0)[0] == 0.0
+        rng = np.random.Generator(np.random.Philox(25))
+        draws = _draw_snr(params, 150.0, rng, 1_000_000, 0.0, params.rho)
+        _assert_same_law(draws, _as_modeled(params, 150.0, 0.0, 1_000_000, 26))
 
 
 class TestEstimateAvgSnr:
