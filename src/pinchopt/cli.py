@@ -46,13 +46,12 @@ import numpy as np
 from . import __version__
 from .maxmin import SolverAnomaly, Solution, fixed_antenna_baseline, solve_maxmin
 from .model import (
-    ChannelParams,
     InvalidScenario,
     Scenario,
     UserPosition,
     distance_squared,
     f_scalar,
-    snr_variance,
+    snr_std,
 )
 from .montecarlo import (
     McConfig,
@@ -388,57 +387,50 @@ def cmd_ccdf(args) -> int:
     return EXIT_OK
 
 
+def _bonferroni_z(n: int) -> float:
+    """Limit in std errors on the worst of n two-sided comparisons: any of them
+    fails a correct formula as often as one does at 3 (Bonferroni). statistics
+    is imported here: at module level it adds about 2 ms to every start-up."""
+    from statistics import NormalDist
+
+    return NormalDist().inv_cdf(1.0 - 0.5 * math.erfc(3.0 / math.sqrt(2.0)) / n)
+
+
 def _verify_checks(bundle: ScenarioBundle, samples: int, seed: int, eta_scale: float):
     """Oracle suite; analytic formulas use eta*eta_scale, the simulator the true eta."""
     scenario = bundle.scenario
-    checks = []
-
-    def corrupted(params: ChannelParams) -> ChannelParams:
-        return replace(params, eta=params.eta * eta_scale)
-
-    # Average-SNR formula vs Monte Carlo, at each user's midpoint distance. The
-    # error bar is the analytic one under the formula being checked: a small
-    # sample can miss the rare LoS draws that carry most of the variance.
-    worst = 0.0
-    for m in range(scenario.n_users):
-        params = scenario.channels[m]
-        r_sq = distance_squared(scenario.users[m], scenario.dv, 0.5 * scenario.dx)
+    # Average SNR and CCDF (4 thresholds) vs Monte Carlo at each user's midpoint
+    # distance. Error bars are analytic under the formula being checked, as a
+    # small sample can miss the rare LoS draws that carry most of the variance:
+    # the SNR's standard deviation, floored at the least double so that none is 0,
+    # and a fraction's binomial sqrt(p(1-p)/n), floored at one sample count. Each
+    # check holds its worst comparison to the Bonferroni limit over its M or 4M.
+    z_mean, z_ccdf = _bonferroni_z(scenario.n_users), _bonferroni_z(4 * scenario.n_users)
+    worst_mean = worst_ccdf = 0.0
+    for m, (user, params) in enumerate(zip(scenario.users, scenario.channels)):
+        r_sq = distance_squared(user, scenario.dv, 0.5 * scenario.dx)
+        analytic = replace(params, eta=params.eta * eta_scale)
         est = estimate_avg_snr(params, r_sq, McConfig(samples=samples, seed=seed + m))
-        analytic = f_scalar(corrupted(params), r_sq)
-        std_error = math.sqrt(snr_variance(corrupted(params), r_sq) / samples)
-        worst = max(worst, abs(analytic - est.mean) / (3.0 * std_error))
-    checks.append({"name": "avg-snr-formula-vs-mc", "pass": bool(worst <= 1.0),
-                   "detail": f"max |analytic-mc| = {worst:.3f} of 3 std errors"})
-
-    # CCDF formula vs Monte Carlo on a ladder of 4 thresholds per user. A
-    # sampled fraction is binomial, so its error bar is sqrt(p(1-p)/n) at the
-    # analytic p being checked, floored at one sample count. z holds the
-    # chance that any of the 4M comparisons fails a correct formula to that of
-    # one comparison at 3 std errors (Bonferroni). statistics is imported here:
-    # at module level it adds about 2 ms to every subcommand's start-up.
-    from statistics import NormalDist
-
-    z = NormalDist().inv_cdf(1.0 - 0.5 * math.erfc(3.0 / math.sqrt(2.0)) / (4 * scenario.n_users))
-    worst = 0.0
-    for m in range(scenario.n_users):
-        params = scenario.channels[m]
-        r_sq = distance_squared(scenario.users[m], scenario.dv, 0.5 * scenario.dx)
+        std_error = max(snr_std(analytic, r_sq) / math.sqrt(samples), math.ulp(0.0))
+        worst_mean = max(worst_mean, abs(f_scalar(analytic, r_sq) - est.mean) / (z_mean * std_error))
         mean_nlos = params.rho * params.mu_sq / r_sq
         los_limit = params.rho * params.eta / r_sq
         ts = [mean_nlos * math.log(2.0), 10.0 * mean_nlos, 0.5 * los_limit, 0.95 * los_limit]
         ests = estimate_ccdf_curve(params, r_sq, ts, McConfig(samples=samples, seed=seed + 101 + m))
         for t, est in zip(ts, ests):
-            p = ccdf_inst_snr(corrupted(params), r_sq, t)
+            p = ccdf_inst_snr(analytic, r_sq, t)
             std_error = math.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples)
-            worst = max(worst, abs(p - est.mean) / (z * std_error))
-    checks.append({"name": "ccdf-formula-vs-mc", "pass": bool(worst <= 1.0),
-                   "detail": f"max |analytic-mc| = {worst:.3f} of {z:.2f} std errors"})
+            worst_ccdf = max(worst_ccdf, abs(p - est.mean) / (z_ccdf * std_error))
+    checks = [{"name": name, "pass": bool(worst <= 1.0),
+               "detail": f"max |analytic-mc| = {worst:.3f} of {z:.2f} std errors"}
+              for name, worst, z in (("avg-snr-formula-vs-mc", worst_mean, z_mean),
+                                     ("ccdf-formula-vs-mc", worst_ccdf, z_ccdf))]
 
     # Bisection solver vs grid search on the scenario itself.
     sol = solve_maxmin(scenario, bundle.tol)
     grid = grid_search_maxmin(scenario, 20_001)
-    slack = bundle.tol.eps_t + grid.meta["t_slack"] / max(grid.t_star, 1e-300) + 1e-9
-    rel = abs(sol.t_star - grid.t_star) / max(sol.t_star, 1e-300)
+    slack = bundle.tol.eps_t + grid.meta["t_slack"] / sol.t_star + 1e-9
+    rel = abs(sol.t_star - grid.t_star) / sol.t_star
     checks.append({"name": "maxmin-bisection-vs-grid", "pass": bool(rel <= slack),
                    "detail": f"relative gap {rel:.2e} vs slack {slack:.2e}"})
 

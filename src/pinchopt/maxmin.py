@@ -135,11 +135,12 @@ def _feasible_set(scenario: Scenario, bound, t: float, users=None,
 
     bound(m, t) is user m's pair (inner, outer) of squared-distance bounds,
     None when no position serves user m; a bound b admits |x - x_m| <=
-    sqrt(b - C_m). The solver passes its active users and its last feasible
-    intersection I: the intervals are nested in t, so above I's level the
-    intersection lies inside I, and a user dropped for slack on I cannot
-    shrink it. Returns (None, False) as soon as a bound is None or the
-    outer intersection is empty.
+    sqrt(b - C_m), and math.inf (a solve's bound at y_max) every position.
+    The solver passes its active users and its last feasible intersection
+    I: the intervals are nested in t, so above I's level the intersection
+    lies inside I, and a user dropped for slack on I cannot shrink it.
+    Returns (None, False) as soon as a bound is None or the outer
+    intersection is empty.
     """
     lo, hi = in_lo, in_hi = within or (0.0, scenario.dx)
     for m in range(scenario.n_users) if users is None else users:
@@ -261,7 +262,7 @@ def solve_maxmin(scenario: Scenario, tol: SolverTolerances | None = None) -> Sol
 
     def bound(m: int, t: float) -> tuple[float, float] | None:  # exact: inner = outer
         y = invert_f(channels[m], t, ranges[m], ends[m])
-        return None if y is None else (y, y)
+        return None if y is None else (y, y) if y < ranges[m].y_max else (math.inf, math.inf)
 
     return _solve_nested(
         scenario, bound,

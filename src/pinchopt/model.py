@@ -120,6 +120,10 @@ class Scenario:
             if not region_finite and not math.isfinite(squared_distance_range(self, m).y_max):
                 raise InvalidScenario(f"users[{m}]: largest squared distance to the antenna "
                                       f"is not finite (dx, dv or users[{m}].y too large)")
+            p, c = self.channels[m], self.c_const(m)
+            if not (c > 0.0 and 0.0 < 2.0 * (p.rho * (p.eta + p.mu_sq) / c) < math.inf):
+                raise InvalidScenario(f"users[{m}]: level ceiling 2 rho (eta + mu_sq) / C_m is "
+                                      f"not a positive double (rho, eta, mu_sq or dv out of scale)")
 
     @property
     def n_users(self) -> int:
@@ -170,17 +174,17 @@ def lambert_w0(log_x: float) -> float:
     return w
 
 
-def snr_variance(params: ChannelParams, y: float) -> float:
-    """Variance of the instantaneous SNR rho*|h|^2 at squared distance y.
+def snr_std(params: ChannelParams, y: float) -> float:
+    """Standard deviation of the instantaneous SNR rho*|h|^2 at squared distance y.
 
     With p = e^{-beta y}, E[(rho|h|^2)^2] = rho^2 (p (eta^2 + 4 eta mu_sq)
     + 2 mu_sq^2) / y^2; subtracting f(y)^2 = rho^2 (p eta + mu_sq)^2 / y^2
-    leaves the cancellation-free form below.
+    leaves (rho/y)^2 (p (1-p) eta^2 + 2 p eta mu_sq + mu_sq^2), whose root is
+    formed as f is, rho * hypot(...) / y: no square of rho/y or mu_sq underflows.
     """
-    p = math.exp(-params.beta * y)
-    eta, mu_sq = params.eta, params.mu_sq
-    return (params.rho / y) ** 2 * (p * (1.0 - p) * eta * eta + 2.0 * p * eta * mu_sq
-                                    + mu_sq * mu_sq)
+    p, eta, mu_sq = math.exp(-params.beta * y), params.eta, params.mu_sq
+    return params.rho * math.hypot(eta * math.sqrt(p * (1.0 - p)),
+                                   math.sqrt(2.0 * p * eta) * math.sqrt(mu_sq), mu_sq) / y
 
 
 def squared_distance_range(scenario: Scenario, user_index: int) -> SquaredDistanceRange:

@@ -42,7 +42,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .maxmin import Interval, SolverTolerances, Solution, _distances, _solve_nested
-from .model import Scenario, f_scalar, squared_distance_range
+from .model import InvalidScenario, Scenario, f_scalar, squared_distance_range
 from .special import ccdf_inst_snr
 
 # Relative width at which the per-position threshold root stops.
@@ -148,7 +148,8 @@ def invert_ccdf(params, t: float, epsilon: float, rng,
 def _outage_bound(scenario: Scenario, epsilons):
     """Per-user bounds (inner, outer) on U_m(t) of the outage metric (None:
     target missed everywhere): an inversion that returned y is infeasible
-    from y plus the inversion width on, so the pair is (y, y + width).
+    from y plus the inversion width on, so the pair is (y, y + width), and
+    an end at the user's y_max is math.inf (met everywhere).
 
     U_m is nonincreasing in t, so each user's earlier inversions in this
     solve bracket the next: a y feasible at the nearest probe t' >= t is
@@ -168,7 +169,7 @@ def _outage_bound(scenario: Scenario, epsilons):
         pair = None if y is None else (y, min(y + _INVERSION_REL_TOL * y_min, y_max))
         ts.insert(i, t)
         ends.insert(i, pair or (y_min, y_min))
-        return pair
+        return pair if pair is None or pair[1] < y_max else (y if y < y_max else math.inf, math.inf)
 
     return bound
 
@@ -264,16 +265,18 @@ def solve_outage(
     """
     tol = tol or SolverTolerances()
     spec = spec.for_scenario(scenario)
-    t_hi = min(
-        _markov_ceiling(p, squared_distance_range(scenario, m).y_min, spec.epsilons[m])
-        for m, p in enumerate(scenario.channels)
-    )
     channels, epsilons = scenario.channels, spec.epsilons
+    ceilings = [_markov_ceiling(p, scenario.c_const(m), epsilons[m])
+                for m, p in enumerate(channels)]
+    if math.inf in ceilings:  # the outer search and the threshold roots start there
+        m = ceilings.index(math.inf)
+        raise InvalidScenario(f"users[{m}]: outage ceiling f(y_min) / (1 - epsilon) overflows "
+                              f"(outage.epsilons[{m}] too close to 1 at this level)")
     return _solve_nested(
         scenario, _outage_bound(scenario, epsilons),
         lambda m, t, y: ccdf_inst_snr(channels[m], y, t) >= 1.0 - epsilons[m],
         lambda ys, t_lo, t_hi: _min_threshold(scenario, spec, ys, t_lo, t_hi),
-        t_hi, tol,
+        min(ceilings), tol,
     )
 
 

@@ -52,6 +52,19 @@ def heterogeneous_drop(rng, n_users):
     return Scenario(dx=30.0, dy=10.0, dv=10.0, users=users, channels=channels), spec
 
 
+def beta0_drop(rng, n_users):
+    """Random users at beta = 0 with per-user rho, mu^2 and eta, and per-user
+    outage targets."""
+    users = tuple(UserPosition(float(rng.uniform(0.0, 30.0)), float(rng.uniform(-5.0, 5.0)))
+                  for _ in range(n_users))
+    channels = tuple(make_params(beta=0.0, rho=1e13 * 10.0 ** float(rng.uniform(-1.0, 1.0)),
+                                 mu_sq=10.0 ** float(rng.uniform(-10.0, -8.0)),
+                                 eta=ETA_28GHZ * float(rng.uniform(0.5, 2.0)))
+                     for _ in range(n_users))
+    spec = OutageSpec(epsilons=tuple(float(e) for e in rng.uniform(0.01, 0.3, n_users)))
+    return Scenario(dx=30.0, dy=10.0, dv=10.0, users=users, channels=channels), spec
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _warm_kernels():
     # One tiny estimate up front so first-call costs (imports, allocator

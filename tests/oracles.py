@@ -3,9 +3,11 @@
 These deliberately avoid the package's own series code: the Marcum-Q
 oracle integrates the defining integral with adaptive quadrature (scipy),
 Bessel references come from a raw power series / mpmath, the pure-NLoS
-outage bound has a logarithmic closed form, and the Monte-Carlo sampler
-has two out-of-place twins: the as-modeled per-lane map, and its per-batch
-LoS/NLoS mixture stream on fresh arrays.
+outage bound has a logarithmic closed form, the beta = 0 optimum of both
+metrics on per-user channels is the least point of an envelope of
+parabolas, and the Monte-Carlo sampler has two out-of-place twins: the
+as-modeled per-lane map, and its per-batch LoS/NLoS mixture stream on
+fresh arrays.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 
 import mpmath
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 
 def bessel_i0_series(x: float, terms: int = 400) -> float:
@@ -76,6 +78,44 @@ def avg_snr_inverse(params, t: float) -> float:
         return a + c
     x = params.beta * c * math.exp(-params.beta * a)
     return a + float(special.lambertw(x).real) / params.beta
+
+
+def beta0_envelope_optimum(scenario, spec=None) -> tuple[float, float]:
+    """(t*, x*): the exact optimum of the max-min average SNR (spec None) or
+    of the outage threshold under spec, at beta = 0 on per-user channels.
+
+    At beta = 0 user m meets level t at squared distance y exactly when
+    y t <= s_m: s_m = rho_m (eta_m + mu_m^2) for the average SNR, and
+    s_m = rho_m mu_m^2 b*^2 / 2 for the outage target, where the CCDF is
+    Q1(a_m, sqrt(2 y t / (rho_m mu_m^2))) with a_m^2 = 2 eta_m / mu_m^2, and
+    Q1(a_m, b*) = 1 - eps_m gives b*^2 = ncx2.isf(1 - eps_m, 2, a_m^2). So
+    1/t* is the least value over x in [0, dx] of the upper envelope of the
+    convex parabolas g_m(x) = ((x - x_m)^2 + C_m) / s_m. It is attained at
+    0, at dx, at a vertex x_m or where two parabolas cross, and the envelope
+    is evaluated at all of them.
+    """
+    channels, n = scenario.channels, scenario.n_users
+    x = np.array([u.x for u in scenario.users])
+    c = np.array([scenario.c_const(m) for m in range(n)])
+    if spec is None:
+        s = np.array([p.rho * (p.eta + p.mu_sq) for p in channels])
+    else:
+        s = np.array([0.5 * p.rho * p.mu_sq * stats.ncx2.isf(1.0 - eps, 2, 2.0 * p.eta / p.mu_sq)
+                      for p, eps in zip(channels, spec.epsilons)])
+    # g_i - g_j = qa x^2 + qb x + qc on each pair; roots by the cancellation-free
+    # form q = -(qb + sign(qb) sqrt(disc)) / 2, x = q / qa and qc / q
+    i, j = np.triu_indices(n, 1)
+    qa = 1.0 / s[i] - 1.0 / s[j]
+    qb = -2.0 * (x[i] / s[i] - x[j] / s[j])
+    qc = (x[i] ** 2 + c[i]) / s[i] - (x[j] ** 2 + c[j]) / s[j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
+        crossings = np.concatenate([q / qa, qc / q])
+    candidates = np.concatenate([[0.0, scenario.dx], x, crossings])
+    candidates = candidates[(candidates >= 0.0) & (candidates <= scenario.dx)]
+    envelope = np.max(((candidates[:, None] - x) ** 2 + c) / s, axis=1)
+    best = int(np.argmin(envelope))
+    return 1.0 / float(envelope[best]), float(candidates[best])
 
 
 def snr_samples_reference(u, z_re, z_im, p_los, los_amp, nlos_scale, cos_ph, sin_ph, rho):

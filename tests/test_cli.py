@@ -2,8 +2,12 @@
 
 import argparse
 import json
+import math
 import time
+from dataclasses import replace
+from statistics import NormalDist
 
+import numpy as np
 import pytest
 
 from pinchopt import SolverTolerances, cli
@@ -92,6 +96,44 @@ class TestVerify:
         assert {c["name"] for c in doc["checks"] if not c["pass"]} == {
             "avg-snr-formula-vs-mc", "ccdf-formula-vs-mc"}
 
+    def test_mean_check_holds_its_false_failure_rate_across_users(self, tmp_path, capsys):
+        # 64 users: 3 std errors per user, with no correction, failed this correct
+        # formula (1.067 of 3); the Bonferroni limit over the 64 comparisons passes it
+        rng = np.random.default_rng(3)
+        xs, ys = rng.uniform(0.0, 30.0, 64), rng.uniform(-5.0, 5.0, 64)
+        doc = dict(TWO_USERS, users=[{"x": float(x), "y": float(y)} for x, y in zip(xs, ys)])
+        rc = cli.main(["verify", _write(tmp_path, doc), "--samples", "20000", "--seed", "1200"])
+        assert rc == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert "PASS avg-snr-formula-vs-mc: " in out and " of 4.10 std errors\n" in out
+
+    def test_both_checks_share_one_bonferroni_limit(self):
+        tail = 0.5 * math.erfc(3.0 / math.sqrt(2.0))
+        assert cli._bonferroni_z(1) == pytest.approx(3.0, rel=1e-14)
+        for n in (4, 12, 256):  # the CCDF check's limit at 4M comparisons, as written inline
+            assert cli._bonferroni_z(n) == NormalDist().inv_cdf(1.0 - tail / n)
+
+    def test_subnormal_levels_verify(self, tmp_path, capsys):
+        # rho ~ 1e-306: (rho / y)^2 underflows, so an error bar formed from it divided by 0
+        doc = dict(SHARED_DOCS["three-users"], defaults={"p_dbm": -3150.0})
+        assert cli.main(["verify", _write(tmp_path, doc), "--samples", "2000"]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert "nan" not in out and "inf" not in out
+
+    def test_grid_check_can_fail_at_subnormal_levels(self, tmp_path, capsys, monkeypatch):
+        # a gap relative to max(level, 1e-300) read ~1e-16 at levels ~1e-315, whatever the gap
+        grid = cli.grid_search_maxmin
+
+        def halved(scenario, points):
+            sol = grid(scenario, points)
+            return replace(sol, t_star=0.5 * sol.t_star)
+
+        monkeypatch.setattr(cli, "grid_search_maxmin", halved)
+        doc = dict(SHARED_DOCS["three-users"], defaults={"p_dbm": -3150.0})
+        assert cli.main(["verify", _write(tmp_path, doc), "--samples", "2000"]) == \
+            cli.EXIT_CHECK_FAILED
+        assert "FAIL maxmin-bisection-vs-grid: relative gap 5.00e-01" in capsys.readouterr().out
+
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_bad_eta_scale_is_invalid_input(self, two_user_file, capsys, value):
         rc = cli.main(["verify", str(two_user_file), "--samples", "1000", "--eta-scale", value])
@@ -150,6 +192,26 @@ class TestSolve:
         assert rc == cli.EXIT_OK
         pin = json.loads(out.read_text(encoding="utf-8"))["pinching"]
         assert 0.0 < pin["bracket"][0] <= pin["t_star"] < 1e-300
+
+    @pytest.mark.parametrize("metric", ["avg-snr", "outage"])
+    def test_level_overflow_is_invalid_input(self, tmp_path, capsys, metric):
+        doc = dict(SHARED_DOCS["three-users"], defaults={"p_dbm": 2910.0, "mu_sq_db": 100.0})
+        assert cli.main(["solve", _write(tmp_path, doc), "--metric", metric]) == cli.EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: users[0]: level ceiling")
+
+    @pytest.mark.parametrize("metric", ["avg-snr", "outage"])
+    def test_tall_waveguide_solves_within_a_second(self, tmp_path, metric):
+        # dv = 1e150: y_max rounds to C_m, and a bound there must not pin x to x_m,
+        # as sqrt(y_max - C_m) = 0 would
+        doc = dict(SHARED_DOCS["three-users"], region={"dx": 30.0, "dy": 10.0, "dv": 1e150})
+        out = tmp_path / "out.json"
+        start = time.perf_counter()
+        rc = cli.main(["solve", _write(tmp_path, doc), "--metric", metric, "-o", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert rc == cli.EXIT_OK
+        pin = json.loads(out.read_text(encoding="utf-8"))["pinching"]
+        assert 0.0 < pin["bracket"][0] <= pin["t_star"] <= pin["bracket"][1]
+        assert pin["feasible"] == {"lo": 0.0, "hi": 30.0}
 
     def test_outage_without_outage_section_is_invalid(self, two_user_file, capsys):
         rc = cli.main(["solve", str(two_user_file), "--metric", "outage"])

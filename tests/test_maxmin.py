@@ -23,8 +23,8 @@ from pinchopt import maxmin
 from pinchopt.maxmin import _feasible_set
 from pinchopt.model import ChannelParams
 
-from conftest import heterogeneous_drop, make_params, make_scenario, random_scenario
-from oracles import avg_snr_inverse
+from conftest import beta0_drop, heterogeneous_drop, make_params, make_scenario, random_scenario
+from oracles import avg_snr_inverse, beta0_envelope_optimum
 
 TOL = SolverTolerances()
 
@@ -82,6 +82,12 @@ class TestFeasibleSet:
 
     def test_intersection_of_three_users(self):
         assert self._scan([5.0, 7.0, 6.0], [4.0, 3.0, 5.0]) == (Interval(4.0, 9.0), True)
+
+    def test_infinite_bound_admits_every_position(self):
+        # inner and outer ends are skipped separately
+        assert self._scan([5.0, 20.0], [math.inf, math.inf]) == (Interval(0.0, 30.0), True)
+        assert self._scan([5.0, 20.0], [(3.0, math.inf), 11.0]) == (Interval(9.0, 30.0), False)
+        assert self._scan([5.0, 20.0], [(3.0, math.inf), 15.0]) == (Interval(5.0, 30.0), True)
 
     def test_empty_inner_intersection_proves_nothing(self):
         # inner intervals [2.5, 7.5] and [8.5, 13.5] are disjoint, outer ones overlap
@@ -314,6 +320,32 @@ class TestCertifiedBracket:
             assert sol.meta["bracket_lo"] <= opt.t_star <= sol.meta["bracket_hi"]
             assert sol.t_star >= sol.meta["bracket_lo"]
             assert sol.feasible.lo <= opt.x_star <= sol.feasible.hi
+
+
+class TestBeta0Envelope:
+    """At beta = 0 on per-user rho, mu^2 and eta the exact optimum
+    (oracles.beta0_envelope_optimum) lies in the certified bracket, and
+    t_star within eps_t of it."""
+
+    @given(n_users=st.integers(1, 32), seed=st.integers(0, 2**32 - 1),
+           eps_t=st.sampled_from([1e-3, 1e-9]))
+    @settings(max_examples=200, deadline=None)
+    def test_bracket_holds_the_exact_optimum(self, n_users, seed, eps_t):
+        sc, _ = beta0_drop(np.random.Generator(np.random.Philox(seed)), n_users)
+        t_exact, _ = beta0_envelope_optimum(sc)
+        sol = solve_maxmin(sc, SolverTolerances(eps_t=eps_t))
+        slack = 1e-12 * t_exact  # the oracle's own rounding: 1.7e-16 seen
+        assert sol.meta["bracket_lo"] - slack <= t_exact <= sol.meta["bracket_hi"] + slack
+        assert abs(sol.t_star - t_exact) <= eps_t * t_exact + slack
+
+    def test_shared_channel_agrees_with_the_closed_form(self):
+        rng = np.random.Generator(np.random.Philox(31))
+        for n_users in (1, 2, 5, 16):
+            sc = random_scenario(rng, n_users, beta=0.0)
+            t_exact, x_exact = beta0_envelope_optimum(sc)
+            opt = shared_channel_optimum(sc)
+            assert t_exact == pytest.approx(opt.t_star, rel=1e-13)
+            assert x_exact == pytest.approx(opt.x_star, abs=1e-9)
 
 
 class TestWorstUserFinish:

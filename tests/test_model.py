@@ -14,7 +14,7 @@ from pinchopt import (
     f_scalar,
     squared_distance_range,
 )
-from pinchopt.model import lambert_w0
+from pinchopt.model import lambert_w0, snr_std
 from pinchopt.montecarlo import _channel_constants
 
 from conftest import make_params, make_scenario
@@ -117,6 +117,23 @@ class TestAvgSnr:
         assert math.isfinite(f_scalar(params, 1e6))
 
 
+class TestSnrStd:
+    @pytest.mark.parametrize("beta, r_sq", [(0.0, 150.0), (0.01, 100.0), (0.029, 110.0)])
+    def test_is_the_root_of_the_variance(self, beta, r_sq):
+        params = make_params(beta=beta)
+        p, eta, mu_sq = math.exp(-beta * r_sq), params.eta, params.mu_sq
+        variance = (params.rho / r_sq) ** 2 * (p * (1.0 - p) * eta * eta + 2.0 * p * eta * mu_sq
+                                               + mu_sq * mu_sq)
+        assert snr_std(params, r_sq) == pytest.approx(math.sqrt(variance), rel=1e-14)
+
+    def test_positive_where_the_variance_underflows(self):
+        # rho ~ 1e-306: (rho / y)^2 underflows to 0, the standard deviation does not
+        params = make_params(rho=1e-306)
+        assert (params.rho / 150.0) ** 2 == 0.0
+        reference = snr_std(make_params(rho=1e13), 150.0)
+        assert snr_std(params, 150.0) == pytest.approx(reference * 1e-319, rel=1e-6)
+
+
 class TestFScalar:
     @given(y1=st.floats(1.0, 5e3), y2=st.floats(1.0, 5e3))
     @settings(max_examples=200)
@@ -217,6 +234,16 @@ class TestScenarioValidation:
     def test_rejects_non_finite_channel_params(self, field, bad):
         with pytest.raises(InvalidScenario, match=field):
             make_params(**{field: bad})
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(rho=1e300, mu_sq=1e10),            # rho mu^2 overflows
+        dict(rho=1.5e308, eta=0.9, dv=1.0),     # f(y_min) is finite, 2 f(y_min) is not
+        dict(rho=1e-200, eta=1e-200, mu_sq=1e-200),  # rho (eta + mu^2) underflows to 0
+        dict(dv=1e-170, dy=1e-170),             # y^2 + dv^2 underflows to 0
+    ])
+    def test_rejects_a_level_ceiling_outside_the_doubles(self, kwargs):
+        with pytest.raises(InvalidScenario, match=r"^users\[0\]: level ceiling"):
+            make_scenario([(1.0, 0.0)], **kwargs)
 
     @pytest.mark.parametrize("field", ["dx", "dy", "dv"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

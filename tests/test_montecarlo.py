@@ -23,7 +23,7 @@ from pinchopt import (
     solve_outage,
 )
 from pinchopt import montecarlo
-from pinchopt.model import snr_variance
+from pinchopt.model import snr_std
 from pinchopt.montecarlo import _draw_snr, outage_grid_ceiling
 
 from conftest import heterogeneous_drop, make_params, make_scenario, random_scenario
@@ -106,7 +106,7 @@ class TestSampleChannelPower:
         rng = np.random.Generator(np.random.Philox(5))
         squares = _draw_snr(params, r_sq, rng, 400_000, 0.0, params.rho) ** 2
         se = squares.std(ddof=1) / math.sqrt(squares.size)
-        expected = snr_variance(params, r_sq) + f_scalar(params, r_sq) ** 2
+        expected = snr_std(params, r_sq) ** 2 + f_scalar(params, r_sq) ** 2
         assert abs(squares.mean() - expected) <= 4.0 * se
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pinchopt import (
+    InvalidScenario,
     OutageSpec,
     Scenario,
     SolverTolerances,
@@ -21,8 +22,9 @@ from pinchopt import (
 from pinchopt import kernels, outage
 from pinchopt.maxmin import _feasible_set
 
-from conftest import ETA_28GHZ, heterogeneous_drop, make_params, make_scenario, random_scenario
-from oracles import marcum_q1_quad, nlos_only_bound
+from conftest import (ETA_28GHZ, beta0_drop, heterogeneous_drop, make_params, make_scenario,
+                      random_scenario)
+from oracles import beta0_envelope_optimum, marcum_q1_quad, nlos_only_bound
 
 TOL = SolverTolerances()
 
@@ -59,6 +61,13 @@ class TestMarkovCeiling:
                              eta=ETA_28GHZ * eta_scale)
         ceiling = outage._markov_ceiling(params, y, epsilon)
         assert ccdf_inst_snr(params, y, ceiling) < 1.0 - epsilon
+
+    def test_an_overflowing_ceiling_is_invalid_input(self):
+        # f(y_min) ~ 7e296 is a valid level, but f(y_min) / (1 - eps) at eps = 1 - 1e-15 is not
+        sc = make_scenario([(5.0, 0.0), (20.0, 1.0)], rho=1e305)
+        with pytest.raises(InvalidScenario, match=r"^users\[1\]: .*outage\.epsilons\[1\]"):
+            solve_outage(sc, OutageSpec(epsilons=(0.1, 1.0 - 1e-15)))
+        assert solve_outage(sc, OutageSpec(epsilons=(0.1, 0.5))).t_star > 1e290
 
 
 class TestInvertCcdf:
@@ -243,6 +252,19 @@ class TestCertifiedBracket:
             lo, hi = sol.meta["bracket_lo"], sol.meta["bracket_hi"]
             assert lo <= t_opt * (1.0 + 2e-12) and t_opt <= hi
             assert sol.t_star >= lo and sol.t_star >= t_opt * (1.0 - 2e-12)
+
+    @given(n_users=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           eps_t=st.sampled_from([1e-3, 1e-9]))
+    @settings(max_examples=6, deadline=None)
+    def test_bracket_holds_the_beta0_envelope_optimum(self, n_users, seed, eps_t):
+        # per-user channels and targets at beta = 0, where Q1 runs in its Bessel band
+        # (40-170 ms a solve, so few examples here)
+        sc, spec = beta0_drop(np.random.Generator(np.random.Philox(seed)), n_users)
+        t_exact, _ = beta0_envelope_optimum(sc, spec)
+        sol = solve_outage(sc, spec, SolverTolerances(eps_t=eps_t))
+        width = 1e-9 * t_exact  # the inversion's, relative
+        assert sol.meta["bracket_lo"] - width <= t_exact <= sol.meta["bracket_hi"] + width
+        assert abs(sol.t_star - t_exact) <= eps_t * t_exact + width
 
     @pytest.mark.parametrize("eps_t", [1e-9, 1e-12])
     def test_argmax_just_outside_the_inner_intersection(self, eps_t):

@@ -147,6 +147,8 @@ def _edited(path, value):
     # outage numbers, listed last so the earlier cases keep their ids
     (_edited(("outage",), {"epsilon": "0.1"}), "outage.epsilon: expected a number"),
     (_edited(("outage", "epsilons"), [0.1, "a"]), "outage.epsilons[1]: expected a number"),
+    # each field valid, the level ceiling 2 rho (eta + mu_sq) / C_m not a double
+    (_edited(("defaults",), {"p_dbm": 2910.0, "mu_sq_db": 100.0}), "users[0]: level ceiling"),
 ])
 def test_format_errors_name_the_field(doc, field):
     with pytest.raises(ScenarioFormatError) as info:
