@@ -89,7 +89,7 @@ def _marcum_bessel(a: float, b: float) -> float:
     """
     x = a * b
     k_max = int(8.0 * math.sqrt(x)) + 60
-    start = k_max + int(2.0 * math.sqrt(max(x, 40.0))) + 40
+    start = k_max + int(2.0 * math.sqrt(40.0 if x < 40.0 else x)) + 40
     ratios = [0.0] * (k_max + 1)  # ratios[k] = I_{k+1}(x) / I_k(x)
     r = 0.0
     for k in range(start, 0, -1):
@@ -98,7 +98,7 @@ def _marcum_bessel(a: float, b: float) -> float:
             ratios[k - 1] = r
     pref = math.exp(-0.5 * (a - b) * (a - b))
     first = 0 if a <= b else 1  # the sum's first k
-    ratio = min(a, b) / max(a, b)
+    ratio = b / a if b < a else a / b  # min(a, b) / max(a, b)
     rk, ik, s = 1.0, i0_scaled(x), 0.0  # (min/max)^k and e^{-x} I_k(x)
     for k in range(k_max + 1):
         if k >= first:
@@ -109,7 +109,7 @@ def _marcum_bessel(a: float, b: float) -> float:
         rk *= ratio
         ik *= ratios[k]
     out = pref * s if first == 0 else 1.0 - pref * s
-    return min(max(out, 0.0), 1.0)
+    return 0.0 if out < 0.0 else 1.0 if out > 1.0 else out  # min(max(out, 0.0), 1.0)
 
 
 def marcum_q1_scalar(a: float, b: float) -> float:

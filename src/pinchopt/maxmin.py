@@ -102,23 +102,30 @@ def invert_f(params, t: float, rng: SquaredDistanceRange,
         return None if t > f_min else rng.y_min
     if t <= f_max:
         return rng.y_max
-    beta, rho_eta, rho_mu = params.beta, params.rho * params.eta, params.rho * params.mu_sq
+    beta, rho_eta, rho_mu = params.beta, params.rho * params.eta, params.rho_mu_sq
+    y_min, y_max = rng.y_min, rng.y_max
     a, log_c = rho_mu / t, math.log(rho_eta) - math.log(t)
     w = lambert_w0(math.log(beta) + log_c - beta * a) if beta > 0.0 else 0.0
     y = a + math.exp(log_c - beta * a - w)
     p = rho_eta * math.exp(-beta * y)
-    y = min(max(y - (t * y - p - rho_mu) / (t + beta * p), rng.y_min), rng.y_max)
+    # clamped to [y_min, y_max]; here and in the gallop, comparisons pick the
+    # operand builtin min/max would, at a fraction of their cost
+    y -= (t * y - p - rho_mu) / (t + beta * p)
+    y = y_min if y_min > y else y
+    y = y_max if y_max < y else y
     # f(y_min) > t > f(y_max): gallop 1, 2, 4, ... ulps from y to a bracket
     # [lo, hi] with f(lo) >= t > f(hi), then bisect it to adjacent doubles
     step = math.ulp(y)
     if f_scalar(params, y) >= t:
         lo = y
-        while (hi := min(y + step, rng.y_max)) < rng.y_max and f_scalar(params, hi) >= t:
+        while (hi := y + step) < y_max and f_scalar(params, hi) >= t:
             lo, step = hi, 2.0 * step
+        hi = y_max if y_max < hi else hi
     else:
         hi = y
-        while (lo := max(y - step, rng.y_min)) > rng.y_min and f_scalar(params, lo) < t:
+        while (lo := y - step) > y_min and f_scalar(params, lo) < t:
             hi, step = lo, 2.0 * step
+        lo = y_min if y_min > lo else lo
     # the midpoint falls strictly inside [lo, hi] unless the two are adjacent
     while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
         if f_scalar(params, mid) >= t:
@@ -142,20 +149,26 @@ def _feasible_set(scenario: Scenario, bound, t: float, users=None,
     Returns (None, False) as soon as a bound is None or the outer
     intersection is empty.
     """
+    # max(u, v) and min(u, v) are written as the comparisons the builtins make,
+    # v if v > u (v < u) else u, at a fraction of a builtin call's cost
     lo, hi = in_lo, in_hi = within or (0.0, scenario.dx)
     for m in range(scenario.n_users) if users is None else users:
         b = bound(m, t)
         if b is None:
             return None, False
         x_m, c_m = scenario.users[m].x, scenario.c_const(m)
-        d = math.sqrt(max(b[1] - c_m, 0.0))
-        lo, hi = max(lo, x_m - d), min(hi, x_m + d)
+        d = b[1] - c_m
+        d = math.sqrt(0.0 if 0.0 > d else d)
+        left, right = x_m - d, x_m + d
+        lo, hi = left if left > lo else lo, right if right < hi else hi
         if lo > hi:
             return None, False
         if b[0] < b[1]:  # else user m's inner interval is its outer one, inside [lo, hi]
-            d = math.sqrt(max(b[0] - c_m, 0.0))
-            in_lo, in_hi = max(in_lo, x_m - d), min(in_hi, x_m + d)
-    return Interval(lo, hi), max(lo, in_lo) <= min(hi, in_hi)
+            d = b[0] - c_m
+            d = math.sqrt(0.0 if 0.0 > d else d)
+            left, right = x_m - d, x_m + d
+            in_lo, in_hi = left if left > in_lo else in_lo, right if right < in_hi else in_hi
+    return Interval(lo, hi), (in_lo if in_lo > lo else lo) <= (in_hi if in_hi < hi else hi)
 
 
 def _distances(scenario: Scenario, x_pin: float, users=None) -> dict[int, float]:
@@ -214,10 +227,14 @@ def _solve_nested(scenario: Scenario, bound, meets, objective, t_hi: float,
         else:  # the inversions cannot decide t_mid: the bracket is as tight as they allow
             break
         if interval is not None:
-            # user m's least value on I is at the end farther from x_m
-            binds = [m for m in active if not meets(m, t_hi, max(
-                distance_squared(users[m], dv, interval.lo),
-                distance_squared(users[m], dv, interval.hi)))]
+            # user m's least value on I is at the end farther from x_m: the larger
+            # squared distance, picked by the comparison the builtin max makes
+            binds = []
+            for m in active:
+                y_lo = distance_squared(users[m], dv, interval.lo)
+                y_hi = distance_squared(users[m], dv, interval.hi)
+                if not meets(m, t_hi, y_hi if y_hi > y_lo else y_lo):
+                    binds.append(m)
             if binds:  # a guard against rounding only: some user misses t_hi on I
                 active = binds
     if t_lo <= 0.0:

@@ -21,7 +21,7 @@ strictly decreasing scalar function ``f_scalar`` that both solvers invert.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -64,6 +64,13 @@ class ChannelParams:
     rho                transmit SNR factor P/sigma^2 (dimensionless)
     guided_wavelength  lambda_g inside the waveguide (m); phase only
     carrier_wavelength free-space lambda (m); phase only
+
+    Derived once per channel, for the CCDF's per-evaluation arithmetic
+    (not init arguments; left out of repr, == and hash):
+
+    mu                 sqrt(mu_sq)
+    marcum_a           Marcum Q1's first argument sqrt(2 eta)/mu
+    rho_mu_sq          rho * mu_sq, the mean of the NLoS SNR times r^2
     """
 
     beta: float
@@ -72,6 +79,9 @@ class ChannelParams:
     rho: float
     guided_wavelength: float
     carrier_wavelength: float
+    mu: float = field(init=False, repr=False, compare=False)
+    marcum_a: float = field(init=False, repr=False, compare=False)
+    rho_mu_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.beta >= 0.0 and math.isfinite(self.beta)):
@@ -80,6 +90,10 @@ class ChannelParams:
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise InvalidScenario(f"{name} must be finite and positive, got {value}")
+        mu = math.sqrt(self.mu_sq)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "marcum_a", math.sqrt(2.0 * self.eta) / mu)
+        object.__setattr__(self, "rho_mu_sq", self.rho * self.mu_sq)
 
 
 @dataclass(frozen=True)

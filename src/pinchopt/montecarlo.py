@@ -181,8 +181,9 @@ def grid_search_maxmin(scenario: Scenario, grid_points: int) -> Solution:
         y = (scenario.users[m].x - xs) ** 2 + scenario.c_const(m)
         los = params.eta * np.exp(-params.beta * y)
         np.minimum(worst, params.rho * (los + params.mu_sq) / y, out=worst)
-        # |dGamma/dx| = |f'(y)| * 2|x - x_m|
-        f_prime = params.rho * (los * (params.beta * y + 1.0) + params.mu_sq) / (y * y)
+        # |dGamma/dx| = |f'(y)| * 2|x - x_m|; divided by y twice: y * y overflows
+        # past y ~ 1e154 (tall waveguides), where f' may still be a double
+        f_prime = params.rho * (los * (params.beta * y + 1.0) + params.mu_sq) / y / y
         max_slope = max(max_slope, float(np.max(f_prime * 2.0 * np.abs(scenario.users[m].x - xs))))
     best = int(np.argmax(worst))
     spacing = scenario.dx / (grid_points - 1)

@@ -90,12 +90,17 @@ def _bracket_root(g, lo: float, g_lo: float, hi: float, g_hi: float,
     """
     w0, n, side = hi - lo, 0, 0
     while hi - lo > width:
-        if n >= 2.0 * math.log2(w0 / (hi - lo)) + 3.0:
+        # the bracket only shrinks, so log2(w0 / (hi - lo)) >= 0: no bisection before n = 3
+        if n >= 3 and n >= 2.0 * math.log2(w0 / (hi - lo)) + 3.0:
             x = 0.5 * (lo + hi)
         else:
             x = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
-            # at least width / 2 from either end: a step that lands there may end the search
-            x = min(max(x, lo + 0.5 * width), hi - 0.5 * width)
+            # at least width / 2 from either end: a step that lands there may end the
+            # search (min(max(x, near), far) by comparisons, cheaper than the builtins)
+            if (near := lo + 0.5 * width) > x:
+                x = near
+            if (far := hi - 0.5 * width) < x:
+                x = far
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
             if not lo < x < hi:

@@ -7,7 +7,10 @@ branch (LoS present) and an exponential branch (LoS blocked):
 
 with a = sqrt(2 eta)/mu and b = sqrt(2) r sqrt(t/rho)/mu. For fixed t > 0
 the mixture is strictly decreasing in r^2, which is what lets the outage
-solver turn each reliability constraint into a distance bound.
+solver turn each reliability constraint into a distance bound. a, mu and
+the NLoS scale rho mu^2 are constant per channel: ccdf_inst_snr reads them
+from ChannelParams' derived fields (marcum_a, mu, rho_mu_sq), so a call
+computes only b and the two exponentials.
 
 The numeric evaluation lives in ``kernels``; this module owns validation
 and the channel-facing formulas. There is one CCDF arithmetic, the scalar
@@ -37,12 +40,6 @@ def marcum_q1(a: float, b: float) -> float:
     return kernels.marcum_q1_scalar(a, b)
 
 
-def _marcum_ab(params: ChannelParams, r_sq: float, t: float) -> tuple[float, float]:
-    """a = sqrt(2 eta)/mu and b = sqrt(2 r^2 t/rho)/mu."""
-    mu = math.sqrt(params.mu_sq)
-    return math.sqrt(2.0 * params.eta) / mu, math.sqrt(2.0 * r_sq * t / params.rho) / mu
-
-
 def ccdf_inst_snr(params: ChannelParams, r_sq: float, t: float) -> float:
     """P[instantaneous SNR >= t] at squared distance r_sq; in [0, 1].
 
@@ -56,11 +53,12 @@ def ccdf_inst_snr(params: ChannelParams, r_sq: float, t: float) -> float:
         raise ValueError(f"squared distance must be positive, got {r_sq}")
     if t == 0.0:
         return 1.0  # SNR is almost surely nonnegative
-    a, b = _marcum_ab(params, r_sq, t)
+    b = math.sqrt(2.0 * r_sq * t / params.rho) / params.mu
     p_los = math.exp(-params.beta * r_sq)
-    nlos_tail = math.exp(-t * r_sq / (params.rho * params.mu_sq))
-    value = p_los * kernels.marcum_q1_scalar(a, b) + (1.0 - p_los) * nlos_tail
-    return min(max(value, 0.0), 1.0)
+    nlos_tail = math.exp(-t * r_sq / params.rho_mu_sq)
+    value = p_los * kernels.marcum_q1_scalar(params.marcum_a, b) + (1.0 - p_los) * nlos_tail
+    # min(max(value, 0.0), 1.0) by comparisons, at a small fraction of the builtins' cost
+    return 0.0 if value < 0.0 else 1.0 if value > 1.0 else value
 
 
 def ccdf_inst_snr_batch(params: ChannelParams, r_sq, t) -> np.ndarray:

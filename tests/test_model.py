@@ -1,10 +1,13 @@
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from pinchopt import (
+    ChannelParams,
     InvalidScenario,
     Scenario,
     UserPosition,
@@ -199,6 +202,55 @@ class TestSquaredDistanceRange:
         sc = make_scenario([(10.0, 5.0)])
         with pytest.raises(IndexError):
             squared_distance_range(sc, 1)
+
+
+_DERIVED = ("mu", "marcum_a", "rho_mu_sq")
+
+
+def _fresh(params):
+    """A ChannelParams built from params' init fields alone."""
+    return ChannelParams(**{f.name: getattr(params, f.name)
+                            for f in dataclasses.fields(params) if f.init})
+
+
+class TestChannelParamsDerived:
+    """The per-channel constants ccdf_inst_snr and invert_f read."""
+
+    def test_values(self):
+        params = make_params()
+        mu = math.sqrt(params.mu_sq)
+        assert params.mu == mu
+        assert params.marcum_a == math.sqrt(2.0 * params.eta) / mu
+        assert params.marcum_a == pytest.approx(math.sqrt(2.0 * params.eta / params.mu_sq),
+                                                rel=1e-14)
+        assert params.rho_mu_sq == params.rho * params.mu_sq
+
+    @pytest.mark.parametrize("make", [
+        lambda p: dataclasses.replace(p, eta=1.5 * p.eta),  # verify's eta-scaled channel
+        lambda p: dataclasses.replace(p, beta=0.5 * p.beta),  # a sweep's beta override
+        lambda p: dataclasses.replace(p, mu_sq=4.0 * p.mu_sq, rho=0.1 * p.rho),
+        lambda p: pickle.loads(pickle.dumps(p)),  # the sweep's worker pool
+    ])
+    def test_follow_the_fields_they_come_from(self, make):
+        params = make(make_params())
+        fresh = _fresh(params)
+        for name in _DERIVED:
+            assert getattr(params, name) == getattr(fresh, name), name
+
+    def test_not_init_arguments(self):
+        with pytest.raises(TypeError):
+            ChannelParams(beta=0.01, eta=1e-6, mu_sq=1e-9, rho=1e13,
+                          guided_wavelength=1e-2, carrier_wavelength=1e-2, mu=1.0)
+        with pytest.raises(ValueError):
+            dataclasses.replace(make_params(), marcum_a=1.0)
+
+    def test_repr_eq_and_hash_ignore_them(self):
+        params, other = make_params(), make_params()
+        object.__setattr__(other, "marcum_a", 0.0)
+        object.__setattr__(other, "rho_mu_sq", 0.0)
+        assert params == other and hash(params) == hash(other)
+        assert repr(params) == repr(other)
+        assert not any(f"{name}=" in repr(params) for name in _DERIVED)
 
 
 class TestScenarioValidation:

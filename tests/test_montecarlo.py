@@ -297,6 +297,16 @@ class TestGridSearchMaxmin:
         with pytest.raises(ValueError):
             grid_search_maxmin(make_scenario([(1.0, 0.0)]), 1)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dv", [1e80, 1e150])
+    def test_tall_waveguide_slope_does_not_overflow(self, dv):
+        # y ~ dv^2, so y * y overflows (numpy warns) and would read the slope as 0.
+        # Formed by dividing by y twice, f' ~ 1e4 / y^2 is ~1e-316 at dv 1e80, a
+        # double, and ~1e-596 at dv 1e150, which underflows to 0 without a warning
+        sc = make_scenario([(4.0, 3.0), (15.0, -4.0), (27.0, 1.0)], dv=dv)
+        slack = grid_search_maxmin(sc, 20_001).meta["t_slack"]
+        assert slack > 0.0 if dv == 1e80 else slack == 0.0
+
 
 class TestGridSearchOutage:
     def test_single_user(self):

@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from pinchopt import ccdf_inst_snr, ccdf_inst_snr_batch, marcum_q1
+from pinchopt import ccdf_inst_snr, ccdf_inst_snr_batch, kernels, marcum_q1
 from pinchopt.kernels import i0_scaled
-from pinchopt.special import _marcum_ab
 
-from conftest import make_params
+from conftest import ETA_28GHZ, make_params
 from oracles import (
     bessel_i0_scaled_mp,
     bessel_i0_scaled_quad,
@@ -107,17 +106,79 @@ class TestMarcumQ1:
         with pytest.raises(ValueError, match="b=nan"):
             marcum_q1(1.0, math.nan)
 
-    def test_marcum_args_from_channel(self):
-        params = make_params()
-        a, b = _marcum_ab(params, 150.0, 5e3)
-        mu = math.sqrt(params.mu_sq)
-        assert a == pytest.approx(math.sqrt(2.0 * params.eta) / mu, rel=1e-14)
-        assert b == pytest.approx(
-            math.sqrt(2.0) * math.sqrt(150.0) * math.sqrt(5e3 / params.rho) / mu, rel=1e-12
-        )
+
+def _marcum_args_per_call(params, r_sq, t):
+    """Q1's (a, b) for a call at (r_sq, t), from mu^2 and eta."""
+    mu = math.sqrt(params.mu_sq)
+    return math.sqrt(2.0 * params.eta) / mu, math.sqrt(2.0 * r_sq * t / params.rho) / mu
+
+
+def _ccdf_per_call(params, r_sq, t):
+    """ccdf_inst_snr in its per-call form: a and b recomputed from mu^2 and eta
+    on every call, the NLoS scale as rho * mu^2, and the min(max()) clamp."""
+    if t == 0.0:
+        return 1.0
+    a, b = _marcum_args_per_call(params, r_sq, t)
+    p_los = math.exp(-params.beta * r_sq)
+    nlos_tail = math.exp(-t * r_sq / (params.rho * params.mu_sq))
+    value = p_los * kernels.marcum_q1_scalar(a, b) + (1.0 - p_los) * nlos_tail
+    return min(max(value, 0.0), 1.0)
+
+
+def _q1_branch(params, r_sq, t):
+    """The marcum_q1_scalar branch a ccdf_inst_snr call at (r_sq, t > 0) takes."""
+    a, b = _marcum_args_per_call(params, r_sq, t)
+    if b == 0.0:
+        return "b=0"
+    if a == 0.0:
+        return "a=0"
+    if (a * b <= kernels.LINEAR_AB_LIMIT and 0.5 * a * a < kernels.EXP_ARG_LIMIT
+            and 0.5 * b * b < kernels.EXP_ARG_LIMIT):
+        return "series"
+    if a - b >= kernels.SATURATION_GAP:
+        return "saturated at 1"
+    if b - a >= kernels.SATURATION_GAP:
+        return "saturated at 0"
+    return "Bessel band"
+
+
+# One lane per branch: (channel, r_sq, t as a multiple of the LoS level rho eta / r_sq).
+# At the reference channel a = 38.1 and b = a sqrt(multiple). a = 0 needs eta = 0,
+# which ChannelParams rejects: the least a (eta 5e-324, mu^2 1e308) is ~2e-316,
+# whose Poisson weight e^{-a^2/2} is 1, the series' a -> 0 limit.
+_BRANCH_LANES = [
+    ("b=0", {}, 150.0, 1e-320),
+    ("series", {"eta": 5e-324, "mu_sq": 1e308}, 150.0, 1.0),
+    ("series", {"mu_sq": 1e-7}, 150.0, 1.0),
+    ("Bessel band", {}, 150.0, 1.0),
+    ("saturated at 1", {}, 150.0, 0.25),
+    ("saturated at 0", {}, 150.0, 4.0),
+]
 
 
 class TestCcdfInstSnr:
+    @pytest.mark.parametrize("branch,channel,r_sq,multiple", _BRANCH_LANES)
+    def test_each_q1_branch_is_the_per_call_form_bit_for_bit(self, branch, channel, r_sq,
+                                                              multiple):
+        params = make_params(**channel)
+        t = multiple * params.rho * params.eta / r_sq
+        assert _q1_branch(params, r_sq, t) == branch
+        assert ccdf_inst_snr(params, r_sq, t) == _ccdf_per_call(params, r_sq, t)
+
+    @given(beta=st.floats(0.0, 0.1), mu_sq_exp=st.floats(-12.0, -6.0),
+           eta_scale=st.floats(1e-2, 1e2), rho_exp=st.floats(10.0, 16.0),
+           r_sq=st.floats(1.0, 1e4), multiple=st.floats(0.0, 4.0))
+    @example(beta=0.01, mu_sq_exp=-9.0, eta_scale=1.0, rho_exp=13.0, r_sq=150.0,
+             multiple=1e-320)  # b = 0
+    @settings(max_examples=300, deadline=None)
+    def test_is_the_per_call_form_bit_for_bit(self, beta, mu_sq_exp, eta_scale, rho_exp,
+                                              r_sq, multiple):
+        # t up to four times the LoS level, so the lanes span every reachable Q1 branch
+        params = make_params(beta=beta, mu_sq=10.0 ** mu_sq_exp, eta=ETA_28GHZ * eta_scale,
+                             rho=10.0 ** rho_exp)
+        t = multiple * params.rho * params.eta / r_sq
+        assert ccdf_inst_snr(params, r_sq, t) == _ccdf_per_call(params, r_sq, t)
+
     def test_zero_threshold_is_one(self):
         assert ccdf_inst_snr(make_params(), 150.0, 0.0) == 1.0
 
