@@ -13,7 +13,9 @@ Subcommands and the options each takes besides -h/--help:
                  any number of users: -o/--out
 
 --eps-t overrides the scenario's relative tolerance on the level t.
---workers acts on sweep only; solve and ccdf ignore it.
+--workers acts on sweep only; solve and ccdf ignore it. ccdf and verify
+draw their Monte-Carlo blocks on every CPU the process may use, whatever
+--workers says, and their output does not depend on the CPU count.
 
 sweep --axis m: at a user count other than the file's, every user takes
 user 0's channel and outage target, so the file's users must agree in
@@ -54,6 +56,7 @@ from .model import (
     snr_std,
 )
 from .montecarlo import (
+    _BATCH,
     McConfig,
     UnsupportedScenario,
     estimate_avg_snr,
@@ -410,13 +413,14 @@ def _verify_checks(bundle: ScenarioBundle, samples: int, seed: int, eta_scale: f
     for m, (user, params) in enumerate(zip(scenario.users, scenario.channels)):
         r_sq = distance_squared(user, scenario.dv, 0.5 * scenario.dx)
         analytic = replace(params, eta=params.eta * eta_scale)
-        est = estimate_avg_snr(params, r_sq, McConfig(samples=samples, seed=seed + m))
+        # two seeds per user, disjoint across users: the checks draw independently
+        est = estimate_avg_snr(params, r_sq, McConfig(samples=samples, seed=seed + 2 * m))
         std_error = max(snr_std(analytic, r_sq) / math.sqrt(samples), math.ulp(0.0))
         worst_mean = max(worst_mean, abs(f_scalar(analytic, r_sq) - est.mean) / (z_mean * std_error))
         mean_nlos = params.rho * params.mu_sq / r_sq
         los_limit = params.rho * params.eta / r_sq
         ts = [mean_nlos * math.log(2.0), 10.0 * mean_nlos, 0.5 * los_limit, 0.95 * los_limit]
-        ests = estimate_ccdf_curve(params, r_sq, ts, McConfig(samples=samples, seed=seed + 101 + m))
+        ests = estimate_ccdf_curve(params, r_sq, ts, McConfig(samples=samples, seed=seed + 2 * m + 1))
         for t, est in zip(ts, ests):
             p = ccdf_inst_snr(analytic, r_sq, t)
             std_error = math.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples)
@@ -462,10 +466,11 @@ def _verify_checks(bundle: ScenarioBundle, samples: int, seed: int, eta_scale: f
     checks.append({"name": "outage-bisection-vs-grid", "pass": bool(ok_o),
                    "detail": f"shortfall {shortfall:.3e} vs allowed {allowed:.3e}"})
 
-    # Determinism: identical seeds reproduce estimates bit for bit.
+    # Determinism: identical seeds reproduce estimates bit for bit, over two
+    # whole blocks and a ragged one, so a multi-CPU host runs them on its pool.
     params = scenario.channels[0]
     r_sq = distance_squared(scenario.users[0], scenario.dv, 0.5 * scenario.dx)
-    cfg = McConfig(samples=min(samples, 50_000), seed=seed)
+    cfg = McConfig(samples=2 * _BATCH + 1, seed=seed)
     same = estimate_avg_snr(params, r_sq, cfg) == estimate_avg_snr(params, r_sq, cfg)
     checks.append({"name": "seed-determinism", "pass": bool(same),
                    "detail": "identical seeds give bit-identical estimates"})

@@ -1,13 +1,15 @@
 """Hot numeric kernels: the Monte-Carlo SNR map and Marcum Q1.
 
 Two inner loops dominate the package's runtime and live here: the
-Monte-Carlo channel-power map (millions of samples per estimate), which
-runs in place over the caller's draws (two normals per LoS lane, one
-exponential per blocked lane), and the Marcum-Q evaluation (tens of
-millions of calls inside the solvers and grid oracles), which is one
-scalar kernel. marcum_q1_batch maps that kernel over array lanes, so a
-lane and a scalar call agree bit for bit. Results are deterministic for
-a given Python and numpy build.
+Monte-Carlo channel-power map (millions of samples per estimate) and the
+Marcum-Q evaluation (tens of millions of calls inside the solvers and
+grid oracles). The map runs in place over the caller's draws (two normals
+per LoS lane, one exponential per blocked lane), once per sample block on
+the sampler's worker threads: it keeps no state, and its numpy ufuncs
+release the GIL, so blocks map concurrently. Q1 is one scalar kernel;
+marcum_q1_batch maps it over array lanes, so a lane and a scalar call
+agree bit for bit. Results are deterministic for a given Python and numpy
+build.
 
 Marcum-Q evaluation strategy: the Poisson-mixture series runs in linear
 space while a*b <= 500 and both exp(-a^2/2), exp(-b^2/2) stay

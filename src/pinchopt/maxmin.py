@@ -201,9 +201,14 @@ def _solve_nested(scenario: Scenario, bound, meets, objective, t_hi: float,
     active user is tested at t_hi at the end of the last feasible
     intersection I farther from x_m, where its value on I is least (every
     user's value strictly decreases in |x - x_m|). A user that meets t_hi
-    there meets every later probe on all of I and is dropped; each probe
-    intersects from I, not [0, dx], so the interval never widens to where
-    a dropped user fails.
+    there meets every later probe on all of I and is dropped. Each probe
+    intersects from I, not [0, dx]. In exact arithmetic this changes no
+    verdict: the users that set I's ends meet only t_lo at their own end,
+    so they are never dropped, and their bounds alone keep the intersection
+    inside I. It guards against rounding, where a user's inversion is wider
+    than its exact bound (the outage inversion width) or the bracket has
+    reached adjacent doubles, so the interval cannot widen to where a
+    dropped user fails.
 
     Bisection on x over I, which holds the argmax, then moves each
     midpoint's far end toward its worst user m. The last such users on

@@ -4,26 +4,33 @@ The channel as modeled: a Bernoulli LoS gate with success probability
 p = exp(-beta r^2), a deterministic LoS phasor of magnitude sqrt(eta)/r
 and phase 2 pi r / lambda + 2 pi x_pin / lambda_g, and an aggregate
 complex-Gaussian NLoS term with per-component variance s^2 = mu^2 / (2 r^2).
-The sampler draws it as its LoS/NLoS mixture. Batch i uses the Philox
-counter-based generator seeded by SeedSequence(seed, spawn_key=(i,)) and
-draws, in this order: the LoS count k ~ Binomial(n, p); k real, then k
-imaginary standard normals for the LoS lanes values[:k]; n - k standard
-exponentials for the blocked lanes values[k:]. Two identities make this
-exact in distribution:
+The sampler draws it as its LoS/NLoS mixture, in blocks of _BATCH samples
+(the last one ragged). Block i uses numpy's SFC64 generator seeded by
+SeedSequence(seed, spawn_key=(i,)) and draws, in this order: the LoS count
+k ~ Binomial(n, p); k real, then k imaginary standard normals for the LoS
+lanes values[:k]; n - k standard exponentials for the blocked lanes
+values[k:]. Two identities make this exact in distribution:
 
 - n iid lanes from the mixture p*LoS + (1 - p)*blocked are, as a
   multiset, a Binomial(n, p) count of iid LoS lanes and the rest iid
   blocked lanes. Both estimators (sums of values and squares, and counts
-  at thresholds on the sorted batch) ignore lane order, so they have the
+  at thresholds on the sorted block) ignore lane order, so they have the
   same joint law as with a Bernoulli gate on every lane.
 - A blocked lane is |s (z_re + j z_im)|^2 = s^2 (z_re^2 + z_im^2), and
   z_re^2 + z_im^2 is chi-square with 2 degrees of freedom, that is
   exponential with mean 2. So the lane is 2 s^2 = mu^2 / r^2 times one
   standard exponential.
 
-Per-batch partials are reduced with numpy's pairwise summation in batch
-order, so scheduling cannot change results, and estimates are
-reproducible bit for bit per seed.
+The blocks of one call run on a thread pool with one worker per CPU the
+process may use (its affinity mask where the platform has one), at most
+one per block; a call of one block, or on one CPU, runs inline. numpy's
+draws, sort, searchsorted and array arithmetic release the GIL, so the
+blocks overlap. At most one block per worker is in flight, so memory is
+O(workers x block) at any sample count. Each block's partials depend only
+on the seed and the block index, and they are reduced in block order: CCDF
+hit counts are integer sums, and the average-SNR sums use numpy's
+pairwise summation over the per-block partials. So estimates are
+reproducible bit for bit per seed, whatever the number of CPUs.
 
 The grid searches are the independent optimality oracles for both
 solvers; they evaluate the analytic objectives exhaustively and report
@@ -36,6 +43,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +58,9 @@ from .special import ccdf_inst_snr
 
 
 # Samples drawn and reduced per block; the block index seeds its generator.
-_BATCH = 250_000
+# The default 200 000-sample ccdf/verify call is four blocks, one per worker
+# on up to four CPUs.
+_BATCH = 50_000
 
 
 class UnsupportedScenario(ValueError):
@@ -84,7 +96,7 @@ class McEstimate:
 
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,))
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def _channel_constants(params: ChannelParams, r_sq: float, x_pin: float):
@@ -117,15 +129,47 @@ def _batches(cfg: McConfig):
         index += 1
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_blocks(block, cfg: McConfig):
+    """Yield block(index, n) for each of cfg's blocks, in block order.
+
+    Workers: one per available CPU, at most one per block; one worker runs
+    inline. A block is submitted only once the oldest one in flight has
+    been collected (Executor.map would queue every block at once), so at
+    most `workers` blocks are in flight.
+    """
+    blocks = _batches(cfg)
+    workers = min(_available_cpus(), -(-cfg.samples // _BATCH))
+    if workers == 1:
+        for index, n in blocks:
+            yield block(index, n)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        in_flight = deque()
+        for index, n in blocks:
+            if len(in_flight) == workers:
+                yield in_flight.popleft().result()
+            in_flight.append(pool.submit(block, index, n))
+        while in_flight:
+            yield in_flight.popleft().result()
+
+
 def estimate_avg_snr(params: ChannelParams, r_sq: float, cfg: McConfig,
                      x_pin: float = 0.0) -> McEstimate:
     """Sample mean of the instantaneous SNR rho*|h|^2 with standard error."""
-    sums, sq_sums = [], []
-    for index, n in _batches(cfg):
+    def block(index, n):
         values = _draw_snr(params, r_sq, _batch_rng(cfg.seed, index), n, x_pin, params.rho)
-        sums.append(np.sum(values))
+        total = np.sum(values)
         values *= values
-        sq_sums.append(np.sum(values))
+        return total, np.sum(values)
+
+    sums, sq_sums = zip(*_map_blocks(block, cfg))
     total = float(np.sum(np.asarray(sums)))
     total_sq = float(np.sum(np.asarray(sq_sums)))
     n = cfg.samples
@@ -152,11 +196,14 @@ def estimate_ccdf_curve(params: ChannelParams, r_sq: float, thresholds, cfg: McC
     bad = thresholds[~(thresholds >= 0.0)]
     if bad.size:
         raise ValueError(f"thresholds must be nonnegative, got {bad[0]}")
-    hits = np.zeros(thresholds.size, dtype=np.int64)
-    for index, n in _batches(cfg):
+    def block(index, n):
         values = _draw_snr(params, r_sq, _batch_rng(cfg.seed, index), n, x_pin, params.rho)
         values.sort()
-        hits += n - np.searchsorted(values, thresholds, side="left")
+        return n - np.searchsorted(values, thresholds, side="left")
+
+    hits = np.zeros(thresholds.size, dtype=np.int64)
+    for block_hits in _map_blocks(block, cfg):
+        hits += block_hits
     return [
         McEstimate(mean=int(k) / cfg.samples,
                    std_error=_binomial_std_error(int(k), cfg.samples),

@@ -130,7 +130,7 @@ def mixture_batches_reference(seed, sizes, p_los, los_amp, nlos_scale, cos_ph, s
     """rho*|h|^2 per batch of the given sizes, drawn as the sampler's mixture
     stream on fresh arrays.
 
-    Batch i uses Philox seeded by SeedSequence(seed, spawn_key=(i,)) and draws
+    Batch i uses SFC64 seeded by SeedSequence(seed, spawn_key=(i,)) and draws
     the LoS count k ~ Binomial(n, p_los), then k real and k imaginary normals
     for the LoS lanes, then n - k exponentials for the blocked lanes, which
     come last. A blocked lane is |nlos_scale*(z_re + j z_im)|^2, exponential
@@ -138,7 +138,7 @@ def mixture_batches_reference(seed, sizes, p_los, los_amp, nlos_scale, cos_ph, s
     """
     for index, n in enumerate(sizes):
         seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-        rng = np.random.Generator(np.random.Philox(seq))
+        rng = np.random.Generator(np.random.SFC64(seq))
         k = rng.binomial(n, p_los)
         z_re = rng.standard_normal(k)
         z_im = rng.standard_normal(k)

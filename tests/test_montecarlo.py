@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -264,6 +266,46 @@ class TestEstimateCcdf:
         for t, est in zip(ts, curve):
             single = _estimate_ccdf(params, 150.0, t, CFG)
             assert est == single  # same draws, same counts
+
+
+class TestBlockPool:
+    """Blocks run on one worker per available CPU; the output does not depend on it."""
+
+    @pytest.mark.parametrize("cpus", [2, 3, 8])
+    def test_any_cpu_count_gives_the_one_cpu_result(self, monkeypatch, cpus):
+        monkeypatch.setattr(montecarlo, "_BATCH", RAGGED_BATCH)
+        params, cfg = make_params(beta=0.004), McConfig(samples=sum(RAGGED_SIZES), seed=9)
+        ts = np.geomspace(1e2, 3e4, 12)
+        results = {}
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)  # threads swap often, so a lost update would show
+            for n_cpus in (1, cpus):
+                monkeypatch.setattr(montecarlo, "_available_cpus", lambda: n_cpus)
+                results[n_cpus] = (estimate_avg_snr(params, 150.0, cfg, x_pin=7.3),
+                                   estimate_ccdf_curve(params, 150.0, ts, cfg, x_pin=7.3))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[cpus] == results[1]
+
+    @pytest.mark.parametrize("cpus, blocks", [(2, 9), (3, 10), (4, 2)])
+    def test_at_most_one_block_per_worker_in_flight(self, monkeypatch, cpus, blocks):
+        monkeypatch.setattr(montecarlo, "_BATCH", 10)
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: cpus)
+        workers = min(cpus, blocks)
+        started = []
+
+        def block(index, n):
+            started.append(index)
+            return index
+
+        collected = []
+        for index in montecarlo._map_blocks(block, McConfig(samples=10 * blocks - 3)):
+            time.sleep(0.01)  # an unbounded queue would let the workers run ahead here
+            collected.append(index)
+            assert len(started) <= len(collected) + workers - 1
+        assert collected == list(range(blocks))
+        assert sorted(started) == collected
 
 
 class TestGridSearchMaxmin:
