@@ -94,6 +94,9 @@ class ChannelParams:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "marcum_a", math.sqrt(2.0 * self.eta) / mu)
         object.__setattr__(self, "rho_mu_sq", self.rho * self.mu_sq)
+        if self.rho_mu_sq == 0.0:  # the CCDF divides by it; an inf one fails Scenario's ceiling
+            raise InvalidScenario(f"rho * mu_sq underflows to 0 (rho = {self.rho}, mu_sq = "
+                                  f"{self.mu_sq}): the NLoS SNR scale is not a positive double")
 
 
 @dataclass(frozen=True)
@@ -138,6 +141,10 @@ class Scenario:
             if not (c > 0.0 and 0.0 < 2.0 * (p.rho * (p.eta + p.mu_sq) / c) < math.inf):
                 raise InvalidScenario(f"users[{m}]: level ceiling 2 rho (eta + mu_sq) / C_m is "
                                       f"not a positive double (rho, eta, mu_sq or dv out of scale)")
+            # the level both solvers start from; f(C_m) >= rho mu^2 / C_m, so f is rarely needed
+            if not (p.rho_mu_sq / c > 0.0 or f_scalar(p, c) > 0.0):
+                raise InvalidScenario(f"users[{m}]: best level f(C_m) underflows to 0 "
+                                      f"(rho, mu_sq, beta or dv out of scale)")
 
     @property
     def n_users(self) -> int:

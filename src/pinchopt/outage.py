@@ -94,7 +94,10 @@ def _bracket_root(g, lo: float, g_lo: float, hi: float, g_hi: float,
         if n >= 3 and n >= 2.0 * math.log2(w0 / (hi - lo)) + 3.0:
             x = 0.5 * (lo + hi)
         else:
-            x = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
+            try:
+                x = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
+            except ZeroDivisionError:  # g_lo = 0 and g_hi halved to -0.0: bisect
+                x = 0.5 * (lo + hi)
             # at least width / 2 from either end: a step that lands there may end the
             # search (min(max(x, near), far) by comparisons, cheaper than the builtins)
             if (near := lo + 0.5 * width) > x:

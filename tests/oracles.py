@@ -1,13 +1,13 @@
 """Independent reference implementations used only by the test suite.
 
 These deliberately avoid the package's own series code: the Marcum-Q
-oracle integrates the defining integral with adaptive quadrature (scipy),
-Bessel references come from a raw power series / mpmath, the pure-NLoS
-outage bound has a logarithmic closed form, the beta = 0 optimum of both
-metrics on per-user channels is the least point of an envelope of
-parabolas, and the Monte-Carlo sampler has two out-of-place twins: the
-as-modeled per-lane map, and its per-batch LoS/NLoS mixture stream on
-fresh arrays.
+oracles integrate the defining integral with adaptive quadrature (scipy,
+and mpmath at 50 digits), Bessel references come from a raw power series /
+mpmath, the pure-NLoS outage bound has a logarithmic closed form, the
+beta = 0 optimum of both metrics on per-user channels is the least point
+of an envelope of parabolas, and the Monte-Carlo sampler has two
+out-of-place twins: the as-modeled per-lane map, and its per-batch
+LoS/NLoS mixture stream on fresh arrays.
 """
 
 from __future__ import annotations
@@ -60,6 +60,22 @@ def marcum_q1_quad(a: float, b: float) -> float:
     value, _ = integrate.quad(integrand, b, hi, points=points, limit=400,
                               epsabs=1e-12, epsrel=1e-12)
     return min(max(value, 0.0), 1.0)
+
+
+def marcum_q1_mp(a: float, b: float) -> float:
+    """50-digit mpmath quadrature of Q1(a,b) = int_b^inf x e^{-(x^2+a^2)/2} I0(ax) dx.
+
+    The integrand peaks near x = a with unit width, so the range is split
+    there; at 50 digits a Q1 near 1e-44 keeps full relative precision and
+    one near 1 full absolute precision.
+    """
+    with mpmath.workdps(50):
+        a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
+        top = max(a_, b_)
+        points = [b_] + [top + d for d in (0, 8, 20, 40) if top + d > b_] + [mpmath.inf]
+        value = mpmath.quad(lambda x: x * mpmath.exp(-(x - a_) ** 2 / 2 - a_ * x)
+                            * mpmath.besseli(0, a_ * x), points)
+        return float(value)
 
 
 def nlos_only_bound(rho: float, mu_sq: float, t: float, epsilon: float) -> float:

@@ -213,6 +213,19 @@ class TestSolve:
         assert 0.0 < pin["bracket"][0] <= pin["t_star"] <= pin["bracket"][1]
         assert pin["feasible"] == {"lo": 0.0, "hi": 30.0}
 
+    def test_los_dominated_outage_solves_within_two_seconds(self, tmp_path):
+        # beta = 0 and weak NLoS: every CCDF root sits on the LoS step, where Q1 takes
+        # a ~ b ~ 1.2e4 in its band; the band's work does not grow with a*b
+        doc = dict(SHARED_DOCS["three-users"], defaults={"beta": 0.0, "mu_sq_db": -140.0})
+        out = tmp_path / "out.json"
+        start = time.perf_counter()
+        rc = cli.main(["solve", _write(tmp_path, doc), "--metric", "outage", "-o", str(out)])
+        assert time.perf_counter() - start < 2.0
+        assert rc == cli.EXIT_OK
+        pin = json.loads(out.read_text(encoding="utf-8"))["pinching"]
+        assert pin["bracket"][0] <= pin["t_star"] <= pin["bracket"][1]
+        assert pin["binding"] == [0, 2]
+
     def test_outage_without_outage_section_is_invalid(self, two_user_file, capsys):
         rc = cli.main(["solve", str(two_user_file), "--metric", "outage"])
         assert rc == cli.EXIT_INVALID

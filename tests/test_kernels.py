@@ -1,14 +1,15 @@
 """Kernel checks: the Monte-Carlo SNR map against its out-of-place twin on LoS lanes,
-and batch against scalar Marcum Q1."""
+batch against scalar Marcum Q1, and Q1's Gauss-Hermite band against a 50-digit oracle."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from pinchopt import kernels
 
-from oracles import snr_samples_reference
+from oracles import bessel_i0_scaled_mp, marcum_q1_mp, snr_samples_reference
 
 
 def _draws(n=5000, seed=3):
@@ -117,8 +118,9 @@ class TestMarcumBackends:
 
     def test_saturation_shortcut_consistent_with_bessel(self):
         # values just inside / outside the |a-b| >= 14 saturation cut
-        for a, b in [(40.0, 26.5), (40.0, 53.5), (38.1, 24.2), (38.1, 52.0)]:
-            full = kernels._marcum_bessel(a, b)
+        for a, b in [(40.0, 26.5), (40.0, 53.5), (38.1, 24.2), (38.1, 52.0),
+                     (40.0, 25.9), (40.0, 54.1), (3000.0, 2985.9), (3000.0, 3014.1)]:
+            full = kernels._marcum_band(a, b)
             assert kernels.marcum_q1_scalar(a, b) == pytest.approx(full, abs=1e-12)
 
     def test_scalar_edge_identities(self):
@@ -126,7 +128,60 @@ class TestMarcumBackends:
         assert kernels.marcum_q1_scalar(0.0, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-13)
         assert kernels.marcum_q1_scalar(0.0, 60.0) == 0.0  # exp underflow region
 
-    def test_i0_scaled_dispatch(self):
-        assert kernels.i0_scaled(0.0) == 1.0
-        assert kernels.i0_scaled(1.0) == pytest.approx(0.4657596075936404, rel=1e-12)
+
+_AB_EDGE = math.nextafter(math.sqrt(500.0), math.inf)  # a = b with a*b just past 500
+_BAND_LANES = [
+    # a = b, and the switch between the rule's two sums at adjacent doubles
+    (22.5, 22.5), (22.5, math.nextafter(22.5, math.inf)), (math.nextafter(22.5, math.inf), 22.5),
+    (_AB_EDGE, _AB_EDGE), (1500.0, 1500.0),
+    # a*b -> 500, where a and b come nearest the rule's largest node
+    (20.0, 25.000000000000004), (25.0, 20.000000000000004), (16.44, 30.43), (30.43, 16.44),
+    # |a - b| -> 14, where Q1 or 1 - Q1 falls to about 1e-43
+    (40.0, 53.99999999), (53.99999999, 40.0), (3000.0, 3013.9999), (3013.9999, 3000.0),
+    # inside the band
+    (38.1, 30.0), (38.1, 45.0), (200.0, 205.0), (74.3, 87.2), (1033.5, 1045.9), (3000.0, 2990.0),
+]
+
+
+class TestMarcumBand:
+    """The Gauss-Hermite band, a*b > 500 and |a - b| < 14."""
+
+    @pytest.mark.parametrize("a, b", _BAND_LANES)
+    def test_matches_the_mpmath_quadrature(self, a, b):
+        assert a * b > kernels.LINEAR_AB_LIMIT and abs(a - b) < kernels.SATURATION_GAP
+        value, exact = kernels.marcum_q1_scalar(a, b), marcum_q1_mp(a, b)
+        assert abs(value - exact) <= 1e-15
+        if b > a:  # Q1 down to 1e-43: the sum keeps its relative precision
+            assert abs(value - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("a, tol", [(20.0, 2e-14), (1e3, 1e-15), (1e8, 1e-15)],
+                             ids=["series", "band", "band-1e8"])
+    def test_diagonal_is_half_of_one_plus_scaled_i0(self, a, tol):
+        # Q1(a, a) = (1 + e^{-a^2} I0(a^2)) / 2; at a = 20 the series' 1e-14 tail sets tol
+        expected = 0.5 * (1.0 + bessel_i0_scaled_mp(a * a))
+        assert kernels.marcum_q1_scalar(a, a) == pytest.approx(expected, abs=tol)
+
+    def test_work_per_call_does_not_grow_with_a_or_b(self, monkeypatch):
+        calls, real = 0, math.erfc
+
+        def erfc(x):
+            nonlocal calls
+            calls += 1
+            return real(x)
+
+        monkeypatch.setattr(kernels.math, "erfc", erfc)
+        for a, b in [(38.1, 30.0), (1500.0, 1500.0), (1e8, 1e8 + 3.0), (1e300, 1e300),
+                     (1.7e308, 1.7e308)]:
+            calls = 0
+            assert 0.0 < kernels.marcum_q1_scalar(a, b) < 1.0
+            assert calls == len(kernels._BAND_RULE) == 16
+
+    @given(log_a=st.floats(-300.0, 300.0), log_b=st.floats(-300.0, 300.0),
+           tie=st.sampled_from([None, -1e-3, 1e-3]))
+    @example(log_a=300.0, log_b=300.0, tie=-1e-3)
+    @example(log_a=300.0, log_b=300.0, tie=None)
+    def test_finite_in_the_unit_interval_at_every_scale(self, log_a, log_b, tie):
+        a = 10.0 ** log_a
+        b = 10.0 ** log_b if tie is None else a * (1.0 + tie)
+        assert 0.0 <= kernels.marcum_q1_scalar(a, b) <= 1.0
 

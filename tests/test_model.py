@@ -280,6 +280,9 @@ class TestScenarioValidation:
             make_params(beta=-0.1)
         with pytest.raises(InvalidScenario):
             make_params(mu_sq=0.0)
+        # rho mu^2, which the CCDF divides by, underflows to 0 though rho and mu^2 do not
+        with pytest.raises(InvalidScenario, match=r"^rho \* mu_sq underflows to 0"):
+            make_params(rho=1e-200, eta=1e-200, mu_sq=1e-200)
 
     @pytest.mark.parametrize("field", ["beta", "eta", "mu_sq", "rho"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -290,12 +293,18 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(rho=1e300, mu_sq=1e10),            # rho mu^2 overflows
         dict(rho=1.5e308, eta=0.9, dv=1.0),     # f(y_min) is finite, 2 f(y_min) is not
-        dict(rho=1e-200, eta=1e-200, mu_sq=1e-200),  # rho (eta + mu^2) underflows to 0
+        dict(rho=1e-300, dv=1e20),              # rho (eta + mu^2) / C_m underflows to 0
         dict(dv=1e-170, dy=1e-170),             # y^2 + dv^2 underflows to 0
     ])
     def test_rejects_a_level_ceiling_outside_the_doubles(self, kwargs):
         with pytest.raises(InvalidScenario, match=r"^users\[0\]: level ceiling"):
             make_scenario([(1.0, 0.0)], **kwargs)
+
+    def test_rejects_a_best_level_that_underflows(self):
+        # e^{-beta C_m} removes eta, and rho mu^2 / C_m rounds to 0 while the ceiling,
+        # 2 rho (eta + mu^2) / C_m, is a positive double
+        with pytest.raises(InvalidScenario, match=r"^users\[0\]: best level f\(C_m\)"):
+            make_scenario([(1.0, 0.0)], rho=1e-176, mu_sq=1e-146, beta=1000.0, dv=100.0)
 
     @pytest.mark.parametrize("field", ["dx", "dy", "dv"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

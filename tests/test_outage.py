@@ -480,6 +480,19 @@ class TestWarmStart:
         assert lo <= root_step / steps <= hi
         assert g(lo) >= 0.0 > g(hi)
 
+    def test_bracket_root_bisects_when_both_ends_read_zero(self):
+        # g_lo = 0 and g_hi = -5e-324, which the Illinois rule halves to -0.0:
+        # the regula falsi step would be 0 / 0
+        def g(x):
+            nonlocal calls
+            calls += 1
+            return 0.0 if x < 0.9 else -5e-324
+
+        calls = 0
+        lo, hi = outage._bracket_root(g, 0.0, 0.0, 1.0, -5e-324, 1e-12)
+        assert lo < 0.9 <= hi and hi - lo <= 1e-12
+        assert calls <= 2 * math.ceil(math.log2(1e12)) + 4
+
     def test_active_set_cuts_ccdf_calls(self, monkeypatch):
         rng = np.random.Generator(np.random.Philox(63))
         calls = 0
@@ -502,7 +515,7 @@ class TestWarmStart:
         counts = {"ccdf": 0, "finish band": 0}
         in_finish = False
         real_ccdf, real_min, real_band = (outage.ccdf_inst_snr, outage._min_threshold,
-                                          kernels._marcum_bessel)
+                                          kernels._marcum_band)
 
         def ccdf(*args):
             counts["ccdf"] += 1
@@ -522,7 +535,7 @@ class TestWarmStart:
 
         monkeypatch.setattr(outage, "ccdf_inst_snr", ccdf)
         monkeypatch.setattr(outage, "_min_threshold", objective)
-        monkeypatch.setattr(kernels, "_marcum_bessel", band)
+        monkeypatch.setattr(kernels, "_marcum_band", band)
         for _ in range(5):
             counts["ccdf"] = 0
             solve_outage(random_scenario(rng, 8), OutageSpec.shared(0.1, 8))

@@ -149,6 +149,13 @@ def _edited(path, value):
     (_edited(("outage", "epsilons"), [0.1, "a"]), "outage.epsilons[1]: expected a number"),
     # each field valid, the level ceiling 2 rho (eta + mu_sq) / C_m not a double
     (_edited(("defaults",), {"p_dbm": 2910.0, "mu_sq_db": 100.0}), "users[0]: level ceiling"),
+    # each field valid, the NLoS scale rho mu^2 underflowing to 0
+    (_edited(("defaults",), {"p_dbm": -1000.0, "noise_dbm": 760.0, "mu_sq_db": -2800.0}),
+     "users[0]: channel constants out of range: rho * mu_sq underflows to 0"),
+    # each field valid, the best level f(C_m) underflowing to 0: e^{-beta C_m} removes eta
+    (dict(_edited(("region", "dv"), 100.0),
+          defaults={"p_dbm": -1000.0, "noise_dbm": 760.0, "mu_sq_db": -1460.0, "beta": 1000.0}),
+     "users[0]: best level f(C_m)"),
 ])
 def test_format_errors_name_the_field(doc, field):
     with pytest.raises(ScenarioFormatError) as info:
