@@ -245,7 +245,8 @@ def _solve_nested(scenario: Scenario, bound, meets, objective, t_hi: float,
     if t_lo <= 0.0:
         raise SolverAnomaly(f"no positive level below {t_hi} is feasible")
     lo, hi = interval
-    xtol = 1e-13 * max(abs(lo), abs(hi), 1.0)  # ulp-scale floor
+    # not an ulp floor: ~640 ulps at x ~ 22 m, so a steep outage t_star is ~1e-11 relative
+    xtol = 1e-13 * max(abs(lo), abs(hi), 1.0)
     left = right = None
     while hi - lo > xtol:
         x_mid = 0.5 * (lo + hi)

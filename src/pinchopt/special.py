@@ -32,8 +32,9 @@ def marcum_q1(a: float, b: float) -> float:
     """First-order Marcum Q function Q1(a, b) in [0, 1].
 
     Q1(a, b) = int_b^inf x exp(-(x^2+a^2)/2) I0(ax) dx; strictly
-    increasing in a, strictly decreasing in b. Q1(a, 0) = 1 and
-    Q1(0, b) = exp(-b^2/2) exactly.
+    increasing in a, strictly decreasing in b. Q1(a, 0) = 1, and
+    Q1(0, b) = exp(-b^2/2) is returned exactly below b = 14 and as 0
+    (within 3e-43) from there on.
     """
     if not (a >= 0.0 and b >= 0.0):
         raise ValueError(f"marcum_q1 needs a, b >= 0, got a={a}, b={b}")

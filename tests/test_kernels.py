@@ -76,7 +76,7 @@ class TestMarcumBackends:
         np.testing.assert_array_equal(batch, scalar)
 
     def test_large_argument_lanes(self):
-        # noncentrality past the linear-series underflow limit (a^2/2 > 700)
+        # the reference link's a = 38.1: every lane saturates or runs the band
         a = np.full(64, 38.1)
         b = np.geomspace(0.5, 200.0, 64)
         batch = kernels.marcum_q1_batch(a, b)
@@ -86,16 +86,15 @@ class TestMarcumBackends:
 
     @pytest.mark.parametrize("shape", [(600,), (20, 30)], ids=["dispatch", "numpy"])
     def test_mixed_regime_lanes(self, shape):
-        # one call spanning linear-series, Bessel-band and both saturated regimes;
-        # the 2-D case checks the raveled lanes map back to their shape
+        # one call spanning both saturated regimes, the series and the band, in the
+        # kernel's order; the 2-D case checks the raveled lanes map back to their shape
         a, b = _random_args(21, n=600, hi=45.0)
-        linear = (a * b <= kernels.LINEAR_AB_LIMIT) & (0.5 * a * a < kernels.EXP_ARG_LIMIT) \
-            & (0.5 * b * b < kernels.EXP_ARG_LIMIT)
         gap = a - b
-        assert np.any(linear)
-        assert np.any(~linear & (np.abs(gap) < kernels.SATURATION_GAP))
-        assert np.any(~linear & (gap >= kernels.SATURATION_GAP))
-        assert np.any(~linear & (-gap >= kernels.SATURATION_GAP))
+        inside = np.abs(gap) < kernels.SATURATION_GAP
+        assert np.any(gap >= kernels.SATURATION_GAP)
+        assert np.any(-gap >= kernels.SATURATION_GAP)
+        assert np.any(inside & (a * b <= kernels.LINEAR_AB_LIMIT))
+        assert np.any(inside & (a * b > kernels.LINEAR_AB_LIMIT))
         scalar = np.array([kernels.marcum_q1_scalar(ai, bi) for ai, bi in zip(a, b)])
         batch = kernels.marcum_q1_batch(a.reshape(shape), b.reshape(shape))
         assert batch.shape == shape
@@ -126,7 +125,33 @@ class TestMarcumBackends:
     def test_scalar_edge_identities(self):
         assert kernels.marcum_q1_scalar(3.0, 0.0) == 1.0
         assert kernels.marcum_q1_scalar(0.0, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-13)
-        assert kernels.marcum_q1_scalar(0.0, 60.0) == 0.0  # exp underflow region
+        assert kernels.marcum_q1_scalar(0.0, 60.0) == 0.0  # saturated: b - a >= 14
+
+
+def _around(a, b):
+    """(a, b) and (a, b') with b' the doubles on each side of b."""
+    return [(a, math.nextafter(b, -math.inf)), (a, b), (a, math.nextafter(b, math.inf))]
+
+
+_SATURATION_EDGE_LANES = [
+    # |a - b| = 14 with a*b just below and just above 500, on each side of the diagonal
+    *_around(30.4, 16.4), *_around(30.5, 16.5), *_around(16.4, 30.4), *_around(16.5, 30.5),
+    # small a*b, where the series took every saturated lane
+    *_around(19.0, 5.0), *_around(0.5, 14.5), *_around(5.0, 19.0),
+    (37.0, 5.0), (20.0, 6.0),
+]
+
+
+class TestMarcumSaturation:
+    """Lanes with |a - b| >= 14 return 0 or 1 before any series or band runs."""
+
+    @pytest.mark.parametrize("a, b", _SATURATION_EDGE_LANES)
+    def test_matches_the_mpmath_quadrature(self, a, b):
+        value, exact = kernels.marcum_q1_scalar(a, b), marcum_q1_mp(a, b)
+        if abs(a - b) >= kernels.SATURATION_GAP:
+            assert value in (0.0, 1.0) and abs(value - exact) <= 1e-15
+        else:  # still inside the gap: the series stops at a 1e-14 tail
+            assert abs(value - exact) <= (2e-14 if a * b <= kernels.LINEAR_AB_LIMIT else 1e-15)
 
 
 _AB_EDGE = math.nextafter(math.sqrt(500.0), math.inf)  # a = b with a*b just past 500

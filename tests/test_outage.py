@@ -13,6 +13,7 @@ from pinchopt import (
     UserPosition,
     ccdf_inst_snr,
     fixed_antenna_outage_baseline,
+    grid_search_outage,
     invert_ccdf,
     max_threshold_at,
     shared_channel_optimum,
@@ -543,3 +544,22 @@ class TestWarmStart:
             assert counts["ccdf"] <= 1500
         # the finish starts each root inside the certified bracket, far from the band
         assert counts["finish band"] == 0
+
+
+def test_q1_series_runs_only_inside_the_saturation_gap(monkeypatch):
+    # heterogeneous links have a ~ 17-37: a lane with |a - b| >= 14 is 0 or 1 to
+    # 3e-43 and must not sum the series' hundreds of Poisson terms
+    lanes, real = [], kernels._marcum_series
+
+    def series(a, b):
+        lanes.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(kernels, "_marcum_series", series)
+    rng = np.random.Generator(np.random.Philox(63))
+    for n_users in (2, 2, 8, 32):
+        solve_outage(*heterogeneous_drop(rng, n_users))
+    grid_search_outage(*heterogeneous_drop(rng, 8), 101, 41)
+    assert lanes
+    assert all(abs(a - b) < kernels.SATURATION_GAP and a * b <= kernels.LINEAR_AB_LIMIT
+               for a, b in lanes)

@@ -58,8 +58,12 @@ class TestMarcumQ1:
             assert abs(marcum_q1(a, 0.0) - 1.0) <= 1e-12
 
     def test_rayleigh_identity(self):
-        for b in (0.0, 0.3, 2.0, 10.0, 20.0):
-            assert abs(marcum_q1(0.0, b) - math.exp(-0.5 * b * b)) <= 1e-12
+        # exact below b = 14: the series adds no term at a = 0 (its Poisson weight is
+        # e^0 = 1); from b = 14 on the lane saturates at 0, within e^{-b^2/2} < 3e-43
+        below = [0.0, 5e-324, 1e-8, 0.3, 2.0, 7.3, 10.0, 13.9, math.nextafter(14.0, 0.0)]
+        assert [marcum_q1(0.0, b) for b in below] == [math.exp(-0.5 * b * b) for b in below]
+        for b in (14.0, math.nextafter(14.0, math.inf), 20.0, 60.0, 1e300):
+            assert marcum_q1(0.0, b) == 0.0 and math.exp(-0.5 * b * b) < 3e-43
 
     def test_known_value(self):
         # frozen from the adaptive-quadrature oracle
@@ -140,15 +144,12 @@ def _q1_branch(params, r_sq, t):
     a, b = _marcum_args_per_call(params, r_sq, t)
     if b == 0.0:
         return "b=0"
-    if a == 0.0:
-        return "a=0"
-    if (a * b <= kernels.LINEAR_AB_LIMIT and 0.5 * a * a < kernels.EXP_ARG_LIMIT
-            and 0.5 * b * b < kernels.EXP_ARG_LIMIT):
-        return "series"
     if a - b >= kernels.SATURATION_GAP:
         return "saturated at 1"
     if b - a >= kernels.SATURATION_GAP:
         return "saturated at 0"
+    if a * b <= kernels.LINEAR_AB_LIMIT:
+        return "series"
     return "Bessel band"
 
 
