@@ -104,7 +104,7 @@ def invert_f(params, t: float, rng: SquaredDistanceRange,
         return rng.y_max
     beta, rho_eta, rho_mu = params.beta, params.rho * params.eta, params.rho_mu_sq
     y_min, y_max = rng.y_min, rng.y_max
-    a, log_c = rho_mu / t, math.log(rho_eta) - math.log(t)
+    a, log_c = rho_mu / t, math.log(params.rho) + math.log(params.eta) - math.log(t)
     w = lambert_w0(math.log(beta) + log_c - beta * a) if beta > 0.0 else 0.0
     y = a + math.exp(log_c - beta * a - w)
     p = rho_eta * math.exp(-beta * y)
@@ -219,7 +219,7 @@ def _solve_nested(scenario: Scenario, bound, meets, objective, t_hi: float,
     active = list(range(scenario.n_users))
     t_lo, interval = 0.0, None
     iters = 0
-    while t_lo <= 0.0 or t_hi - t_lo > tol.eps_t * t_lo:
+    while t_hi - t_lo > tol.eps_t * t_lo:
         t_mid = 0.5 * (t_lo + t_hi)
         if not t_lo < t_mid < t_hi:
             break

@@ -7,7 +7,7 @@ are nested in t, so the largest threshold with a nonempty intersection
 T(t) = ∩ J_m(t) is found by the same outer bisection as the average-SNR
 design, with the inner scalar inversion now running on the CCDF.
 
-Each inversion brackets its root to _INVERSION_REL_TOL * y_min and a
+Each inversion brackets its root to _INVERSION_REL_TOL of its r^2 scale and a
 probe gets both ends, so its verdict is a proof (maxmin._feasible_set);
 a probe the brackets cannot decide, about 1e-9 relative from the
 optimum, ends the bisection. The outer bisection and the x finish run
@@ -29,10 +29,10 @@ ceiling over the users, each at its nearest position, and a threshold
 root with no better upper end starts at its user's own ceiling.
 
 Every root starts from a bracket the solver already has and is shrunk by
-one Illinois root finder, _bracket_root. U_m is monotone in t, so each
-user's earlier inversions in a solve bracket the next one. The finish
-runs inside the certified [t_lo, t_hi], where the objective lies, so
-its threshold roots start there instead of at the Markov ceiling.
+one Illinois root finder, _bracket_root (past a binade it bisects at the
+geometric mean). U_m is monotone in t, so a user's earlier inversions in
+a solve bracket the next. The finish runs inside the certified [t_lo,
+t_hi], where the objective lies, so its threshold roots start there.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from .special import ccdf_inst_snr
 
 # Relative width at which the per-position threshold root stops.
 _THRESHOLD_REL_TOL = 1e-12
-# Width, relative to a user's least r^2, at which the inversion on r^2 stops:
-# relative to the largest, a long region's width would swamp every root.
+# Width, relative to the lesser of a user's least r^2 and its r^2 span, at which the inversion
+# stops: relative to y_max it would swamp roots near y_min, and above the span every root.
 _INVERSION_REL_TOL = 1e-9
 
 
@@ -80,19 +80,19 @@ def _bracket_root(g, lo: float, g_lo: float, hi: float, g_hi: float,
                   width: float) -> tuple[float, float]:
     """Shrink [lo, hi] around the root of a decreasing g to width, by Illinois.
 
-    Needs g_lo = g(lo) >= 0 > g_hi = g(hi). Returns (lo, hi) with the same
-    signs and hi - lo <= width, or adjacent doubles. Each step is regula
-    falsi, and the value at an end kept twice in a row is halved (the
-    Illinois rule). Once the steps so far exceed two evaluations per
-    halving of the bracket by three, room for that rule to turn a
-    one-sided approach around, the next step bisects instead. So the
-    search ends within 2 ceil(log2(w0 / width)) + 4 evaluations.
+    Needs g(lo) = g_lo >= 0 > g_hi = g(hi); returns (lo, hi) with those signs
+    and hi - lo <= width, or adjacent doubles. Each step is regula falsi, and
+    an end's value kept twice in a row is halved (Illinois). Once the steps
+    exceed by three two per halving of the bracket from min(w0, 2 hi), w0 the
+    first width, the next step bisects, at the geometric mean past a binade
+    (hi > 2 lo > 0). So it ends within 2 ceil(log2(w0 / width)) + 4 steps,
+    and from lo > 0 within 112 at any scale, under 20 of them to reach a binade.
     """
     w0, n, side = hi - lo, 0, 0
     while hi - lo > width:
-        # the bracket only shrinks, so log2(w0 / (hi - lo)) >= 0: no bisection before n = 3
+        # w0 >= hi - lo, so the log is >= 0: no bisection before n = 3
         if n >= 3 and n >= 2.0 * math.log2(w0 / (hi - lo)) + 3.0:
-            x = 0.5 * (lo + hi)
+            x = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo > 0.0 else 0.5 * (lo + hi)
         else:
             try:
                 x = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
@@ -115,8 +115,8 @@ def _bracket_root(g, lo: float, g_lo: float, hi: float, g_hi: float,
             if side > 0:
                 g_hi *= 0.5
             side = 1
-        else:
-            hi, g_hi = x, g_x
+        else:  # count halvings from 2 hi below w0: binades cut off hi earn no regula falsi step
+            hi, g_hi, w0 = x, g_x, (w0 if w0 < 2.0 * x else 2.0 * x)
             if side < 0:
                 g_lo *= 0.5
             side = -1
@@ -129,8 +129,8 @@ def invert_ccdf(params, t: float, epsilon: float, rng,
 
     None marks infeasibility (even y_min misses the target); y_max means
     the constraint binds nowhere on the deployment range. Otherwise the
-    unique root of the strictly decreasing CCDF is bracketed to
-    _INVERSION_REL_TOL * y_min and its conservative (lower) end is returned.
+    unique root of the strictly decreasing CCDF is bracketed to _INVERSION_REL_TOL
+    times min(y_min, y_max - y_min) and its conservative (lower) end is returned.
     bracket (y_lo, y_hi) is where the root is sought, by default the whole
     range. A y_lo that misses the target or a y_hi that meets it gives None
     or y_max when it is the range's end; anywhere else the search falls
@@ -150,7 +150,7 @@ def invert_ccdf(params, t: float, epsilon: float, rng,
     g_hi = g(hi)
     if g_hi >= 0.0:
         return rng.y_max if hi == rng.y_max else invert_ccdf(params, t, epsilon, rng)
-    return _bracket_root(g, lo, g_lo, hi, g_hi, _INVERSION_REL_TOL * rng.y_min)[0]
+    return _bracket_root(g, lo, g_lo, hi, g_hi, _INVERSION_REL_TOL * min(rng.y_min, rng.y_max - rng.y_min))[0]
 
 
 def _outage_bound(scenario: Scenario, epsilons):
@@ -166,15 +166,15 @@ def _outage_bound(scenario: Scenario, epsilons):
     """
     ranges = [squared_distance_range(scenario, m) for m in range(scenario.n_users)]
     # per user: probed thresholds, ascending, and at each (feasible y, infeasible y),
-    # where the range's ends stand in for "none known"
-    probes = [([], []) for _ in range(scenario.n_users)]
+    # where the range's ends stand in for "none known", and the inversion width
+    probes = [([], [], _INVERSION_REL_TOL * min(r.y_min, r.y_max - r.y_min)) for r in ranges]
 
     def bound(m: int, t: float) -> tuple[float, float] | None:
-        (ts, ends), y_min, y_max = probes[m], ranges[m].y_min, ranges[m].y_max
+        (ts, ends, width), y_min, y_max = probes[m], ranges[m].y_min, ranges[m].y_max
         i, j = bisect_left(ts, t), bisect_right(ts, t)
         bracket = (ends[i][0] if i < len(ts) else y_min, ends[j - 1][1] if j else y_max)
         y = invert_ccdf(scenario.channels[m], t, epsilons[m], ranges[m], bracket)
-        pair = None if y is None else (y, min(y + _INVERSION_REL_TOL * y_min, y_max))
+        pair = None if y is None else (y, min(y + width, y_max))
         ts.insert(i, t)
         ends.insert(i, pair or (y_min, y_min))
         return pair if pair is None or pair[1] < y_max else (y if y < y_max else math.inf, math.inf)

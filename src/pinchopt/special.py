@@ -52,11 +52,11 @@ def ccdf_inst_snr(params: ChannelParams, r_sq: float, t: float) -> float:
         raise ValueError(f"threshold must be nonnegative, got {t}")
     if not r_sq > 0.0:
         raise ValueError(f"squared distance must be positive, got {r_sq}")
-    if t == 0.0:
-        return 1.0  # SNR is almost surely nonnegative
+    nlos_tail = math.exp(-t * r_sq / params.rho_mu_sq)
+    if nlos_tail == 1.0:  # t = 0, or Q1(a, b) >= e^{-b^2/2}, this tail: both round to 1
+        return 1.0
     b = math.sqrt(2.0 * r_sq * t / params.rho) / params.mu
     p_los = math.exp(-params.beta * r_sq)
-    nlos_tail = math.exp(-t * r_sq / params.rho_mu_sq)
     value = p_los * kernels.marcum_q1_scalar(params.marcum_a, b) + (1.0 - p_los) * nlos_tail
     # min(max(value, 0.0), 1.0) by comparisons, at a small fraction of the builtins' cost
     return 0.0 if value < 0.0 else 1.0 if value > 1.0 else value

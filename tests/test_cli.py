@@ -1,16 +1,25 @@
 """CLI checks through ``cli.main(argv)``, in process."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
+import re
+import tempfile
 import time
 from dataclasses import replace
+from datetime import timedelta
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from pinchopt import SolverTolerances, cli
+from pinchopt import SolverTolerances, cli, kernels, load_scenario, shared_channel_optimum
+
+from conftest import binade_spanning_doc
 
 # Reference setup (scenario_io.DEFAULTS); no lane of the outage CCDF is in
 # the linear Marcum series region there.
@@ -28,6 +37,10 @@ SHARED_DOCS = {
     "three-users": dict(TWO_USERS, users=[{"x": 4.0, "y": 3.0}, {"x": 15.0, "y": -4.0},
                                           {"x": 27.0, "y": 1.0}], outage={"epsilon": 0.05}),
 }
+# The three users at rho ~ 2e-323 (P over sigma^2) and eta ~ 7e-7: rho * eta
+# underflows to 0, though neither factor does.
+RHO_ETA_UNDERFLOW = dict(SHARED_DOCS["three-users"],
+                         defaults={"p_dbm": -1140.0, "noise_dbm": 2086.5, "mu_sq_db": 122.6})
 # The same three users with per-user targets: at another user count of a
 # sweep's m axis every user would take user 0's.
 THREE_TARGETS = dict(SHARED_DOCS["three-users"], outage={"epsilons": [0.05, 0.2, 0.1]})
@@ -192,6 +205,17 @@ class TestSolve:
         assert rc == cli.EXIT_OK
         pin = json.loads(out.read_text(encoding="utf-8"))["pinching"]
         assert 0.0 < pin["bracket"][0] <= pin["t_star"] < 1e-300
+
+    @pytest.mark.parametrize("metric", ["avg-snr", "outage"])
+    def test_rho_eta_underflow_solves(self, tmp_path, metric):
+        # the inversion takes log(rho eta) as log(rho) + log(eta): log(0) raised
+        out = tmp_path / "out.json"
+        rc = cli.main(["solve", _write(tmp_path, RHO_ETA_UNDERFLOW), "--metric", metric,
+                       "-o", str(out)])
+        assert rc == cli.EXIT_OK
+        pin = json.loads(out.read_text(encoding="utf-8"))["pinching"]
+        assert 0.0 < pin["bracket"][0] <= pin["t_star"] <= pin["bracket"][1]
+        assert pin["binding"] == [0, 2]
 
     @pytest.mark.parametrize("metric", ["avg-snr", "outage"])
     def test_level_overflow_is_invalid_input(self, tmp_path, capsys, metric):
@@ -520,3 +544,85 @@ def test_reused_parser_keeps_no_state(two_user_file, tmp_path, capsys, monkeypat
     assert reused == fresh
     assert len(reused[0][2]) == 5 and len(reused[1][2]) == 3
     assert reused[2][1].out != reused[6][1].out
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def _scale_docs(draw):
+    """Scenario documents over log-uniform scales; every user shares the
+    defaults channel, so shared_channel_optimum gives the exact optimum."""
+    dx, dy, dv = (draw(_log_uniform(1e-150, 1e150)) for _ in range(3))
+    users = [{"x": draw(st.floats(0.0, 1.0)) * dx, "y": (draw(st.floats(0.0, 1.0)) - 0.5) * dy}
+             for _ in range(draw(st.integers(1, 8)))]
+    defaults = {"p_dbm": draw(st.floats(-3000.0, 3000.0)),
+                "noise_dbm": draw(st.floats(-3000.0, 3000.0)),
+                "mu_sq_db": draw(st.floats(-3000.0, 300.0)),
+                "beta": draw(st.just(0.0) | _log_uniform(1e-300, 1e3))}
+    return {"schema": 1, "region": {"dx": dx, "dy": dy, "dv": dv}, "defaults": defaults,
+            "users": users, "outage": {"epsilon": draw(_log_uniform(1e-300, 1.0 - 1e-16))}}
+
+
+# Two exits 3 found at the scales below, each with an exact optimum far above
+# 1e-322. At a target that rounds to 1, the series-regime Q1 read 1 - 1 ulp near
+# the users while the bare NLoS tail read 1 far off, so only far positions met it:
+CCDF_ROUNDING_DROP = {
+    "schema": 1,
+    "region": {"dx": 6.128110168572558e+138, "dy": 2.200768040238174e-145,
+               "dv": 6.628853311482492e+20},
+    "defaults": {"p_dbm": -396.9171656688645, "noise_dbm": -178.70663590661297,
+                 "mu_sq_db": 15.219706632512498, "beta": 2.988041477694451e-64},
+    "users": [
+        {"x": 9.038403102854771e+137, "y": 3.326172707781559e-146},
+        {"x": 8.627823864759073e+137, "y": 7.0326494877393e-146},
+        {"x": 6.000012484268827e+138, "y": 3.8868409117464646e-146},
+        {"x": 4.335421073946636e+138, "y": -3.898487777824822e-146},
+        {"x": 3.074286156482766e+138, "y": 6.882371376052375e-146},
+        {"x": 1.940081919650148e+138, "y": 3.4404960407786376e-146}],
+    "outage": {"epsilon": 1.052973680752125e-160}}
+# A region far narrower than 1e-9 of its least r^2: an inversion width relative
+# to y_min alone spanned the whole range, so no probe could be decided.
+NARROW_REGION_DROP = {
+    "schema": 1,
+    "region": {"dx": 2.3614970073992653e-32, "dy": 2.3614970073992653e-32,
+               "dv": 2.539785383209377e-25},
+    "defaults": {"p_dbm": 1711.9535686208928, "noise_dbm": -1.1526570855257569e-136,
+                 "mu_sq_db": 224.72309856311585, "beta": 0.0},
+    "users": [
+        {"x": 4.722994014798531e-34, "y": -1.1807485036996327e-32},
+        {"x": 2.0539089275045102e-32, "y": 9.816766996070409e-33}],
+    "outage": {"epsilon": 2.539785383209377e-25}}
+
+
+@given(doc=_scale_docs())
+@example(doc=RHO_ETA_UNDERFLOW)
+@example(doc=CCDF_ROUNDING_DROP)
+@example(doc=NARROW_REGION_DROP)
+@example(doc=binade_spanning_doc(np.random.default_rng(278)))
+@settings(max_examples=50, deadline=timedelta(seconds=5))
+def test_solve_ends_in_a_result_or_a_named_field_at_any_scale(doc):
+    # an example that hangs exceeds the deadline; SIGALRM's TimeoutError is an
+    # OSError, which cli.main would report as invalid input (exit 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "scenario.json", Path(tmp) / "out.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for metric in ("avg-snr", "outage"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = cli.main(["solve", str(path), "--metric", metric, "-o", str(out)])
+            assert rc in (cli.EXIT_OK, cli.EXIT_INVALID, cli.EXIT_SOLVER), err.getvalue()
+            if rc == cli.EXIT_OK:
+                pin = json.loads(out.read_text(encoding="utf-8"))["pinching"]
+                # a target within Q1's series residue of 1 (or rounding to 1) reads CCDF
+                # values that need not fall monotonically in r^2 to the last bit, so
+                # the probes and the exact objective can disagree there
+                if metric == "avg-snr" or doc["outage"]["epsilon"] > kernels.SERIES_TAIL:
+                    assert 0.0 < pin["bracket"][0] <= pin["t_star"] <= pin["bracket"][1]
+            elif rc == cli.EXIT_INVALID:
+                assert re.match(r"error: (region\b|defaults\b|outage\b|users\[\d+\])", err.getvalue())
+            else:  # only a joint underflow: no position serves every user above 0
+                bundle = load_scenario(path)
+                spec = bundle.outage if metric == "outage" else None
+                assert shared_channel_optimum(bundle.scenario, spec).t_star <= 1e-322

@@ -16,6 +16,7 @@ from pinchopt import (
     grid_search_outage,
     invert_ccdf,
     max_threshold_at,
+    parse_scenario_dict,
     shared_channel_optimum,
     solve_outage,
     squared_distance_range,
@@ -23,8 +24,8 @@ from pinchopt import (
 from pinchopt import kernels, outage
 from pinchopt.maxmin import _feasible_set
 
-from conftest import (ETA_28GHZ, beta0_drop, heterogeneous_drop, make_params, make_scenario,
-                      random_scenario)
+from conftest import (ETA_28GHZ, beta0_drop, binade_spanning_doc, heterogeneous_drop,
+                      make_params, make_scenario, random_scenario)
 from oracles import beta0_envelope_optimum, marcum_q1_quad, nlos_only_bound
 
 TOL = SolverTolerances()
@@ -493,6 +494,55 @@ class TestWarmStart:
         lo, hi = outage._bracket_root(g, 0.0, 0.0, 1.0, -5e-324, 1e-12)
         assert lo < 0.9 <= hi and hi - lo <= 1e-12
         assert calls <= 2 * math.ceil(math.log2(1e12)) + 4
+
+    @pytest.mark.parametrize("shape", ["step", "staircase", "log"])
+    def test_bracket_root_is_bounded_over_hundreds_of_binades(self, shape):
+        # [1e-150, 1e250] spans 1 329 binades: midpoints in the arithmetic order
+        # cost about one evaluation per binade the root lies below hi
+        def g(x):
+            nonlocal calls
+            calls += 1
+            if shape == "log":
+                return math.log(root) - math.log(x)
+            up, down = (1.0, -1.0) if shape == "step" else (1e-3, -1e3)
+            return up if x <= root else down
+
+        lo0, hi0 = 1e-150, 1e250
+        for root in (3e-150, 4.7e-40, 1e100, 6e249):
+            for width in (1e-9 * lo0, 1e-12 * root, 0.0):
+                calls = 0
+                lo, hi = outage._bracket_root(g, lo0, g(lo0), hi0, g(hi0), width)
+                assert calls - 2 <= 130
+                assert g(lo) >= 0.0 > g(hi)
+                assert hi - lo <= width or hi == math.nextafter(lo, math.inf)
+
+    def test_outage_roots_stay_bounded_where_brackets_span_hundreds_of_binades(self,
+                                                                               monkeypatch):
+        # levels near 1e-171 on a 6.45e109 m region: an inversion's bracket spans
+        # about 1 100 binades of r^2, where arithmetic midpoints took up to 92 592
+        # evaluations in one root (and this solve 6 s)
+        runs, real = [], outage._bracket_root
+
+        def counted(g, *args):
+            calls = 0
+
+            def g_counted(x):
+                nonlocal calls
+                calls += 1
+                return g(x)
+
+            try:
+                return real(g_counted, *args)
+            finally:
+                runs.append(calls)
+
+        monkeypatch.setattr(outage, "_bracket_root", counted)
+        bundle = parse_scenario_dict(binade_spanning_doc(np.random.default_rng(278)))
+        sol = solve_outage(bundle.scenario, bundle.outage, bundle.tol)
+        fixed = fixed_antenna_outage_baseline(bundle.scenario, bundle.outage)
+        assert len(runs) > 3000 and max(runs) <= 130
+        assert 0.0 < sol.meta["bracket_lo"] <= sol.t_star <= sol.meta["bracket_hi"]
+        assert 0.0 < fixed.t_star <= sol.t_star
 
     def test_active_set_cuts_ccdf_calls(self, monkeypatch):
         rng = np.random.Generator(np.random.Philox(63))

@@ -130,11 +130,11 @@ def _marcum_args_per_call(params, r_sq, t):
 def _ccdf_per_call(params, r_sq, t):
     """ccdf_inst_snr in its per-call form: a and b recomputed from mu^2 and eta
     on every call, the NLoS scale as rho * mu^2, and the min(max()) clamp."""
-    if t == 0.0:
+    nlos_tail = math.exp(-t * r_sq / (params.rho * params.mu_sq))
+    if nlos_tail == 1.0:  # Q1 >= e^{-b^2/2}, which then rounds to 1 too
         return 1.0
     a, b = _marcum_args_per_call(params, r_sq, t)
     p_los = math.exp(-params.beta * r_sq)
-    nlos_tail = math.exp(-t * r_sq / (params.rho * params.mu_sq))
     value = p_los * kernels.marcum_q1_scalar(a, b) + (1.0 - p_los) * nlos_tail
     return min(max(value, 0.0), 1.0)
 
@@ -192,6 +192,17 @@ class TestCcdfInstSnr:
 
     def test_zero_threshold_is_one(self):
         assert ccdf_inst_snr(make_params(), 150.0, 0.0) == 1.0
+
+    @pytest.mark.parametrize("beta", [0.0, 0.01, 1.0])
+    def test_reads_one_wherever_the_nlos_tail_does(self, beta):
+        # Q1(a, b) >= e^{-b^2/2}, the NLoS tail: where that rounds to 1, so does the
+        # mixture. The series (a = 1.2 here) stops 3e-15 short of it, which made the
+        # CCDF rise with r^2 toward its p_LoS = 0 end at a target that rounds to 1
+        params = make_params(beta=beta, mu_sq=1e-6, rho=1e10)
+        for r_sq in (1.0, 150.0, 1e4):
+            t = 1e-17 * params.rho_mu_sq / r_sq
+            assert math.exp(-t * r_sq / params.rho_mu_sq) == 1.0
+            assert ccdf_inst_snr(params, r_sq, t) == 1.0
 
     def test_pure_nlos_branch(self):
         params = make_params(beta=1.0)  # exp(-beta r^2) ~ 0 at r^2 = 150
