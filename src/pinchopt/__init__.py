@@ -22,13 +22,10 @@ from .model import (
     ChannelParams,
     InvalidScenario,
     Scenario,
-    SquaredDistanceRange,
     UserPosition,
     dbm_to_linear,
-    distance_squared,
     eta_from_carrier,
     f_scalar,
-    squared_distance_range,
 )
 from .montecarlo import (
     McConfig,
@@ -68,13 +65,11 @@ __all__ = [
     "SolverAnomaly",
     "SolverTolerances",
     "Solution",
-    "SquaredDistanceRange",
     "UnsupportedScenario",
     "UserPosition",
     "ccdf_inst_snr",
     "ccdf_inst_snr_batch",
     "dbm_to_linear",
-    "distance_squared",
     "estimate_avg_snr",
     "estimate_ccdf_curve",
     "eta_from_carrier",
@@ -93,5 +88,4 @@ __all__ = [
     "shared_channel_optimum",
     "solve_maxmin",
     "solve_outage",
-    "squared_distance_range",
 ]

@@ -47,14 +47,7 @@ import numpy as np
 
 from . import __version__
 from .maxmin import SolverAnomaly, Solution, fixed_antenna_baseline, solve_maxmin
-from .model import (
-    InvalidScenario,
-    Scenario,
-    UserPosition,
-    distance_squared,
-    f_scalar,
-    snr_std,
-)
+from .model import InvalidScenario, Scenario, UserPosition, f_scalar, snr_std
 from .montecarlo import (
     _BATCH,
     McConfig,
@@ -274,13 +267,20 @@ def _drop_scenario(bundle: ScenarioBundle, overrides: dict, seed_key: tuple,
     return scenario, spec
 
 
+def _first_difference(bundle: ScenarioBundle, targets_act: bool = False):
+    """(file field, m): the first field of a user m that differs from user 0's, or None.
+    Only noise_dbm (rho), mu_sq_db (mu_sq) and outage.epsilons are per user."""
+    channels = bundle.scenario.channels
+    per_user = {"noise_dbm": [c.rho for c in channels], "mu_sq_db": [c.mu_sq for c in channels],
+                "outage.epsilons": bundle.outage.epsilons if targets_act else ()}
+    return next(((field, m) for field, values in per_user.items()
+                 for m, value in enumerate(values) if value != values[0]), None)
+
+
 def _check_user_counts(bundle: ScenarioBundle, counts, targets_act: bool):
     """Another user count gives every user user 0's channel and target: refuse it
     when the file's users differ in one of them."""
-    channels = bundle.scenario.channels
-    per_user = {"noise_dbm": {c.rho for c in channels}, "mu_sq_db": {c.mu_sq for c in channels},
-                "outage.epsilons": set(bundle.outage.epsilons) if targets_act else ()}
-    differ = [field for field, values in per_user.items() if len(values) > 1]
+    differ = _first_difference(bundle, targets_act)
     if differ and any(count != bundle.scenario.n_users for count in counts):
         raise ScenarioFormatError(f"axis 'm' changes the user count, which needs one "
                                   f"{differ[0]} for every user; the file's users differ in it")
@@ -379,7 +379,7 @@ def cmd_ccdf(args) -> int:
     else:
         ts = np.linspace(args.t_min, t_max, args.t_points)
     params = scenario.channels[args.user]
-    r_sq = distance_squared(scenario.users[args.user], scenario.dv, args.x_pin)
+    r_sq = scenario.r_sq(args.user, args.x_pin)
     cfg = McConfig(samples=args.samples, seed=args.seed)
     estimates = estimate_ccdf_curve(params, r_sq, ts, cfg, x_pin=args.x_pin)
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
@@ -410,8 +410,8 @@ def _verify_checks(bundle: ScenarioBundle, samples: int, seed: int, eta_scale: f
     # check holds its worst comparison to the Bonferroni limit over its M or 4M.
     z_mean, z_ccdf = _bonferroni_z(scenario.n_users), _bonferroni_z(4 * scenario.n_users)
     worst_mean = worst_ccdf = 0.0
-    for m, (user, params) in enumerate(zip(scenario.users, scenario.channels)):
-        r_sq = distance_squared(user, scenario.dv, 0.5 * scenario.dx)
+    for m, params in enumerate(scenario.channels):
+        r_sq = scenario.r_sq(m, 0.5 * scenario.dx)
         analytic = replace(params, eta=params.eta * eta_scale)
         # two seeds per user, disjoint across users: the checks draw independently
         est = estimate_avg_snr(params, r_sq, McConfig(samples=samples, seed=seed + 2 * m))
@@ -469,7 +469,7 @@ def _verify_checks(bundle: ScenarioBundle, samples: int, seed: int, eta_scale: f
     # Determinism: identical seeds reproduce estimates bit for bit, over two
     # whole blocks and a ragged one, so a multi-CPU host runs them on its pool.
     params = scenario.channels[0]
-    r_sq = distance_squared(scenario.users[0], scenario.dv, 0.5 * scenario.dx)
+    r_sq = scenario.r_sq(0, 0.5 * scenario.dx)
     cfg = McConfig(samples=2 * _BATCH + 1, seed=seed)
     same = estimate_avg_snr(params, r_sq, cfg) == estimate_avg_snr(params, r_sq, cfg)
     checks.append({"name": "seed-determinism", "pass": bool(same),
@@ -481,8 +481,10 @@ def cmd_verify(args) -> int:
     bundle = _apply_tol_overrides(load_scenario(args.scenario), args)
     if args.samples < 1000:
         raise ScenarioFormatError("--samples below 1000 cannot support the oracle checks")
-    if not (math.isfinite(args.eta_scale) and args.eta_scale > 0.0):
-        raise ScenarioFormatError(f"--eta-scale must be finite and > 0, got {args.eta_scale}")
+    for m, params in enumerate(bundle.scenario.channels):
+        if not 0.0 < params.eta * args.eta_scale < math.inf:
+            raise ScenarioFormatError(f"--eta-scale {args.eta_scale}: users[{m}] eta * scale = "
+                                      f"{params.eta * args.eta_scale} is not finite and > 0")
     checks = _verify_checks(bundle, args.samples, args.seed, args.eta_scale)
     for check in checks:
         status = "PASS" if check["pass"] else "FAIL"
@@ -499,6 +501,8 @@ def cmd_verify(args) -> int:
 
 def cmd_closed_form(args) -> int:
     bundle = load_scenario(args.scenario)
+    if differ := _first_difference(bundle):
+        raise ScenarioFormatError(f"users[{differ[1]}].{differ[0]} differs from users[0]")
     sol = shared_channel_optimum(bundle.scenario)
     doc = {
         "schema": 1,

@@ -30,14 +30,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .model import (
-    Scenario,
-    SquaredDistanceRange,
-    distance_squared,
-    f_scalar,
-    lambert_w0,
-    squared_distance_range,
-)
+from .model import Scenario, f_scalar, lambert_w0
 
 
 class SolverAnomaly(RuntimeError):
@@ -83,7 +76,7 @@ class Solution:
     meta: dict = field(default_factory=dict)
 
 
-def invert_f(params, t: float, rng: SquaredDistanceRange,
+def invert_f(params, t: float, y_min: float, y_max: float,
              f_ends: tuple[float, float] | None = None) -> float | None:
     """Largest double alpha in [y_min, y_max] with f(alpha) >= t, in closed form.
 
@@ -97,13 +90,12 @@ def invert_f(params, t: float, rng: SquaredDistanceRange,
     gives y_max (every position meets t). f_ends is (f(y_min), f(y_max)) when
     the caller has it, as a solve does once per user.
     """
-    f_min, f_max = f_ends or (f_scalar(params, rng.y_min), f_scalar(params, rng.y_max))
+    f_min, f_max = f_ends or (f_scalar(params, y_min), f_scalar(params, y_max))
     if t >= f_min:
-        return None if t > f_min else rng.y_min
+        return None if t > f_min else y_min
     if t <= f_max:
-        return rng.y_max
+        return y_max
     beta, rho_eta, rho_mu = params.beta, params.rho * params.eta, params.rho_mu_sq
-    y_min, y_max = rng.y_min, rng.y_max
     a, log_c = rho_mu / t, math.log(params.rho) + math.log(params.eta) - math.log(t)
     w = lambert_w0(math.log(beta) + log_c - beta * a) if beta > 0.0 else 0.0
     y = a + math.exp(log_c - beta * a - w)
@@ -156,7 +148,7 @@ def _feasible_set(scenario: Scenario, bound, t: float, users=None,
         b = bound(m, t)
         if b is None:
             return None, False
-        x_m, c_m = scenario.users[m].x, scenario.c_const(m)
+        x_m, c_m = scenario.users[m].x, scenario.c[m]
         d = b[1] - c_m
         d = math.sqrt(0.0 if 0.0 > d else d)
         left, right = x_m - d, x_m + d
@@ -175,7 +167,7 @@ def _distances(scenario: Scenario, x_pin: float, users=None) -> dict[int, float]
     """Squared distance from the antenna at x_pin to users (default all), by user."""
     if users is None:
         users = range(scenario.n_users)
-    return {m: distance_squared(scenario.users[m], scenario.dv, x_pin) for m in users}
+    return {m: scenario.r_sq(m, x_pin) for m in users}
 
 
 def _worst_avg_snr(scenario: Scenario, ys) -> tuple[float, int]:
@@ -215,7 +207,7 @@ def _solve_nested(scenario: Scenario, bound, meets, objective, t_hi: float,
     each side bind (meta["binding"]). The objective also gets t_lo and
     t_hi, which bracket its value on I, to start its roots from.
     """
-    users, dv = scenario.users, scenario.dv
+    users, r_sq = scenario.users, scenario.r_sq
     active = list(range(scenario.n_users))
     t_lo, interval = 0.0, None
     iters = 0
@@ -236,8 +228,7 @@ def _solve_nested(scenario: Scenario, bound, meets, objective, t_hi: float,
             # squared distance, picked by the comparison the builtin max makes
             binds = []
             for m in active:
-                y_lo = distance_squared(users[m], dv, interval.lo)
-                y_hi = distance_squared(users[m], dv, interval.hi)
+                y_lo, y_hi = r_sq(m, interval.lo), r_sq(m, interval.hi)
                 if not meets(m, t_hi, y_hi if y_hi > y_lo else y_lo):
                     binds.append(m)
             if binds:  # a guard against rounding only: some user misses t_hi on I
@@ -279,13 +270,12 @@ def solve_maxmin(scenario: Scenario, tol: SolverTolerances | None = None) -> Sol
     carries the bisection bracket and the binding users.
     """
     tol = tol or SolverTolerances()
-    channels = scenario.channels
-    ranges = [squared_distance_range(scenario, m) for m in range(scenario.n_users)]
-    ends = [(f_scalar(p, r.y_min), f_scalar(p, r.y_max)) for p, r in zip(channels, ranges)]
+    channels, y_min, y_max = scenario.channels, scenario.c, scenario.y_max
+    ends = [(f_scalar(p, lo), f_scalar(p, hi)) for p, lo, hi in zip(channels, y_min, y_max)]
 
     def bound(m: int, t: float) -> tuple[float, float] | None:  # exact: inner = outer
-        y = invert_f(channels[m], t, ranges[m], ends[m])
-        return None if y is None else (y, y) if y < ranges[m].y_max else (math.inf, math.inf)
+        y = invert_f(channels[m], t, y_min[m], y_max[m], ends[m])
+        return None if y is None else (y, y) if y < y_max[m] else (math.inf, math.inf)
 
     return _solve_nested(
         scenario, bound,

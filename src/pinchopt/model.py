@@ -7,6 +7,9 @@ antenna-to-user distance is
 
     r_m^2(x_pin) = (x_m - x_pin)^2 + C_m,      C_m = y_m^2 + dv^2.
 
+A Scenario holds each user's C_m and largest r^2 over [0, dx], and
+Scenario.r_sq is the one place a scalar r^2 is formed.
+
 The channel is a Bernoulli-gated deterministic LoS path (power eta/r^2,
 blocked with probability 1 - exp(-beta r^2)) plus circularly-symmetric
 Gaussian NLoS scattering of average power mu_sq/r^2. Averaging the
@@ -105,6 +108,8 @@ class Scenario:
 
     dx, dy   region size (m); users satisfy 0 <= x <= dx, |y| <= dy/2
     dv       waveguide height above the user plane (m)
+    c, y_max per user, C_m and the largest r^2 over [0, dx], at the end farther from
+             x_m; derived like ChannelParams' mu (not init arguments, nor in repr or ==)
     """
 
     dx: float
@@ -112,13 +117,15 @@ class Scenario:
     dv: float
     users: tuple[UserPosition, ...]
     channels: tuple[ChannelParams, ...]
+    c: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    y_max: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "users", tuple(self.users))
         object.__setattr__(self, "channels", tuple(self.channels))
         for name in ("dx", "dy", "dv"):
             value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
+            if not 0.0 < value < math.inf:
                 raise InvalidScenario(f"{name} must be finite and positive, got {value}")
         if not self.users:
             raise InvalidScenario("scenario needs at least one user")
@@ -126,48 +133,40 @@ class Scenario:
             raise InvalidScenario(
                 f"{len(self.users)} users but {len(self.channels)} channel parameter sets"
             )
-        # every y_max = (y^2 + dv^2) + far^2 rounds to at most this: check users if it overflows
-        half = 0.5 * self.dy
-        region_finite = math.isfinite((half * half + self.dv * self.dv) + self.dx * self.dx)
+        half, dx, dv_sq, inf = 0.5 * self.dy, self.dx, self.dv * self.dv, math.inf
+        c, y_max = [], []
         for m, user in enumerate(self.users):
-            if not 0.0 <= user.x <= self.dx:
-                raise InvalidScenario(f"users[{m}].x = {user.x} outside [0, {self.dx}]")
-            if not abs(user.y) <= half:
-                raise InvalidScenario(f"users[{m}].y = {user.y} outside [-{self.dy/2}, {self.dy/2}]")
-            if not region_finite and not math.isfinite(squared_distance_range(self, m).y_max):
+            x, y = user.x, user.y
+            if not 0.0 <= x <= dx:
+                raise InvalidScenario(f"users[{m}].x = {x} outside [0, {dx}]")
+            if not -half <= y <= half:
+                raise InvalidScenario(f"users[{m}].y = {y} outside [-{half}, {half}]")
+            c_m, far = y * y + dv_sq, dx - x
+            top = c_m + (far * far if far > x else x * x)
+            c.append(c_m)
+            y_max.append(top)
+            if not top < inf:
                 raise InvalidScenario(f"users[{m}]: largest squared distance to the antenna "
                                       f"is not finite (dx, dv or users[{m}].y too large)")
-            p, c = self.channels[m], self.c_const(m)
-            if not (c > 0.0 and 0.0 < 2.0 * (p.rho * (p.eta + p.mu_sq) / c) < math.inf):
+            p = self.channels[m]
+            if not (c_m > 0.0 and 0.0 < 2.0 * (p.rho * (p.eta + p.mu_sq) / c_m) < inf):
                 raise InvalidScenario(f"users[{m}]: level ceiling 2 rho (eta + mu_sq) / C_m is "
                                       f"not a positive double (rho, eta, mu_sq or dv out of scale)")
             # the level both solvers start from; f(C_m) >= rho mu^2 / C_m, so f is rarely needed
-            if not (p.rho_mu_sq / c > 0.0 or f_scalar(p, c) > 0.0):
+            if not (p.rho_mu_sq / c_m > 0.0 or f_scalar(p, c_m) > 0.0):
                 raise InvalidScenario(f"users[{m}]: best level f(C_m) underflows to 0 "
                                       f"(rho, mu_sq, beta or dv out of scale)")
+        object.__setattr__(self, "c", tuple(c))
+        object.__setattr__(self, "y_max", tuple(y_max))
 
     @property
     def n_users(self) -> int:
         return len(self.users)
 
-    def c_const(self, user_index: int) -> float:
-        """Vertex value C_m = y_m^2 + dv^2 of the squared-distance parabola."""
-        user = self.users[user_index]
-        return user.y * user.y + self.dv * self.dv
-
-
-@dataclass(frozen=True)
-class SquaredDistanceRange:
-    """Extremes of r_m^2 over the deployment interval x_pin in [0, dx]."""
-
-    y_min: float
-    y_max: float
-
-
-def distance_squared(user: UserPosition, dv: float, x_pin: float) -> float:
-    """Squared antenna-to-user distance (x_m - x_pin)^2 + y_m^2 + dv^2."""
-    dx_ = user.x - x_pin
-    return dx_ * dx_ + user.y * user.y + dv * dv
+    def r_sq(self, m: int, x_pin: float) -> float:
+        """Squared distance (x_m - x_pin)^2 + C_m from the antenna at x_pin to user m."""
+        d = self.users[m].x - x_pin
+        return d * d + self.c[m]
 
 
 def f_scalar(params: ChannelParams, y: float) -> float:
@@ -206,14 +205,3 @@ def snr_std(params: ChannelParams, y: float) -> float:
     p, eta, mu_sq = math.exp(-params.beta * y), params.eta, params.mu_sq
     return params.rho * math.hypot(eta * math.sqrt(p * (1.0 - p)),
                                    math.sqrt(2.0 * p * eta) * math.sqrt(mu_sq), mu_sq) / y
-
-
-def squared_distance_range(scenario: Scenario, user_index: int) -> SquaredDistanceRange:
-    """Precompute min/max of r_m^2 over x_pin in [0, dx] for one user."""
-    if not 0 <= user_index < scenario.n_users:
-        raise IndexError(f"user index {user_index} out of range")
-    user = scenario.users[user_index]
-    c = scenario.c_const(user_index)
-    far = max(user.x, scenario.dx - user.x)
-    y_max = c + far * far
-    return SquaredDistanceRange(y_min=c, y_max=y_max)  # Scenario keeps x_m in [0, dx]

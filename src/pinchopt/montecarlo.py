@@ -52,7 +52,7 @@ import numpy as np
 
 from . import kernels
 from .maxmin import Interval, Solution, _distances
-from .model import ChannelParams, Scenario, f_scalar, squared_distance_range
+from .model import ChannelParams, Scenario, f_scalar
 from .outage import OutageSpec, _threshold_root
 from .special import ccdf_inst_snr
 
@@ -225,7 +225,7 @@ def grid_search_maxmin(scenario: Scenario, grid_points: int) -> Solution:
     max_slope = 0.0
     for m in range(scenario.n_users):
         params = scenario.channels[m]
-        y = (scenario.users[m].x - xs) ** 2 + scenario.c_const(m)
+        y = (scenario.users[m].x - xs) ** 2 + scenario.c[m]
         los = params.eta * np.exp(-params.beta * y)
         np.minimum(worst, params.rho * (los + params.mu_sq) / y, out=worst)
         # |dGamma/dx| = |f'(y)| * 2|x - x_m|; divided by y twice: y * y overflows
@@ -268,7 +268,7 @@ def shared_channel_optimum(scenario: Scenario, spec: OutageSpec | None = None) -
         for m, eps in enumerate(spec.epsilons):
             if eps != spec.epsilons[0]:
                 raise UnsupportedScenario(f"outage.epsilons[{m}] differs from epsilons[0]")
-    points = sorted((u.x, scenario.c_const(m)) for m, u in enumerate(scenario.users))
+    points = sorted(zip((u.x for u in scenario.users), scenario.c))
     hull = []  # (x_m, C_m, left end of the segment where user m is farthest), by falling x_m
     for x_m, c_m in reversed(points):
         if hull and hull[-1][0] == x_m:
@@ -304,10 +304,8 @@ def outage_grid_ceiling(scenario: Scenario, spec: OutageSpec) -> float:
     Gridding [0, cap] keeps the t-grid resolution commensurate with the
     optimum.
     """
-    return min(
-        _threshold_root(params, squared_distance_range(scenario, m).y_min, spec.epsilons[m])
-        for m, params in enumerate(scenario.channels)
-    )
+    return min(_threshold_root(params, scenario.c[m], spec.epsilons[m])
+               for m, params in enumerate(scenario.channels))
 
 
 def grid_search_outage(scenario: Scenario, spec: OutageSpec, grid_points: int,
@@ -341,7 +339,7 @@ def grid_search_outage(scenario: Scenario, spec: OutageSpec, grid_points: int,
     xs = np.linspace(0.0, scenario.dx, grid_points)
     ts = t_grid.tolist()
     users = [(scenario.channels[m], 1.0 - spec.epsilons[m],
-              ((scenario.users[m].x - xs) ** 2 + scenario.c_const(m)).tolist())
+              ((scenario.users[m].x - xs) ** 2 + scenario.c[m]).tolist())
              for m in range(scenario.n_users)]
     best, k = 0, 1  # row 0 (t = 0) is met everywhere; k is the row to beat
     for i in range(grid_points):

@@ -42,7 +42,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .maxmin import Interval, SolverTolerances, Solution, _distances, _solve_nested
-from .model import InvalidScenario, Scenario, f_scalar, squared_distance_range
+from .model import InvalidScenario, Scenario, f_scalar
 from .special import ccdf_inst_snr
 
 # Relative width at which the per-position threshold root stops.
@@ -123,7 +123,7 @@ def _bracket_root(g, lo: float, g_lo: float, hi: float, g_hi: float,
     return lo, hi
 
 
-def invert_ccdf(params, t: float, epsilon: float, rng,
+def invert_ccdf(params, t: float, epsilon: float, y_min: float, y_max: float,
                 bracket: tuple[float, float] | None = None) -> float | None:
     """Largest y in [y_min, y_max] with ccdf(y, t) >= 1 - epsilon.
 
@@ -143,14 +143,14 @@ def invert_ccdf(params, t: float, epsilon: float, rng,
     def g(y):
         return ccdf_inst_snr(params, y, t) - target
 
-    lo, hi = bracket or (rng.y_min, rng.y_max)
+    lo, hi = bracket or (y_min, y_max)
     g_lo = g(lo)
     if g_lo < 0.0:
-        return None if lo == rng.y_min else invert_ccdf(params, t, epsilon, rng)
+        return None if lo == y_min else invert_ccdf(params, t, epsilon, y_min, y_max)
     g_hi = g(hi)
     if g_hi >= 0.0:
-        return rng.y_max if hi == rng.y_max else invert_ccdf(params, t, epsilon, rng)
-    return _bracket_root(g, lo, g_lo, hi, g_hi, _INVERSION_REL_TOL * min(rng.y_min, rng.y_max - rng.y_min))[0]
+        return y_max if hi == y_max else invert_ccdf(params, t, epsilon, y_min, y_max)
+    return _bracket_root(g, lo, g_lo, hi, g_hi, _INVERSION_REL_TOL * min(y_min, y_max - y_min))[0]
 
 
 def _outage_bound(scenario: Scenario, epsilons):
@@ -164,16 +164,16 @@ def _outage_bound(scenario: Scenario, epsilons):
     feasible at t, and one infeasible at the nearest probe t' <= t is
     infeasible at t.
     """
-    ranges = [squared_distance_range(scenario, m) for m in range(scenario.n_users)]
     # per user: probed thresholds, ascending, and at each (feasible y, infeasible y),
     # where the range's ends stand in for "none known", and the inversion width
-    probes = [([], [], _INVERSION_REL_TOL * min(r.y_min, r.y_max - r.y_min)) for r in ranges]
+    probes = [([], [], _INVERSION_REL_TOL * min(lo, hi - lo))
+              for lo, hi in zip(scenario.c, scenario.y_max)]
 
     def bound(m: int, t: float) -> tuple[float, float] | None:
-        (ts, ends, width), y_min, y_max = probes[m], ranges[m].y_min, ranges[m].y_max
+        (ts, ends, width), y_min, y_max = probes[m], scenario.c[m], scenario.y_max[m]
         i, j = bisect_left(ts, t), bisect_right(ts, t)
         bracket = (ends[i][0] if i < len(ts) else y_min, ends[j - 1][1] if j else y_max)
-        y = invert_ccdf(scenario.channels[m], t, epsilons[m], ranges[m], bracket)
+        y = invert_ccdf(scenario.channels[m], t, epsilons[m], y_min, y_max, bracket)
         pair = None if y is None else (y, min(y + width, y_max))
         ts.insert(i, t)
         ends.insert(i, pair or (y_min, y_min))
@@ -190,10 +190,7 @@ def _markov_ceiling(params, y: float, epsilon: float) -> float:
 def default_threshold_ceiling(scenario: Scenario) -> float:
     """max_m of 2 rho_m eta_m / y_{m,min}, past every user's LoS-limited drop:
     the default top of a CCDF table."""
-    return max(
-        2.0 * p.rho * p.eta / squared_distance_range(scenario, m).y_min
-        for m, p in enumerate(scenario.channels)
-    )
+    return max(2.0 * p.rho * p.eta / c for p, c in zip(scenario.channels, scenario.c))
 
 
 def _threshold_root(params, y: float, epsilon: float, lo: float = 0.0,
@@ -274,8 +271,7 @@ def solve_outage(
     tol = tol or SolverTolerances()
     spec = spec.for_scenario(scenario)
     channels, epsilons = scenario.channels, spec.epsilons
-    ceilings = [_markov_ceiling(p, scenario.c_const(m), epsilons[m])
-                for m, p in enumerate(channels)]
+    ceilings = [_markov_ceiling(p, c, eps) for p, c, eps in zip(channels, scenario.c, epsilons)]
     if math.inf in ceilings:  # the outer search and the threshold roots start there
         m = ceilings.index(math.inf)
         raise InvalidScenario(f"users[{m}]: outage ceiling f(y_min) / (1 - epsilon) overflows "

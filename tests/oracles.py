@@ -5,7 +5,8 @@ oracles integrate the defining integral with adaptive quadrature (scipy,
 and mpmath at 50 digits), Bessel references come from a raw power series /
 mpmath, the pure-NLoS outage bound has a logarithmic closed form, the
 beta = 0 optimum of both metrics on per-user channels is the least point
-of an envelope of parabolas, and the Monte-Carlo sampler has two
+of an envelope of parabolas, the optimum over one or two users at any beta
+is a vertex or a crossing found by brentq, and the Monte-Carlo sampler has two
 out-of-place twins: the as-modeled per-lane map, and its per-batch
 LoS/NLoS mixture stream on fresh arrays.
 """
@@ -16,7 +17,7 @@ import math
 
 import mpmath
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import integrate, optimize, special, stats
 
 
 def bessel_i0_series(x: float, terms: int = 400) -> float:
@@ -112,7 +113,7 @@ def beta0_envelope_optimum(scenario, spec=None) -> tuple[float, float]:
     """
     channels, n = scenario.channels, scenario.n_users
     x = np.array([u.x for u in scenario.users])
-    c = np.array([scenario.c_const(m) for m in range(n)])
+    c = np.array([u.y for u in scenario.users]) ** 2 + scenario.dv * scenario.dv
     if spec is None:
         s = np.array([p.rho * (p.eta + p.mu_sq) for p in channels])
     else:
@@ -132,6 +133,43 @@ def beta0_envelope_optimum(scenario, spec=None) -> tuple[float, float]:
     envelope = np.max(((candidates[:, None] - x) ** 2 + c) / s, axis=1)
     best = int(np.argmin(envelope))
     return 1.0 / float(envelope[best]), float(candidates[best])
+
+
+def pair_optimum(scenario, users, spec=None) -> tuple[float, float]:
+    """(t*, x*): the optimum over x in [0, dx] of the least of one or two users'
+    values g_m(x), their average SNR (spec None) or their largest threshold
+    meeting the outage target spec.epsilons[m].
+
+    Each user's r^2 is formed here from its x, y and dv. f is the closed form
+    rho (eta e^{-beta y} + mu^2) / y; the threshold is the brentq root in t of
+    P[snr >= t] = 1 - eps, with the Rician branch Q1(a, b) =
+    ncx2.sf(b^2, 2, a^2). g_m peaks at x_m and falls with |x - x_m|, so the
+    optimum is a user's vertex, where that user is the lesser, or else the
+    crossing g_i = g_j between the two vertices, found by brentq in x.
+    """
+    def g(m, x):
+        user, p = scenario.users[m], scenario.channels[m]
+        y = (x - user.x) ** 2 + (user.y ** 2 + scenario.dv ** 2)
+        f = p.rho * (p.eta * np.exp(-p.beta * y) + p.mu_sq) / y
+        if spec is None:
+            return f
+        target, p_los, nc = 1.0 - spec.epsilons[m], np.exp(-p.beta * y), 2.0 * p.eta / p.mu_sq
+
+        def meets(t):  # P[snr >= t] - (1 - eps), decreasing in t; Markov: < 0 at f / (1 - eps)
+            s = t * y / (p.rho * p.mu_sq)
+            return p_los * stats.ncx2.sf(2.0 * s, 2, nc) + (1.0 - p_los) * np.exp(-s) - target
+
+        return optimize.brentq(meets, 0.0, f / target, xtol=1e-300, rtol=1e-15)
+
+    ordered = sorted(users, key=lambda m: scenario.users[m].x)
+    i, j = ordered[0], ordered[-1]  # i = j for one user
+    x_i, x_j = scenario.users[i].x, scenario.users[j].x
+    if g(i, x_i) <= g(j, x_i):
+        return g(i, x_i), x_i
+    if g(j, x_j) <= g(i, x_j):
+        return g(j, x_j), x_j
+    x = optimize.brentq(lambda x: g(i, x) - g(j, x), x_i, x_j, xtol=1e-14, rtol=1e-15)
+    return min(g(i, x), g(j, x)), x
 
 
 def snr_samples_reference(u, z_re, z_im, p_los, los_amp, nlos_scale, cos_ph, sin_ph, rho):

@@ -147,11 +147,20 @@ class TestVerify:
             cli.EXIT_CHECK_FAILED
         assert "FAIL maxmin-bisection-vs-grid: relative gap 5.00e-01" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "1e-320"])
     def test_bad_eta_scale_is_invalid_input(self, two_user_file, capsys, value):
         rc = cli.main(["verify", str(two_user_file), "--samples", "1000", "--eta-scale", value])
         assert rc == cli.EXIT_INVALID
         assert capsys.readouterr().err.startswith("error: --eta-scale ")
+
+    def test_eta_scale_that_underflows_eta_is_named_before_any_check(self, two_user_file, capsys,
+                                                                      monkeypatch):
+        # 1e-320 is a positive double, but eta * 1e-320 ~ 7e-327 rounds to 0
+        monkeypatch.setattr(cli, "_verify_checks", lambda *args: pytest.fail("a check ran"))
+        rc = cli.main(["verify", str(two_user_file), "--samples", "1000", "--eta-scale", "1e-320"])
+        assert rc == cli.EXIT_INVALID
+        assert capsys.readouterr().err == ("error: --eta-scale 1e-320: users[0] eta * scale = 0.0 "
+                                           "is not finite and > 0\n")
 
 
 def _write(tmp_path, doc):
@@ -441,7 +450,19 @@ def test_closed_form_matches_solve_at_any_user_count(tmp_path, capsys, shape):
 def test_closed_form_on_per_user_channels_is_invalid_input(tmp_path, capsys):
     doc = dict(TWO_USERS, users=[{"x": 6.0, "y": 2.0}, {"x": 21.0, "y": -3.0, "mu_sq_db": -87.0}])
     assert cli.main(["closed-form", _write(tmp_path, doc)]) == cli.EXIT_INVALID
-    assert capsys.readouterr().err == "error: users[1].mu_sq differs from users[0]\n"
+    assert capsys.readouterr().err == "error: users[1].mu_sq_db differs from users[0]\n"
+
+
+@pytest.mark.parametrize("users, field", [
+    ([{"x": 6.0, "y": 2.0}, {"x": 21.0, "y": -3.0, "noise_dbm": -88.0}], "users[1].noise_dbm"),
+    # the file fields that set rho and mu_sq are named, noise_dbm first
+    ([{"x": 3.0, "y": 4.0, "mu_sq_db": -88.0}, {"x": 11.0, "y": -2.0, "mu_sq_db": -95.0},
+      {"x": 19.0, "y": 3.0, "noise_dbm": -92.0}], "users[2].noise_dbm"),
+], ids=["noise", "first-field"])
+def test_closed_form_names_the_file_field_that_differs(tmp_path, capsys, users, field):
+    doc = dict(TWO_USERS, users=users)
+    assert cli.main(["closed-form", _write(tmp_path, doc)]) == cli.EXIT_INVALID
+    assert capsys.readouterr().err == f"error: {field} differs from users[0]\n"
 
 
 def _subcommand_options():

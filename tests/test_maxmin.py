@@ -17,7 +17,6 @@ from pinchopt import (
     min_avg_snr,
     shared_channel_optimum,
     solve_maxmin,
-    squared_distance_range,
 )
 from pinchopt import maxmin
 from pinchopt.maxmin import _feasible_set
@@ -33,7 +32,7 @@ def _feasibility(sc, t):
     """The solver's intersection of all users' intervals at level t, None if empty.
     The closed-form bounds are exact, so a nonempty intersection is proven."""
     def bound(m, level):
-        y = invert_f(sc.channels[m], level, squared_distance_range(sc, m))
+        y = invert_f(sc.channels[m], level, sc.c[m], sc.y_max[m])
         return None if y is None else (y, y)
 
     interval, proven = _feasible_set(sc, bound, t)
@@ -110,44 +109,44 @@ class TestSolverTolerances:
 class TestInvertF:
     def test_fixed_point_at_vertex(self):
         sc = make_scenario([(15.0, 0.0)], dx=30.0)
-        rng = squared_distance_range(sc, 0)
+        y_min, y_max = sc.c[0], sc.y_max[0]
         params = sc.channels[0]
-        assert invert_f(params, f_scalar(params, rng.y_min), rng) == rng.y_min
+        assert invert_f(params, f_scalar(params, y_min), y_min, y_max) == y_min
 
     def test_bracket_endpoint(self):
         sc = make_scenario([(10.0, 5.0)], dx=30.0)
-        rng = squared_distance_range(sc, 0)
+        y_min, y_max = sc.c[0], sc.y_max[0]
         params = sc.channels[0]
-        assert invert_f(params, f_scalar(params, rng.y_max), rng) == rng.y_max
+        assert invert_f(params, f_scalar(params, y_max), y_min, y_max) == y_max
 
     def test_round_trip_recovers_target(self):
         rng_np = np.random.Generator(np.random.Philox(5))
         sc = make_scenario([(10.0, 5.0)], dx=30.0)
-        rng = squared_distance_range(sc, 0)
+        y_min, y_max = sc.c[0], sc.y_max[0]
         params = sc.channels[0]
         for _ in range(50):
-            y_target = float(rng_np.uniform(rng.y_min, rng.y_max))
-            alpha = invert_f(params, f_scalar(params, y_target), rng)
+            y_target = float(rng_np.uniform(y_min, y_max))
+            alpha = invert_f(params, f_scalar(params, y_target), y_min, y_max)
             assert abs(alpha - y_target) <= 2.0 * math.ulp(y_target)
 
     def test_infeasible_returns_none(self):
         sc = make_scenario([(10.0, 5.0)])
-        rng = squared_distance_range(sc, 0)
+        y_min, y_max = sc.c[0], sc.y_max[0]
         params = sc.channels[0]
-        assert invert_f(params, 1.01 * f_scalar(params, rng.y_min), rng) is None
+        assert invert_f(params, 1.01 * f_scalar(params, y_min), y_min, y_max) is None
 
     def test_below_range_returns_y_max(self):
         sc = make_scenario([(10.0, 5.0)])
-        rng = squared_distance_range(sc, 0)
+        y_min, y_max = sc.c[0], sc.y_max[0]
         params = sc.channels[0]
-        assert invert_f(params, 0.5 * f_scalar(params, rng.y_max), rng) == rng.y_max
+        assert invert_f(params, 0.5 * f_scalar(params, y_max), y_min, y_max) == y_max
 
     def test_returns_the_largest_double_that_meets_the_level(self):
         sc = make_scenario([(10.0, 5.0)])
-        rng = squared_distance_range(sc, 0)
+        y_min, y_max = sc.c[0], sc.y_max[0]
         params = sc.channels[0]
-        t = f_scalar(params, 0.5 * (rng.y_min + rng.y_max))
-        y = invert_f(params, t, rng)
+        t = f_scalar(params, 0.5 * (y_min + y_max))
+        y = invert_f(params, t, y_min, y_max)
         assert f_scalar(params, y) >= t > f_scalar(params, math.nextafter(y, math.inf))
 
     @given(beta=st.sampled_from([0.0, 1e-6, 1e-3, 1e-2, 3e-2]), log_mu_sq=st.floats(-12.0, -5.0),
@@ -156,12 +155,12 @@ class TestInvertF:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_lambert_w_oracle(self, beta, log_mu_sq, log_rho, x, y, share):
         sc = make_scenario([(x, y)], beta=beta, mu_sq=10.0 ** log_mu_sq, rho=10.0 ** log_rho)
-        rng, params = squared_distance_range(sc, 0), sc.channels[0]
-        t = f_scalar(params, rng.y_min + share * (rng.y_max - rng.y_min))
-        assume(f_scalar(params, rng.y_max) < t < f_scalar(params, rng.y_min))
+        y_min, y_max, params = sc.c[0], sc.y_max[0], sc.channels[0]
+        t = f_scalar(params, y_min + share * (y_max - y_min))
+        assume(f_scalar(params, y_max) < t < f_scalar(params, y_min))
         calls = []
         with patch("pinchopt.maxmin.f_scalar", lambda *a: calls.append(a) or f_scalar(*a)):
-            alpha = invert_f(params, t, rng)
+            alpha = invert_f(params, t, y_min, y_max)
         assert f_scalar(params, alpha) >= t > f_scalar(params, math.nextafter(alpha, math.inf))
         # the oracle carries its own rounding of W0 and e^{-beta a}: 3 eps at most seen
         oracle = avg_snr_inverse(params, t)
@@ -171,9 +170,9 @@ class TestInvertF:
     def test_lambert_argument_beyond_the_float_range(self):
         # at t = f(7.05e8) ~ 9.4e-16, beta c e^{-beta a} = e^711.6 overflows a double
         sc = make_scenario([(0.0, 0.0)], dx=3e4, beta=1e-6, eta=1e300, mu_sq=1e-300, rho=1.0)
-        rng, params = squared_distance_range(sc, 0), sc.channels[0]
+        params = sc.channels[0]
         t = f_scalar(params, 7.05e8)
-        alpha = invert_f(params, t, rng)
+        alpha = invert_f(params, t, sc.c[0], sc.y_max[0])
         assert abs(alpha - 7.05e8) <= 2.0 * math.ulp(7.05e8)
         assert f_scalar(params, alpha) >= t > f_scalar(params, math.nextafter(alpha, math.inf))
 
@@ -181,7 +180,7 @@ class TestInvertF:
 class TestUserIntervalAvg:
     def test_tiny_interval_near_peak(self):
         sc = make_scenario([(15.0, 0.0)], dx=30.0)
-        peak = f_scalar(sc.channels[0], sc.c_const(0))
+        peak = f_scalar(sc.channels[0], sc.c[0])
         iv = _feasibility(sc, 0.999 * peak)
         assert iv is not None
         assert iv.lo <= 15.0 <= iv.hi
@@ -189,34 +188,32 @@ class TestUserIntervalAvg:
 
     def test_above_peak_empty(self):
         sc = make_scenario([(15.0, 0.0)], dx=30.0)
-        peak = f_scalar(sc.channels[0], sc.c_const(0))
+        peak = f_scalar(sc.channels[0], sc.c[0])
         assert _feasibility(sc, 1.001 * peak) is None
 
     def test_low_target_full_range(self):
         sc = make_scenario([(10.0, 5.0)], dx=30.0)
-        rng = squared_distance_range(sc, 0)
-        t = 0.9 * f_scalar(sc.channels[0], rng.y_max)
+        t = 0.9 * f_scalar(sc.channels[0], sc.y_max[0])
         assert _feasibility(sc, t) == (0.0, 30.0)
 
 
 class TestFeasibilityAvg:
     def test_single_user_equals_own_interval(self):
         sc = make_scenario([(10.0, 5.0)])
-        t = 0.7 * f_scalar(sc.channels[0], sc.c_const(0))
-        rng = squared_distance_range(sc, 0)
-        d = math.sqrt(invert_f(sc.channels[0], t, rng) - sc.c_const(0))
+        t = 0.7 * f_scalar(sc.channels[0], sc.c[0])
+        d = math.sqrt(invert_f(sc.channels[0], t, sc.c[0], sc.y_max[0]) - sc.c[0])
         assert _feasibility(sc, t) == (max(10.0 - d, 0.0), min(10.0 + d, sc.dx))
 
     def test_disjoint_users_empty(self):
         sc = make_scenario([(0.0, 0.0), (30.0, 0.0)], dx=30.0)
-        t = 0.999 * f_scalar(sc.channels[0], sc.c_const(0))
+        t = 0.999 * f_scalar(sc.channels[0], sc.c[0])
         assert _feasibility(sc, t) is None
 
     def test_nested_in_t(self):
         rng = np.random.Generator(np.random.Philox(6))
         for _ in range(25):
             sc = random_scenario(rng, 3)
-            peak = min(f_scalar(sc.channels[m], squared_distance_range(sc, m).y_min)
+            peak = min(f_scalar(sc.channels[m], sc.c[m])
                        for m in range(3))
             t1, t2 = sorted(rng.uniform(0.0, peak, 2))
             outer = _feasibility(sc, float(t1))
@@ -231,7 +228,7 @@ class TestSolveMaxmin:
         sc = make_scenario([(12.0, 3.0)], dx=30.0)
         sol = solve_maxmin(sc)
         assert sol.x_star == pytest.approx(12.0, abs=1e-6)
-        assert sol.t_star == pytest.approx(f_scalar(sc.channels[0], sc.c_const(0)), rel=1e-9)
+        assert sol.t_star == pytest.approx(f_scalar(sc.channels[0], sc.c[0]), rel=1e-9)
 
     def test_certificate(self):
         rng = np.random.Generator(np.random.Philox(7))
@@ -267,7 +264,7 @@ class TestSolveMaxmin:
         for _ in range(10):
             sc = random_scenario(rng, 4)
             sol = solve_maxmin(sc)
-            t_hi = 2.0 * max(f_scalar(sc.channels[m], squared_distance_range(sc, m).y_min)
+            t_hi = 2.0 * max(f_scalar(sc.channels[m], sc.c[m])
                              for m in range(4))
             bound = math.ceil(math.log2(t_hi / (TOL.eps_t * sol.t_star))) + 1
             assert sol.outer_iterations <= bound
@@ -375,21 +372,21 @@ class TestTwoUserClosedForm:
         sc = make_scenario([(10.0, 2.0), (10.0, -4.0)])
         sol = shared_channel_optimum(sc)
         assert sol.x_star == 10.0
-        assert sol.meta["alpha_star"] == pytest.approx(max(sc.c_const(0), sc.c_const(1)))
+        assert sol.meta["alpha_star"] == pytest.approx(max(sc.c[0], sc.c[1]))
 
     def test_symmetric_offsets_midpoint(self):
         sc = make_scenario([(8.0, 3.0), (20.0, -3.0)])
         sol = shared_channel_optimum(sc)
         assert sol.x_star == pytest.approx(14.0, rel=1e-12)
-        assert sol.meta["alpha_star"] == pytest.approx(36.0 + sc.c_const(0), rel=1e-12)
+        assert sol.meta["alpha_star"] == pytest.approx(36.0 + sc.c[0], rel=1e-12)
 
     def test_close_users_antenna_at_limiting_user(self):
         # |x2 - x1| below sqrt(C_max - C_min): place at the larger-offset user
         sc = make_scenario([(10.0, 0.0), (12.0, 5.0)])
-        assert math.sqrt(sc.c_const(1) - sc.c_const(0)) > 2.0
+        assert math.sqrt(sc.c[1] - sc.c[0]) > 2.0
         sol = shared_channel_optimum(sc)
         assert sol.x_star == 12.0
-        assert sol.meta["alpha_star"] == pytest.approx(sc.c_const(1))
+        assert sol.meta["alpha_star"] == pytest.approx(sc.c[1])
 
     def test_biased_midpoint_shifts_toward_larger_offset(self):
         sc = make_scenario([(5.0, 0.0), (25.0, 5.0)])

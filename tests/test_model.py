@@ -12,10 +12,8 @@ from pinchopt import (
     Scenario,
     UserPosition,
     dbm_to_linear,
-    distance_squared,
     eta_from_carrier,
     f_scalar,
-    squared_distance_range,
 )
 from pinchopt.model import lambert_w0, snr_std
 from pinchopt.montecarlo import _channel_constants
@@ -54,19 +52,20 @@ class TestDbmToLinear:
 
 class TestDistanceSquared:
     def test_example_point(self):
-        assert distance_squared(UserPosition(10.0, 5.0), 10.0, 5.0) == pytest.approx(150.0)
+        assert make_scenario([(10.0, 5.0)], dv=10.0).r_sq(0, 5.0) == pytest.approx(150.0)
 
     def test_vertex_at_user(self):
-        user = UserPosition(10.0, 5.0)
-        assert distance_squared(user, 10.0, 10.0) == pytest.approx(125.0)
+        sc = make_scenario([(10.0, 5.0)], dv=10.0)
+        assert sc.r_sq(0, 10.0) == pytest.approx(125.0)
+        assert sc.r_sq(0, 10.0) == sc.c[0]
 
     def test_second_endpoint(self):
-        assert distance_squared(UserPosition(10.0, 5.0), 10.0, 10.0) == pytest.approx(125.0)
+        assert make_scenario([(10.0, 5.0)], dv=10.0).r_sq(0, 10.0) == pytest.approx(125.0)
 
     @given(x=st.floats(0, 30), y=st.floats(-5, 5), pin=st.floats(0, 30))
     def test_minimized_at_user_x(self, x, y, pin):
-        user = UserPosition(x, y)
-        assert distance_squared(user, 10.0, pin) >= distance_squared(user, 10.0, x) - 1e-9
+        sc = make_scenario([(x, y)], dv=10.0)
+        assert sc.r_sq(0, pin) >= sc.r_sq(0, x) - 1e-9
 
 
 def los_probability(params, r_sq):
@@ -179,29 +178,65 @@ class TestLambertW0:
         assert lambert_w0(log_x) == math.exp(log_x)
 
 
-class TestSquaredDistanceRange:
+class TestSquaredDistanceExtremes:
+    """Scenario.c and Scenario.y_max: each user's least and largest r^2 over [0, dx]."""
+
     def test_interior_user_symmetric(self):
         sc = make_scenario([(15.0, 0.0)], dx=30.0)
-        rng = squared_distance_range(sc, 0)
-        assert rng.y_min == pytest.approx(sc.c_const(0))
-        assert rng.y_max == pytest.approx(sc.c_const(0) + 225.0)
+        assert sc.c[0] == pytest.approx(0.0 + sc.dv * sc.dv)
+        assert sc.y_max[0] == pytest.approx(sc.c[0] + 225.0)
 
     def test_user_at_origin(self):
         sc = make_scenario([(0.0, 3.0)], dx=30.0)
-        rng = squared_distance_range(sc, 0)
-        assert rng.y_min == pytest.approx(sc.c_const(0))
-        assert rng.y_max == pytest.approx(sc.c_const(0) + 900.0)
+        assert sc.c[0] == pytest.approx(9.0 + sc.dv * sc.dv)
+        assert sc.y_max[0] == pytest.approx(sc.c[0] + 900.0)
 
     def test_documented_numbers(self):
         sc = make_scenario([(10.0, 5.0)], dx=30.0)
-        rng = squared_distance_range(sc, 0)
-        assert rng.y_min == pytest.approx(125.0)
-        assert rng.y_max == pytest.approx(525.0)
+        assert sc.c[0] == pytest.approx(125.0)
+        assert sc.y_max[0] == pytest.approx(525.0)
 
     def test_index_error(self):
         sc = make_scenario([(10.0, 5.0)])
-        with pytest.raises(IndexError):
-            squared_distance_range(sc, 1)
+        for value in (lambda: sc.c[1], lambda: sc.y_max[1], lambda: sc.r_sq(1, 0.0)):
+            with pytest.raises(IndexError):
+                value()
+
+    def test_ends_of_the_parabola(self):
+        sc = make_scenario([(4.0, 3.0), (15.0, -4.0), (27.0, 1.0)], dx=30.0)
+        for m, user in enumerate(sc.users):
+            assert sc.c[m] == sc.r_sq(m, user.x) == user.y * user.y + sc.dv * sc.dv
+            assert sc.y_max[m] == max(sc.r_sq(m, 0.0), sc.r_sq(m, sc.dx))
+
+
+class TestScenarioDerived:
+    """c and y_max follow the fields they come from, as ChannelParams' do."""
+
+    @pytest.mark.parametrize("make", [
+        lambda sc: dataclasses.replace(sc),  # a sweep drop's copy
+        lambda sc: dataclasses.replace(sc, dx=40.0, dv=2.0),
+        lambda sc: dataclasses.replace(sc, users=sc.users[::-1]),
+        lambda sc: pickle.loads(pickle.dumps(sc)),  # the sweep's worker pool
+    ])
+    def test_follow_the_fields_they_come_from(self, make):
+        sc = make(make_scenario([(4.0, 3.0), (27.0, -1.0)], dx=30.0))
+        fresh = Scenario(dx=sc.dx, dy=sc.dy, dv=sc.dv, users=sc.users, channels=sc.channels)
+        assert (sc.c, sc.y_max) == (fresh.c, fresh.y_max)
+
+    def test_not_init_arguments(self):
+        sc = make_scenario([(4.0, 3.0)])
+        with pytest.raises(TypeError):
+            Scenario(dx=30.0, dy=10.0, dv=10.0, users=sc.users, channels=sc.channels, c=(1.0,))
+        with pytest.raises(ValueError):
+            dataclasses.replace(sc, y_max=(1.0,))
+
+    def test_repr_eq_and_hash_ignore_them(self):
+        sc, other = make_scenario([(4.0, 3.0)]), make_scenario([(4.0, 3.0)])
+        object.__setattr__(other, "c", (0.0,))
+        object.__setattr__(other, "y_max", (0.0,))
+        assert sc == other and hash(sc) == hash(other)
+        assert repr(sc) == repr(other)
+        assert "c=" not in repr(sc) and "y_max=" not in repr(sc)
 
 
 _DERIVED = ("mu", "marcum_a", "rho_mu_sq")

@@ -390,7 +390,7 @@ class TestGridSearchOutage:
         xs = np.linspace(0.0, sc.dx, 41)
         met = np.ones((xs.size, t_grid.size), dtype=bool)
         for m, params in enumerate(sc.channels):
-            ys = (sc.users[m].x - xs) ** 2 + sc.c_const(m)
+            ys = (sc.users[m].x - xs) ** 2 + sc.c[m]
             met &= [[ccdf_inst_snr(params, y, t) >= 1.0 - spec.epsilons[m]
                      for t in t_grid.tolist()] for y in ys.tolist()]
         k_star = np.flatnonzero(met.any(axis=0))[-1]
@@ -449,8 +449,8 @@ class TestSharedChannelOptimum:
     def test_single_user_sits_at_the_user(self):
         sc = make_scenario([(12.5, 3.0)])
         sol = shared_channel_optimum(sc)
-        assert (sol.x_star, sol.meta["alpha_star"]) == (12.5, sc.c_const(0))
-        assert sol.t_star == f_scalar(sc.channels[0], sc.c_const(0))
+        assert (sol.x_star, sol.meta["alpha_star"]) == (12.5, sc.c[0])
+        assert sol.t_star == f_scalar(sc.channels[0], sc.c[0])
 
     def test_user_order_changes_nothing(self):
         sc = _shared_drop(16, 3, 0.01, True)

@@ -19,7 +19,6 @@ from pinchopt import (
     parse_scenario_dict,
     shared_channel_optimum,
     solve_outage,
-    squared_distance_range,
 )
 from pinchopt import kernels, outage
 from pinchopt.maxmin import _feasible_set
@@ -75,55 +74,54 @@ class TestMarkovCeiling:
 class TestInvertCcdf:
     def test_tiny_threshold_full_range(self):
         sc = make_scenario([(10.0, 5.0)])
-        rng = squared_distance_range(sc, 0)
-        assert invert_ccdf(sc.channels[0], 1e-6, 0.5, rng) == rng.y_max
+        y_min, y_max = sc.c[0], sc.y_max[0]
+        assert invert_ccdf(sc.channels[0], 1e-6, 0.5, y_min, y_max) == y_max
 
     def test_huge_threshold_infeasible(self):
         sc = make_scenario([(10.0, 5.0)])
-        rng = squared_distance_range(sc, 0)
+        y_min, y_max = sc.c[0], sc.y_max[0]
         params = sc.channels[0]
-        t = 4.0 * params.rho * params.eta / rng.y_min  # beyond the LoS-limited drop
-        assert invert_ccdf(params, t, 0.1, rng) is None
+        t = 4.0 * params.rho * params.eta / y_min  # beyond the LoS-limited drop
+        assert invert_ccdf(params, t, 0.1, y_min, y_max) is None
 
     def test_mid_range_round_trip(self):
         sc = make_scenario([(10.0, 5.0)], dx=30.0)
-        rng = squared_distance_range(sc, 0)
+        y_min, y_max = sc.c[0], sc.y_max[0]
         params = sc.channels[0]
         eps = 0.1
         # pick t so the root lies strictly inside (y_min, y_max)
         t = max_threshold_at(sc, OutageSpec.shared(eps, 1), 2.0)
-        bound = invert_ccdf(params, t, eps, rng)
-        assert bound is not None and rng.y_min < bound < rng.y_max
+        bound = invert_ccdf(params, t, eps, y_min, y_max)
+        assert bound is not None and y_min < bound < y_max
         assert ccdf_inst_snr(params, bound, t) == pytest.approx(1.0 - eps, abs=1e-6)
 
     def test_pure_nlos_log_inversion(self):
         # with the LoS branch suppressed the bound has a closed form
         params = make_params(beta=1.0)
         sc = make_scenario([(10.0, 5.0)], dx=30.0, beta=1.0)
-        rng = squared_distance_range(sc, 0)
+        y_min, y_max = sc.c[0], sc.y_max[0]
         eps, t = 0.1, 5.0
         expected = nlos_only_bound(params.rho, params.mu_sq, t, eps)
-        assert rng.y_min < expected < rng.y_max
-        bound = invert_ccdf(params, t, eps, rng)
+        assert y_min < expected < y_max
+        bound = invert_ccdf(params, t, eps, y_min, y_max)
         assert bound == pytest.approx(expected, rel=1e-6)
 
     def test_invalid_epsilon(self):
         sc = make_scenario([(10.0, 5.0)])
-        rng = squared_distance_range(sc, 0)
         with pytest.raises(ValueError):
-            invert_ccdf(sc.channels[0], 1.0, 1.0, rng)
+            invert_ccdf(sc.channels[0], 1.0, 1.0, sc.c[0], sc.y_max[0])
 
     def test_bound_nonincreasing_in_t(self):
         sc = make_scenario([(10.0, 5.0)], dx=30.0)
-        rng = squared_distance_range(sc, 0)
+        y_min, y_max = sc.c[0], sc.y_max[0]
         params = sc.channels[0]
-        width = outage._INVERSION_REL_TOL * rng.y_min
+        width = outage._INVERSION_REL_TOL * y_min
         rng_np = np.random.Generator(np.random.Philox(13))
         cap = max_threshold_at(sc, OutageSpec.shared(0.1, 1), 10.0)
         for _ in range(40):
             t1, t2 = sorted(rng_np.uniform(0.1, 3.0 * cap, 2))
-            b1 = invert_ccdf(params, float(t1), 0.1, rng)
-            b2 = invert_ccdf(params, float(t2), 0.1, rng)
+            b1 = invert_ccdf(params, float(t1), 0.1, y_min, y_max)
+            b2 = invert_ccdf(params, float(t2), 0.1, y_min, y_max)
             if b2 is None:
                 continue
             assert b1 is not None
@@ -134,7 +132,7 @@ class TestUserIntervalOutage:
     def test_infeasible_propagates_to_empty(self):
         sc = make_scenario([(10.0, 5.0)])
         params = sc.channels[0]
-        t = 4.0 * params.rho * params.eta / squared_distance_range(sc, 0).y_min
+        t = 4.0 * params.rho * params.eta / sc.c[0]
         assert _feasibility(sc, OutageSpec.shared(0.1, 1), t) == (None, False)
 
     def test_unbinding_constraint_full_region(self):
@@ -172,7 +170,7 @@ class TestSolveOutage:
         sol = solve_outage(sc, OutageSpec.shared(eps, 1))
         assert sol.x_star == pytest.approx(12.0, abs=1e-5)
         # t_star solves ccdf(C_1, t) = 1 - eps; cross-checked by a direct root
-        c = sc.c_const(0)
+        c = sc.c[0]
         assert ccdf_inst_snr(sc.channels[0], c, sol.t_star) == pytest.approx(1.0 - eps, abs=1e-9)
 
     def test_asymmetric_targets_pull_antenna(self):
@@ -199,7 +197,7 @@ class TestSolveOutage:
             sol = solve_outage(sc, spec)
             assert sol.t_star == pytest.approx(max_threshold_at(sc, spec, sol.x_star), rel=1e-12)
             for m in range(2):
-                y = (sc.users[m].x - sol.x_star) ** 2 + sc.c_const(m)
+                y = sc.r_sq(m, sol.x_star)
                 assert ccdf_inst_snr(sc.channels[m], y, sol.t_star) >= 0.95 - 1e-6
         # per-user channels and targets: users dropped from the active set may bind
         # where the active ones reach the bracket's top, so the finish must see them
@@ -283,8 +281,8 @@ class TestCertifiedBracket:
         # no grid point beats t_star by more than 1e-12: some user misses that level there
         level = sol.t_star * (1.0 + 1e-12)
         for x in np.linspace(sol.x_star - 1e-6, sol.x_star + 1e-6, 2001):
-            assert any(ccdf_inst_snr(sc.channels[m], (u.x - x) ** 2 + sc.c_const(m), level)
-                       < 1.0 - spec.epsilons[m] for m, u in enumerate(users))
+            assert any(ccdf_inst_snr(sc.channels[m], sc.r_sq(m, x), level)
+                       < 1.0 - spec.epsilons[m] for m in range(len(users)))
 
 
 class TestWorstUserFinish:
@@ -417,7 +415,7 @@ class TestPrunedObjective:
         root_calls = 0
         for m in range(32):
             calls = 0
-            y = (sc.users[m].x - x_pin) ** 2 + sc.c_const(m)
+            y = sc.r_sq(m, x_pin)
             outage._threshold_root(sc.channels[m], y, 0.1)
             root_calls = max(root_calls, calls)
         calls = 0
@@ -428,13 +426,13 @@ class TestPrunedObjective:
 
 
 def _interior_root_case(rng):
-    """(params, t, epsilon, range, inversion width) of a one-user drop whose bound lies
-    inside the range."""
+    """(params, t, epsilon, (y_min, y_max), inversion width) of a one-user drop whose
+    bound lies inside the range."""
     sc, spec = heterogeneous_drop(rng, 1)
-    params, y_range = sc.channels[0], squared_distance_range(sc, 0)
-    y = float(rng.uniform(y_range.y_min, y_range.y_max))
+    params, y_min, y_max = sc.channels[0], sc.c[0], sc.y_max[0]
+    y = float(rng.uniform(y_min, y_max))
     t = outage._threshold_root(params, y, spec.epsilons[0])
-    return params, t, spec.epsilons[0], y_range, outage._INVERSION_REL_TOL * y_range.y_min
+    return params, t, spec.epsilons[0], (y_min, y_max), outage._INVERSION_REL_TOL * y_min
 
 
 class TestWarmStart:
@@ -443,26 +441,26 @@ class TestWarmStart:
     def test_any_valid_bracket_gives_the_cold_bound(self):
         rng = np.random.Generator(np.random.Philox(60))
         for _ in range(20):
-            params, t, eps, y_range, width = _interior_root_case(rng)
-            cold = invert_ccdf(params, t, eps, y_range)
-            assert y_range.y_min < cold < y_range.y_max
+            params, t, eps, (y_min, y_max), width = _interior_root_case(rng)
+            cold = invert_ccdf(params, t, eps, y_min, y_max)
+            assert y_min < cold < y_max
             for _ in range(5):
                 # every y <= cold meets the target, every y >= cold + width misses it
-                bracket = (float(rng.uniform(y_range.y_min, cold)),
-                           float(rng.uniform(cold + width, y_range.y_max)))
-                warm = invert_ccdf(params, t, eps, y_range, bracket)
+                bracket = (float(rng.uniform(y_min, cold)),
+                           float(rng.uniform(cold + width, y_max)))
+                warm = invert_ccdf(params, t, eps, y_min, y_max, bracket)
                 assert abs(warm - cold) <= width
                 assert ccdf_inst_snr(params, warm, t) >= 1.0 - eps
 
     def test_non_bracketing_hint_falls_back_to_cold(self):
         rng = np.random.Generator(np.random.Philox(61))
         for _ in range(10):
-            params, t, eps, y_range, width = _interior_root_case(rng)
-            cold = invert_ccdf(params, t, eps, y_range)
-            above = 0.5 * (cold + width + y_range.y_max)  # misses the target
-            below = 0.5 * (y_range.y_min + cold)  # meets it
-            for hint in ((above, y_range.y_max), (y_range.y_min, below), (above, below)):
-                assert invert_ccdf(params, t, eps, y_range, hint) == cold
+            params, t, eps, (y_min, y_max), width = _interior_root_case(rng)
+            cold = invert_ccdf(params, t, eps, y_min, y_max)
+            above = 0.5 * (cold + width + y_max)  # misses the target
+            below = 0.5 * (y_min + cold)  # meets it
+            for hint in ((above, y_max), (y_min, below), (above, below)):
+                assert invert_ccdf(params, t, eps, y_min, y_max, hint) == cold
 
     @pytest.mark.parametrize("steps, root_step, width", [
         (7, 4, 1e-12), (1000, 1, 1e-9), (1000, 999, 1e-9), (3, 1, 1e-15),

@@ -8,7 +8,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pinchopt.model import UserPosition, dbm_to_linear, squared_distance_range
+from pinchopt.model import UserPosition, dbm_to_linear
 from pinchopt.scenario_io import (
     DEFAULTS,
     ScenarioFormatError,
@@ -188,7 +188,7 @@ def test_region_whose_bound_overflows_loads_when_every_user_is_finite():
     doc = dict(BASE, region={"dx": dx, "dy": dy, "dv": 10.0},
                users=[{"x": 0.0, "y": 0.0}, {"x": dx, "y": 0.0}])
     scenario = parse_scenario_dict(doc).scenario
-    assert all(math.isfinite(squared_distance_range(scenario, m).y_max) for m in range(2))
+    assert all(math.isfinite(y_max) for y_max in scenario.y_max)
 
 
 def test_top_level_must_be_an_object():
