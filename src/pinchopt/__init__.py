@@ -4,6 +4,10 @@ Places a single waveguide-mounted radiating element for multiuser
 downlink under a probabilistic LoS / random NLoS channel, maximizing
 either the worst-user average SNR or an outage-guaranteed SNR threshold,
 both via nested-interval bisection with Monte-Carlo cross-validation.
+
+The solvers run on plain floats: importing the package loads no numpy. McConfig,
+McEstimate, estimate_avg_snr, estimate_ccdf_curve, grid_search_maxmin, grid_search_outage
+and shared_channel_optimum import montecarlo, and numpy with it, when first read.
 """
 
 __version__ = "0.1.0"
@@ -22,20 +26,11 @@ from .model import (
     ChannelParams,
     InvalidScenario,
     Scenario,
+    UnsupportedScenario,
     UserPosition,
     dbm_to_linear,
     eta_from_carrier,
     f_scalar,
-)
-from .montecarlo import (
-    McConfig,
-    McEstimate,
-    UnsupportedScenario,
-    estimate_avg_snr,
-    estimate_ccdf_curve,
-    grid_search_maxmin,
-    grid_search_outage,
-    shared_channel_optimum,
 )
 from .outage import (
     OutageSpec,
@@ -89,3 +84,13 @@ __all__ = [
     "solve_maxmin",
     "solve_outage",
 ]
+
+_MONTECARLO_NAMES = {"McConfig", "McEstimate", "estimate_avg_snr", "estimate_ccdf_curve",
+                     "grid_search_maxmin", "grid_search_outage", "shared_channel_optimum"}
+
+
+def __getattr__(name):
+    if name not in _MONTECARLO_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import montecarlo
+    return getattr(montecarlo, name)

@@ -23,6 +23,7 @@ noise_dbm, mu_sq_db and, where the targets act (--metric outage, no epsilon
 axis), outage.epsilons; else the sweep exits 2 before solving any point.
 
 The argument parser is built once per process, on the first main() call.
+sweep, ccdf, verify and closed-form load numpy when run; solve does not.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 solver error (no positive level is feasible), 4 internal error (an
@@ -40,24 +41,11 @@ import math
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-
-import numpy as np
 
 from . import __version__
 from .maxmin import SolverAnomaly, Solution, fixed_antenna_baseline, solve_maxmin
-from .model import InvalidScenario, Scenario, UserPosition, f_scalar, snr_std
-from .montecarlo import (
-    _BATCH,
-    McConfig,
-    UnsupportedScenario,
-    estimate_avg_snr,
-    estimate_ccdf_curve,
-    grid_search_maxmin,
-    grid_search_outage,
-    shared_channel_optimum,
-)
+from .model import InvalidScenario, Scenario, UnsupportedScenario, UserPosition, f_scalar, snr_std
 from .outage import (
     OutageSpec,
     default_threshold_ceiling,
@@ -212,6 +200,8 @@ _AXES = ("dx", "beta", "m", "epsilon")
 
 
 def _parse_axis(text: str):
+    import numpy as np
+
     name, _, spec = text.partition("=")
     name = name.strip().lower()
     if name not in _AXES:
@@ -235,10 +225,11 @@ def _parse_axis(text: str):
         values = np.linspace(lo, hi, n)
     if name == "m":
         values = np.unique(np.rint(values).astype(int))
-        if np.any(values < 1):
-            raise ScenarioFormatError("axis 'm' needs at least one user")
-    if name == "epsilon" and not np.all((values > 0.0) & (values < 1.0)):
-        raise ScenarioFormatError(f"axis 'epsilon' values must lie in (0, 1), got {lo}:{hi}")
+    allowed, inside = {"dx": ("> 0", values > 0.0), "beta": (">= 0", values >= 0.0),
+                       "m": (">= 1", values >= 1),
+                       "epsilon": ("in (0, 1)", (values > 0.0) & (values < 1.0))}[name]
+    if not np.all(inside):
+        raise ScenarioFormatError(f"axis '{name}' values must be {allowed}, got {lo}:{hi}")
     return name, [float(v) if name != "m" else int(v) for v in values]
 
 
@@ -251,6 +242,7 @@ def _drop_scenario(bundle: ScenarioBundle, overrides: dict, seed_key: tuple,
     if "beta" in overrides:
         channels = [replace(channel, beta=overrides["beta"]) for channel in channels]
     if redraw_users:
+        import numpy as np
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=0, spawn_key=seed_key)))
         xs = rng.uniform(0.0, dx, n_users)
         ys = rng.uniform(-0.5 * base.dy, 0.5 * base.dy, n_users)
@@ -346,6 +338,7 @@ def cmd_sweep(args) -> int:
                        args.metric == "outage" and "epsilon" not in names)
     workers = min(args.workers, len(tasks))  # a fork pool starts every worker at once
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, tasks))
     else:
@@ -358,6 +351,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_ccdf(args) -> int:
+    import numpy as np
+    from .montecarlo import McConfig, estimate_ccdf_curve
+
     scenario = load_scenario(args.scenario).scenario
     if not 0 <= args.user < scenario.n_users:
         raise ScenarioFormatError(f"user index {args.user} out of range")
@@ -401,6 +397,9 @@ def _bonferroni_z(n: int) -> float:
 
 def _verify_checks(bundle: ScenarioBundle, samples: int, seed: int, eta_scale: float):
     """Oracle suite; analytic formulas use eta*eta_scale, the simulator the true eta."""
+    from .montecarlo import (_BATCH, McConfig, estimate_avg_snr, estimate_ccdf_curve,
+                             grid_search_maxmin, grid_search_outage, shared_channel_optimum)
+
     scenario = bundle.scenario
     # Average SNR and CCDF (4 thresholds) vs Monte Carlo at each user's midpoint
     # distance. Error bars are analytic under the formula being checked, as a
@@ -500,6 +499,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_closed_form(args) -> int:
+    from .montecarlo import shared_channel_optimum
+
     bundle = load_scenario(args.scenario)
     if differ := _first_difference(bundle):
         raise ScenarioFormatError(f"users[{differ[1]}].{differ[0]} differs from users[0]")

@@ -6,10 +6,10 @@ Marcum-Q evaluation (tens of millions of calls inside the solvers and
 grid oracles). The map runs in place over the caller's draws (two normals
 per LoS lane, one exponential per blocked lane), once per sample block on
 the sampler's worker threads: it keeps no state, and its numpy ufuncs
-release the GIL, so blocks map concurrently. Q1 is one scalar kernel;
-marcum_q1_batch maps it over array lanes, so a lane and a scalar call
-agree bit for bit. Results are deterministic for a given Python and numpy
-build.
+release the GIL, so blocks map concurrently. Q1 is one scalar kernel on
+plain floats, and importing this module loads no numpy; marcum_q1_batch maps
+Q1 over array lanes, so a lane and a scalar call agree bit for bit. Q1 is
+deterministic for a given Python build, the map for a given numpy build too.
 
 Q1 has three regimes, tested in this order, each with bounded work:
 
@@ -27,14 +27,15 @@ Q1 has three regimes, tested in this order, each with bounded work:
   40(3), 2014, also route large a*b away from the Bessel recurrence). Its
   largest node is 10.08, so s > 12.97 at every node: Q(s + a) < 3e-190 and
   P[|Y| >= b] < 2e-60 are below double precision and dropped. The
-  integrand is even in Y, so a call costs 16 erfc at any scale.
+  integrand is even in Y, so a call costs 16 erfc at any scale. _BAND_RULE
+  holds its 16 positive nodes and half-weights as the reprs of Golub-Welsch
+  (Math. Comp. 23, 1969) by numpy's eigh on the 32-point Hermite Jacobi matrix,
+  weights normalised to sum to 1, so Q1 no longer depends on numpy's LAPACK build.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 # Poisson-mixture truncation: stop once the remaining Poisson(a^2/2) tail
 # mass (an upper bound on the series remainder) is below this.
@@ -63,20 +64,26 @@ def _marcum_series(a: float, b: float) -> float:
     return 0.0 if total < 0.0 else 1.0 if total > 1.0 else total  # min(max(total, 0.0), 1.0)
 
 
-def _half_hermite_rule(n: int):
-    """(y, w/2) at the positive nodes y of the n-point probabilists' Gauss-Hermite
-    rule: eigenvalues of the Hermite Jacobi matrix, and weights w from their
-    eigenvectors' first components (Golub & Welsch, Math. Comp. 23, 1969). The w
-    sum to 1, so E[h(Y)] ~ sum w h(y) for an even h, and Q1 is continuous
-    across a = b, where the band kernel switches sums."""
-    off = np.sqrt(np.arange(1.0, n))
-    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    positive = nodes > 0.0
-    weights = vectors[0, positive] ** 2
-    return tuple(zip(nodes[positive].tolist(), (0.5 * weights / weights.sum()).tolist()))
-
-
-_BAND_RULE = _half_hermite_rule(32)
+# (y, w/2) at the positive nodes y: the w sum to 1, so E[h(Y)] ~ sum w h(y) for an
+# even h, and Q1 is continuous across a = b, where the band kernel switches sums.
+_BAND_RULE = (
+    (0.2755464192302761, 0.2117055698804795),
+    (0.8272849037797654, 0.15653899375759844),
+    (1.3809801992721433, 0.08534480827208044),
+    (1.9380049059257187, 0.03410984772609224),
+    (2.499840415187396, 0.009903461702320558),
+    (3.0681351690131224, 0.002062051051307852),
+    (3.6447812498808325, 0.00030255702581706594),
+    (4.2320211099954115, 3.05598030608968e-05),
+    (4.832604613244488, 2.0596221039531966e-06),
+    (5.4500332736234265, 8.88129071310752e-08),
+    (6.088964309076985, 2.312518412082247e-09),
+    (6.755930830540705, 3.3475012397409484e-11),
+    (7.460755754121517, 2.3780648548114885e-13),
+    (8.219728765382246, 6.755290198605486e-16),
+    (9.064399210702403, 5.208449455518606e-19),
+    (10.07742267422946, 4.1246067108338104e-23),
+)
 _SQRT_HALF = math.sqrt(0.5)
 
 
@@ -139,6 +146,8 @@ def snr_samples(values, z_im, los_amp, nlos_scale, cos_ph, sin_ph, rho):
 def marcum_q1_batch(a, b):
     """marcum_q1_scalar over broadcastable float64 arrays, lane by lane
     (arguments assumed nonnegative)."""
+    import numpy as np
+
     a, b = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
     lanes = map(marcum_q1_scalar, a.ravel().tolist(), b.ravel().tolist())
     return np.fromiter(lanes, dtype=np.float64, count=a.size).reshape(a.shape)

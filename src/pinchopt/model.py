@@ -33,6 +33,10 @@ class InvalidScenario(ValueError):
     """A scenario (or one of its members) violates a model invariant."""
 
 
+class UnsupportedScenario(ValueError):
+    """Users do not share one channel (or one outage target)."""
+
+
 def eta_from_carrier(carrier_frequency_hz: float) -> float:
     """LoS power constant eta = c^2 / (4 pi f_c)^2 for carrier f_c in Hz."""
     if not carrier_frequency_hz > 0.0:

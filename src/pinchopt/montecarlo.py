@@ -52,7 +52,7 @@ import numpy as np
 
 from . import kernels
 from .maxmin import Interval, Solution, _distances
-from .model import ChannelParams, Scenario, f_scalar
+from .model import ChannelParams, Scenario, UnsupportedScenario, f_scalar
 from .outage import OutageSpec, _threshold_root
 from .special import ccdf_inst_snr
 
@@ -61,10 +61,6 @@ from .special import ccdf_inst_snr
 # The default 200 000-sample ccdf/verify call is four blocks, one per worker
 # on up to four CPUs.
 _BATCH = 50_000
-
-
-class UnsupportedScenario(ValueError):
-    """Users do not share one channel (or one outage target)."""
 
 
 @dataclass(frozen=True)

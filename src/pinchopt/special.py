@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import kernels
 from .model import ChannelParams
 
@@ -62,8 +60,10 @@ def ccdf_inst_snr(params: ChannelParams, r_sq: float, t: float) -> float:
     return 0.0 if value < 0.0 else 1.0 if value > 1.0 else value
 
 
-def ccdf_inst_snr_batch(params: ChannelParams, r_sq, t) -> np.ndarray:
-    """ccdf_inst_snr over broadcastable arrays r_sq > 0, t >= 0, lane by lane."""
+def ccdf_inst_snr_batch(params: ChannelParams, r_sq, t):
+    """ccdf_inst_snr over broadcastable arrays r_sq > 0, t >= 0, lane by lane, as a float array."""
+    import numpy as np
+
     r_sq, t = np.broadcast_arrays(np.asarray(r_sq, float), np.asarray(t, float))
     lanes = (ccdf_inst_snr(params, y, s)
              for y, s in zip(r_sq.ravel().tolist(), t.ravel().tolist()))

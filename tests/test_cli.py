@@ -1,6 +1,7 @@
 """CLI checks through ``cli.main(argv)``, in process."""
 
 import argparse
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pinchopt import SolverTolerances, cli, kernels, load_scenario, shared_channel_optimum
+from pinchopt import SolverTolerances, cli, kernels, load_scenario, montecarlo, shared_channel_optimum
 
 from conftest import binade_spanning_doc
 
@@ -135,13 +136,13 @@ class TestVerify:
 
     def test_grid_check_can_fail_at_subnormal_levels(self, tmp_path, capsys, monkeypatch):
         # a gap relative to max(level, 1e-300) read ~1e-16 at levels ~1e-315, whatever the gap
-        grid = cli.grid_search_maxmin
+        grid = montecarlo.grid_search_maxmin
 
         def halved(scenario, points):
             sol = grid(scenario, points)
             return replace(sol, t_star=0.5 * sol.t_star)
 
-        monkeypatch.setattr(cli, "grid_search_maxmin", halved)
+        monkeypatch.setattr(montecarlo, "grid_search_maxmin", halved)
         doc = dict(SHARED_DOCS["three-users"], defaults={"p_dbm": -3150.0})
         assert cli.main(["verify", _write(tmp_path, doc), "--samples", "2000"]) == \
             cli.EXIT_CHECK_FAILED
@@ -344,7 +345,7 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         out = tmp_path / "sweep.csv"
         rc = cli.main(["sweep", str(two_user_file), "--metric", "avg-snr", "--axis",
                        f"beta=0.005:0.01:{points}", "--drops", "1", "--workers", workers,
@@ -400,14 +401,20 @@ class TestSweep:
         assert scenario.channels == bundle.scenario.channels
         assert spec == bundle.outage and spec.epsilons == (0.05, 0.2, 0.1)
 
+    # dx=30:0:3, beta=0.01:-1:2 and beta=0.02:-0.01:3: only the last point is out of range
     @pytest.mark.parametrize("axis", ["beta=nan:nan:1", "dx=10:inf:2", "epsilon=0:0.5:3",
-                                      "epsilon=0.1:1:2", "m=0:0:1", "speed=1:2:2"])
-    def test_bad_axis_is_invalid_input(self, two_user_file, tmp_path, capsys, axis):
+                                      "epsilon=0.1:1:2", "m=0:0:1", "speed=1:2:2",
+                                      "dx=0:30:2", "dx=30:0:3",
+                                      "beta=-1:0:2", "beta=0.01:-1:2", "beta=0.02:-0.01:3"])
+    def test_bad_axis_is_invalid_input(self, two_user_file, tmp_path, capsys, monkeypatch, axis):
+        monkeypatch.setattr(cli, "_sweep_point", lambda task: pytest.fail("a point was solved"))
         name = axis.partition("=")[0]
+        out = tmp_path / "sweep.csv"
         rc = cli.main(["sweep", str(two_user_file), "--metric", "avg-snr", "--axis", axis,
-                       "--out", str(tmp_path / "sweep.csv")])
+                       "--out", str(out)])
         assert rc == cli.EXIT_INVALID
         assert f"axis '{name}'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_ccdf_table(two_user_file, tmp_path):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import example, given, strategies as st
 
 from pinchopt import kernels
@@ -166,6 +167,30 @@ _BAND_LANES = [
     # inside the band
     (38.1, 30.0), (38.1, 45.0), (200.0, 205.0), (74.3, 87.2), (1033.5, 1045.9), (3000.0, 2990.0),
 ]
+
+
+class TestBandRule:
+    """The literal (node, half-weight) table against rules computed independently."""
+
+    def test_matches_scipy_hermite_rule(self):
+        nodes, weights = scipy.special.roots_hermitenorm(32)
+        positive = nodes > 0.0
+        ys, half_ws = (np.array(column) for column in zip(*kernels._BAND_RULE))
+        np.testing.assert_allclose(ys, nodes[positive], rtol=1e-14, atol=0.0)
+        # tail weights down to 4e-23 are accurate only in absolute terms, which is what Q1 needs
+        np.testing.assert_allclose(half_ws, 0.5 * weights[positive] / weights[positive].sum(),
+                                   rtol=0.0, atol=1e-15)
+        assert 2.0 * math.fsum(half_ws) == 1.0
+
+    def test_golub_welsch_reproduces_every_entry_within_two_ulps(self):
+        off = np.sqrt(np.arange(1.0, 32.0))
+        nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        positive = nodes > 0.0
+        weights = vectors[0, positive] ** 2
+        rule = zip(nodes[positive].tolist(), (0.5 * weights / weights.sum()).tolist())
+        for entry, computed in zip(kernels._BAND_RULE, rule, strict=True):
+            for value, exact in zip(entry, computed):
+                assert abs(value - exact) <= 2.0 * math.ulp(exact), (entry, computed)
 
 
 class TestMarcumBand:
