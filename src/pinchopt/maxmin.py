@@ -64,9 +64,11 @@ class Solution:
     (x_star, x_star) for the shared-channel optimum, baselines and grid
     searches). For outage it is the outer interval at bracket_lo: it holds
     every position that meets bracket_lo and may exceed that set by the
-    inversion width. meta carries diagnostics such as the outer bracket
-    (bracket_lo/bracket_hi), the binding users (binding: the sorted indices
-    of the one or two worst users around x_star) or grid slack estimates.
+    inversion width, the gap between each outage inversion's returned r^2
+    and the one it proves infeasible, closed-form roots included. meta
+    carries diagnostics such as the outer bracket (bracket_lo/bracket_hi),
+    the binding users (binding: the sorted indices of the one or two worst
+    users around x_star) or grid slack estimates.
     """
 
     t_star: float

@@ -54,7 +54,7 @@ from . import kernels
 from .maxmin import Interval, Solution, _distances
 from .model import ChannelParams, Scenario, UnsupportedScenario, f_scalar
 from .outage import OutageSpec, _threshold_root
-from .special import ccdf_inst_snr
+from .special import outage_prob
 
 
 # Samples drawn and reduced per block; the block index seeds its generator.
@@ -295,7 +295,7 @@ def outage_grid_ceiling(scenario: Scenario, spec: OutageSpec) -> float:
 
     By weak duality, max_x min_m g_m(x) <= min_m max_x g_m(x); the right
     side is each user's threshold root at its own minimum distance. Each
-    root is the feasible end of its bracket in the CCDF arithmetic the grid
+    root is the feasible end of its bracket in the outage_prob arithmetic the grid
     evaluates, so a top grid row at the cap is met wherever it is attained.
     Gridding [0, cap] keeps the t-grid resolution commensurate with the
     optimum.
@@ -312,12 +312,12 @@ def grid_search_outage(scenario: Scenario, spec: OutageSpec, grid_points: int,
     outage_grid_ceiling) or an explicit increasing array starting at 0.
     The positions are scanned in order against the best row so far: a
     position beats it only if every user meets the next row there, and
-    then climbs while every user meets the row above. Because the CCDF
-    is nonincreasing in t, this finds the highest row, and the first
-    position on it, that checking every (x, t) cell would find. It costs
-    about one scalar CCDF call per position (the first user that misses
-    ends the check, and the user that missed last is checked first) plus
-    M per row climbed.
+    then climbs while every user meets the row above (outage_prob <= eps_m).
+    Because the outage probability is nondecreasing in t, this finds the
+    highest row, and the first position on it, that checking every (x, t)
+    cell would find. It costs about one scalar outage_prob call per
+    position (the first user that misses ends the check, and the user that
+    missed last is checked first) plus M per row climbed.
     """
     if grid_points < 2:
         raise ValueError(f"grid needs at least 2 points, got {grid_points}")
@@ -334,14 +334,14 @@ def grid_search_outage(scenario: Scenario, spec: OutageSpec, grid_points: int,
             raise ValueError("t grid must increase from 0")
     xs = np.linspace(0.0, scenario.dx, grid_points)
     ts = t_grid.tolist()
-    users = [(scenario.channels[m], 1.0 - spec.epsilons[m],
+    users = [(scenario.channels[m], spec.epsilons[m],
               ((scenario.users[m].x - xs) ** 2 + scenario.c[m]).tolist())
              for m in range(scenario.n_users)]
     best, k = 0, 1  # row 0 (t = 0) is met everywhere; k is the row to beat
     for i in range(grid_points):
         while k < len(ts):
-            miss = next((j for j, (params, target, ys) in enumerate(users)
-                         if ccdf_inst_snr(params, ys[i], ts[k]) < target), None)
+            miss = next((j for j, (params, epsilon, ys) in enumerate(users)
+                         if outage_prob(params, ys[i], ts[k]) > epsilon), None)
             if miss is not None:
                 users.insert(0, users.pop(miss))  # it likely misses at the next position too
                 break

@@ -65,17 +65,17 @@ def beta0_drop(rng, n_users):
     return Scenario(dx=30.0, dy=10.0, dv=10.0, users=users, channels=channels), spec
 
 
-def binade_spanning_doc(rng):
+def binade_spanning_doc(rng, beta=4.8e-136, epsilon=5.5e-299):
     """A scenario document whose roots span hundreds of binades: 8 users on a
-    6.45e109 m region, levels near 1e-171 and outage target 5.5e-299, each user
-    drawn as x = uniform(0, dx), then y = uniform(-dy/2, dy/2)."""
+    6.45e109 m region, levels near 1e-171 and by default outage target 5.5e-299,
+    each user drawn as x = uniform(0, dx), then y = uniform(-dy/2, dy/2)."""
     dx, dy = 6.45e109, 3.5e-55
     users = [{"x": float(rng.uniform(0.0, dx)), "y": float(rng.uniform(-0.5 * dy, 0.5 * dy))}
              for _ in range(8)]
     return {"schema": 1, "region": {"dx": dx, "dy": dy, "dv": 1.1e-88},
             "defaults": {"p_dbm": -882.7, "noise_dbm": -2662.8, "mu_sq_db": -1135.2,
-                         "beta": 4.8e-136},
-            "users": users, "outage": {"epsilon": 5.5e-299}}
+                         "beta": beta},
+            "users": users, "outage": {"epsilon": epsilon}}
 
 
 @pytest.fixture(scope="session", autouse=True)

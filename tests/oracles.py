@@ -3,7 +3,8 @@
 These deliberately avoid the package's own series code: the Marcum-Q
 oracles integrate the defining integral with adaptive quadrature (scipy,
 and mpmath at 50 digits), Bessel references come from a raw power series /
-mpmath, the pure-NLoS outage bound has a logarithmic closed form, the
+mpmath, the pure-NLoS outage bound has a logarithmic closed form, and so has (in
+60-digit mpmath) the outage threshold where Q1 saturates, the
 beta = 0 optimum of both metrics on per-user channels is the least point
 of an envelope of parabolas, the optimum over one or two users at any beta
 is a vertex or a crossing found by brentq, and the Monte-Carlo sampler has two
@@ -63,20 +64,35 @@ def marcum_q1_quad(a: float, b: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def marcum_q1_mp(a: float, b: float) -> float:
-    """50-digit mpmath quadrature of Q1(a,b) = int_b^inf x e^{-(x^2+a^2)/2} I0(ax) dx.
+def marcum_q1_mp(a: float, b: float, complement: bool = False) -> float:
+    """50-digit mpmath quadrature of Q1(a,b) = int_b^inf x e^{-(x^2+a^2)/2} I0(ax) dx,
+    or with complement of 1 - Q1(a, b), the same integrand over [0, b].
 
     The integrand peaks near x = a with unit width, so the range is split
     there; at 50 digits a Q1 near 1e-44 keeps full relative precision and
-    one near 1 full absolute precision.
+    one near 1 full absolute precision, and so does its complement.
     """
     with mpmath.workdps(50):
         a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
-        top = max(a_, b_)
-        points = [b_] + [top + d for d in (0, 8, 20, 40) if top + d > b_] + [mpmath.inf]
+        if complement:
+            points = [mpmath.mpf(0)] + [a_ + d for d in (-8, 0, 8) if 0 < a_ + d < b_] + [b_]
+        else:
+            top = max(a_, b_)
+            points = [b_] + [top + d for d in (0, 8, 20, 40) if top + d > b_] + [mpmath.inf]
         value = mpmath.quad(lambda x: x * mpmath.exp(-(x - a_) ** 2 / 2 - a_ * x)
                             * mpmath.besseli(0, a_ * x), points)
         return float(value)
+
+
+def outage_prob_mp(params, r_sq: float, t: float) -> float:
+    """50-digit P[snr < t] = p (1 - Q1(a, b)) + q (1 - e^{-t r^2 / (rho mu^2)}), p =
+    e^{-beta r^2}, q = -expm1(-beta r^2), with 1 - Q1 from marcum_q1_mp's complement."""
+    b = math.sqrt(2.0 * r_sq * t / params.rho) / params.mu
+    with mpmath.workdps(50):
+        z = mpmath.mpf(params.beta) * mpmath.mpf(r_sq)
+        s = mpmath.mpf(t) * mpmath.mpf(r_sq) / (mpmath.mpf(params.rho) * mpmath.mpf(params.mu_sq))
+        return float(mpmath.exp(-z) * mpmath.mpf(marcum_q1_mp(params.marcum_a, b, complement=True))
+                     + -mpmath.expm1(-z) * -mpmath.expm1(-s))
 
 
 def nlos_only_bound(rho: float, mu_sq: float, t: float, epsilon: float) -> float:
@@ -103,9 +119,10 @@ def beta0_envelope_optimum(scenario, spec=None) -> tuple[float, float]:
 
     At beta = 0 user m meets level t at squared distance y exactly when
     y t <= s_m: s_m = rho_m (eta_m + mu_m^2) for the average SNR, and
-    s_m = rho_m mu_m^2 b*^2 / 2 for the outage target, where the CCDF is
-    Q1(a_m, sqrt(2 y t / (rho_m mu_m^2))) with a_m^2 = 2 eta_m / mu_m^2, and
-    Q1(a_m, b*) = 1 - eps_m gives b*^2 = ncx2.isf(1 - eps_m, 2, a_m^2). So
+    s_m = rho_m mu_m^2 b*^2 / 2 for the outage target, where the outage
+    probability is 1 - Q1(a_m, sqrt(2 y t / (rho_m mu_m^2))) with a_m^2 =
+    2 eta_m / mu_m^2, and 1 - Q1(a_m, b*) = eps_m gives b*^2 = ncx2.ppf(eps_m,
+    2, a_m^2), with no 1 - eps_m formed. So
     1/t* is the least value over x in [0, dx] of the upper envelope of the
     convex parabolas g_m(x) = ((x - x_m)^2 + C_m) / s_m. It is attained at
     0, at dx, at a vertex x_m or where two parabolas cross, and the envelope
@@ -117,7 +134,7 @@ def beta0_envelope_optimum(scenario, spec=None) -> tuple[float, float]:
     if spec is None:
         s = np.array([p.rho * (p.eta + p.mu_sq) for p in channels])
     else:
-        s = np.array([0.5 * p.rho * p.mu_sq * stats.ncx2.isf(1.0 - eps, 2, 2.0 * p.eta / p.mu_sq)
+        s = np.array([0.5 * p.rho * p.mu_sq * stats.ncx2.ppf(eps, 2, 2.0 * p.eta / p.mu_sq)
                       for p, eps in zip(channels, spec.epsilons)])
     # g_i - g_j = qa x^2 + qb x + qc on each pair; roots by the cancellation-free
     # form q = -(qb + sign(qb) sqrt(disc)) / 2, x = q / qa and qc / q
@@ -142,10 +159,11 @@ def pair_optimum(scenario, users, spec=None) -> tuple[float, float]:
 
     Each user's r^2 is formed here from its x, y and dv. f is the closed form
     rho (eta e^{-beta y} + mu^2) / y; the threshold is the brentq root in t of
-    P[snr >= t] = 1 - eps, with the Rician branch Q1(a, b) =
-    ncx2.sf(b^2, 2, a^2). g_m peaks at x_m and falls with |x - x_m|, so the
-    optimum is a user's vertex, where that user is the lesser, or else the
-    crossing g_i = g_j between the two vertices, found by brentq in x.
+    P[snr < t] = eps, with the Rician branch's 1 - Q1(a, b) = ncx2.cdf(b^2, 2,
+    a^2) and the NLoS one -expm1(-s), so no 1 - eps is formed. g_m peaks at
+    x_m and falls with |x - x_m|, so the optimum is a user's vertex, where
+    that user is the lesser, or else the crossing g_i = g_j between the two
+    vertices, found by brentq in x.
     """
     def g(m, x):
         user, p = scenario.users[m], scenario.channels[m]
@@ -153,13 +171,13 @@ def pair_optimum(scenario, users, spec=None) -> tuple[float, float]:
         f = p.rho * (p.eta * np.exp(-p.beta * y) + p.mu_sq) / y
         if spec is None:
             return f
-        target, p_los, nc = 1.0 - spec.epsilons[m], np.exp(-p.beta * y), 2.0 * p.eta / p.mu_sq
+        eps, p_los, nc = spec.epsilons[m], np.exp(-p.beta * y), 2.0 * p.eta / p.mu_sq
 
-        def meets(t):  # P[snr >= t] - (1 - eps), decreasing in t; Markov: < 0 at f / (1 - eps)
+        def meets(t):  # eps - P[snr < t], decreasing in t; Markov: < 0 at f / (1 - eps)
             s = t * y / (p.rho * p.mu_sq)
-            return p_los * stats.ncx2.sf(2.0 * s, 2, nc) + (1.0 - p_los) * np.exp(-s) - target
+            return eps - (p_los * stats.ncx2.cdf(2.0 * s, 2, nc) + (1.0 - p_los) * -np.expm1(-s))
 
-        return optimize.brentq(meets, 0.0, f / target, xtol=1e-300, rtol=1e-15)
+        return optimize.brentq(meets, 0.0, f / (1.0 - eps), xtol=1e-300, rtol=1e-15)
 
     ordered = sorted(users, key=lambda m: scenario.users[m].x)
     i, j = ordered[0], ordered[-1]  # i = j for one user
@@ -200,3 +218,14 @@ def mixture_batches_reference(seed, sizes, p_los, los_amp, nlos_scale, cos_ph, s
         re = los_amp * cos_ph + nlos_scale * z_re
         im = nlos_scale * z_im - los_amp * sin_ph
         yield rho * np.concatenate([re * re + im * im, 2.0 * nlos_scale * nlos_scale * blocked])
+
+
+def saturated_threshold_mp(params, r_sq: float, epsilon: float) -> float:
+    """60-digit root in t of q (1 - e^{-t r^2 / (rho mu^2)}) = eps, q = 1 - e^{-beta r^2}:
+    the threshold a user at squared distance r_sq meets at outage probability eps
+    where Q1 saturates (its LoS branch then never drops below t)."""
+    with mpmath.workdps(60):
+        y, eps = mpmath.mpf(r_sq), mpmath.mpf(epsilon)
+        q = -mpmath.expm1(-mpmath.mpf(params.beta) * y)
+        return float(-mpmath.mpf(params.rho) * mpmath.mpf(params.mu_sq)
+                     * mpmath.log1p(-eps / q) / y)

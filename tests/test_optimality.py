@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pinchopt import Scenario, SolverTolerances, UserPosition, solve_maxmin, solve_outage
+from pinchopt import (OutageSpec, Scenario, SolverTolerances, UserPosition,
+                      fixed_antenna_outage_baseline, solve_maxmin, solve_outage)
 
-from conftest import heterogeneous_drop
-from oracles import pair_optimum
+from conftest import heterogeneous_drop, make_params
+from oracles import beta0_envelope_optimum, marcum_q1_mp, pair_optimum
 
 # t_star's distance from the exact optimum: the max-min finish ends within
 # 1e-13 * dx of the argmax, and the outage one also carries the threshold
@@ -83,3 +84,49 @@ class TestMetamorphic:
         scaled = replace(sc, channels=tuple(replace(p, rho=math.ldexp(p.rho, k))
                                             for p in sc.channels))
         assert _solve(metric, scaled, spec).t_star == math.ldexp(_solve(metric, sc, spec).t_star, k)
+
+
+def _log_uniform_targets(rng, n_users, lo, hi):
+    return OutageSpec(epsilons=tuple(10.0 ** rng.uniform(math.log10(lo), math.log10(hi), n_users)))
+
+
+class TestFixedBaseline:
+    @pytest.mark.parametrize("lo, hi, drops", [(1e-12, 0.5, 200), (1e-300, 1e-12, 100)])
+    def test_pinching_never_falls_below_the_fixed_antenna_at_small_targets(self, lo, hi, drops):
+        # the antenna may sit at dx/2, so the optimum is at least the fixed baseline's
+        # level; compared against 1 - eps, targets below about 1e-16 lost it by up to 80 %
+        rng = np.random.Generator(np.random.Philox(808))
+        for n_users in (2, 3, 5, 8) * (drops // 4):
+            sc, _ = heterogeneous_drop(rng, n_users)
+            spec = _log_uniform_targets(rng, n_users, lo, hi)
+            sol, fixed = solve_outage(sc, spec), fixed_antenna_outage_baseline(sc, spec)
+            assert sol.t_star >= fixed.t_star, (n_users, spec.epsilons)
+
+
+class TestOutageOracles:
+    """The oracles' outage probabilities against the 50-digit Q1 complement, at the
+    smallest targets the tests use."""
+
+    def test_pair_optimum_meets_its_target_to_the_last_digits(self):
+        rng = np.random.Generator(np.random.Philox(809))
+        sc, _ = heterogeneous_drop(rng, 1)
+        p, user = sc.channels[0], sc.users[0]
+        y = user.y ** 2 + sc.dv ** 2  # the user's vertex, where the pair oracle puts it
+        a = math.sqrt(2.0 * p.eta / p.mu_sq)
+        for eps in (1e-12, 1e-3):
+            t, x = pair_optimum(sc, (0,), OutageSpec(epsilons=(eps,)))
+            s = t * y / (p.rho * p.mu_sq)
+            p_los = math.exp(-p.beta * y)
+            p_out = (p_los * marcum_q1_mp(a, math.sqrt(2.0 * s), complement=True)
+                     - (1.0 - p_los) * math.expm1(-s))
+            assert x == user.x and p_out == pytest.approx(eps, rel=1e-10)
+
+    @pytest.mark.parametrize("a", [8.5, 170.0])  # beta0_drop's least and largest a
+    def test_beta0_envelope_takes_its_radius_from_the_outage_probability(self, a):
+        # b*^2 = ncx2.ppf(eps, 2, a^2) at beta0_drop's least target and below it
+        # rho = mu^2 = 1, so b^2 = 2 y t with y = dv^2 = 1 at the user's vertex
+        sc = Scenario(dx=1.0, dy=1.0, dv=1.0, users=(UserPosition(0.5, 0.0),),
+                      channels=(make_params(beta=0.0, rho=1.0, mu_sq=1.0, eta=0.5 * a * a),))
+        for eps in (1e-12, 0.01):
+            t, _ = beta0_envelope_optimum(sc, OutageSpec(epsilons=(eps,)))
+            assert marcum_q1_mp(a, math.sqrt(2.0 * t), complement=True) == pytest.approx(eps, rel=1e-10)

@@ -9,6 +9,7 @@ from pinchopt import (
     InvalidScenario,
     OutageSpec,
     Scenario,
+    SolverAnomaly,
     SolverTolerances,
     UserPosition,
     ccdf_inst_snr,
@@ -25,7 +26,8 @@ from pinchopt.maxmin import _feasible_set
 
 from conftest import (ETA_28GHZ, beta0_drop, binade_spanning_doc, heterogeneous_drop,
                       make_params, make_scenario, random_scenario)
-from oracles import beta0_envelope_optimum, marcum_q1_quad, nlos_only_bound
+from oracles import (beta0_envelope_optimum, marcum_q1_quad, nlos_only_bound, outage_prob_mp,
+                     saturated_threshold_mp)
 
 TOL = SolverTolerances()
 
@@ -285,6 +287,62 @@ class TestCertifiedBracket:
                        < 1.0 - spec.epsilons[m] for m in range(len(users)))
 
 
+# the CI's three-user file: one shared channel, so the optimum is the threshold at
+# the minimax squared distance
+THREE_USERS = {"schema": 1, "region": {"dx": 30.0, "dy": 10.0, "dv": 10.0},
+               "users": [{"x": 4.0, "y": 3.0}, {"x": 15.0, "y": -4.0}, {"x": 27.0, "y": 1.0}]}
+
+
+class TestSmallTargets:
+    """Each target is compared as P_out <= eps, so tiny targets keep their relative
+    precision; against 1 - eps, t_star was off by 1.7e-3 at eps 1e-14 and by a factor
+    of 5e283 at 1e-300, outside its own bracket."""
+
+    @pytest.mark.parametrize("beta", [0.01, 10.0])
+    def test_three_users_reach_the_60_digit_optimum_at_any_target(self, beta):
+        for eps, eps_t in itertools.product(
+                (0.1, 1e-3, 1e-6, 1e-12, 1e-14, 1e-16, 1e-20, 1e-50, 1e-100, 1e-200, 1e-300),
+                (1e-3, 1e-12)):
+            doc = dict(THREE_USERS, defaults={"beta": beta}, outage={"epsilon": eps})
+            bundle = parse_scenario_dict(doc)
+            sol = solve_outage(bundle.scenario, bundle.outage, SolverTolerances(eps_t=eps_t))
+            # Q1 saturates at the optimum (a - b >= gap_m), so what outage_prob's
+            # bound on P1 adds to the closed form is below one ulp of eps
+            y_star = shared_channel_optimum(bundle.scenario, bundle.outage).meta["alpha_star"]
+            t_opt = saturated_threshold_mp(bundle.scenario.channels[0], y_star, eps)
+            assert t_opt * (1.0 - 1e-13) <= sol.t_star <= t_opt, eps
+            assert sol.meta["bracket_lo"] <= t_opt <= sol.meta["bracket_hi"], eps
+            assert sol.meta["binding"] == (0, 2)
+
+    def test_a_target_below_the_series_tail_ends_inside_its_bracket(self):
+        # compared against 1 - eps, at eps 1e-17 (a = 8.5e5) t_star read 7.94e-35,
+        # below its bracket [7.98e-35, 7.99e-35]
+        doc = {"schema": 1, "region": {"dx": 1.0, "dy": 1.0, "dv": 1.0},
+               "defaults": {"p_dbm": 0.0, "noise_dbm": 0.0, "mu_sq_db": -177.0, "beta": 1.0},
+               "users": [{"x": 0.0, "y": 0.0}, {"x": 1.0, "y": -0.5}],
+               "outage": {"epsilon": 1e-17}}
+        bundle = parse_scenario_dict(doc)
+        sol = solve_outage(bundle.scenario, bundle.outage, bundle.tol)
+        lo, hi = sol.meta["bracket_lo"], sol.meta["bracket_hi"]
+        t_opt = shared_channel_optimum(bundle.scenario, bundle.outage).t_star
+        assert lo <= sol.t_star <= hi and lo <= t_opt <= hi
+        assert sol.t_star == pytest.approx(1.910e-35, rel=1e-3)
+        assert t_opt * (1.0 - 1e-13) <= sol.t_star <= t_opt
+
+
+    def test_a_los_share_above_the_blocked_one_is_bounded_not_dropped(self):
+        # a = 15, beta y = 1e-50, eps = 1e-60: where the kernel reads Q1 = 1, P1 ~ 1.4e-49
+        # b^2/2 outweighs q b^2/2. Dropped, it let t_star 5.2e-19 reach P_out 1.5e-59
+        mu_sq = 2.0 * ETA_28GHZ / 225.0
+        sc = make_scenario([(0.0, -0.5)], dx=1.0, dy=1.0, dv=1.0, beta=8e-51, mu_sq=mu_sq,
+                           rho=1.0)
+        params, eps = sc.channels[0], 1e-60
+        sol = solve_outage(sc, OutageSpec.shared(eps, 1))
+        assert outage_prob_mp(params, sc.r_sq(0, sol.x_star), sol.t_star) <= eps
+        assert outage_prob_mp(params, sc.c[0], sol.meta["bracket_hi"]) > eps  # met nowhere
+        assert sol.t_star == pytest.approx(3.473e-20, rel=1e-3)
+
+
 class TestWorstUserFinish:
     """x_star comes from bisection on x toward the user with the smallest root."""
 
@@ -404,14 +462,14 @@ class TestPrunedObjective:
         spec = OutageSpec.shared(0.1, 32)
         x_pin = 0.5 * sc.dx
         calls = 0
-        real = outage.ccdf_inst_snr
+        real = outage.outage_prob
 
         def counted(*args):
             nonlocal calls
             calls += 1
             return real(*args)
 
-        monkeypatch.setattr(outage, "ccdf_inst_snr", counted)
+        monkeypatch.setattr(outage, "outage_prob", counted)
         root_calls = 0
         for m in range(32):
             calls = 0
@@ -450,7 +508,8 @@ class TestWarmStart:
                            float(rng.uniform(cold + width, y_max)))
                 warm = invert_ccdf(params, t, eps, y_min, y_max, bracket)
                 assert abs(warm - cold) <= width
-                assert ccdf_inst_snr(params, warm, t) >= 1.0 - eps
+                assert outage.outage_prob(params, warm, t) <= eps
+                assert outage.outage_prob(params, warm + width, t) > eps
 
     def test_non_bracketing_hint_falls_back_to_cold(self):
         rng = np.random.Generator(np.random.Philox(61))
@@ -516,9 +575,10 @@ class TestWarmStart:
 
     def test_outage_roots_stay_bounded_where_brackets_span_hundreds_of_binades(self,
                                                                                monkeypatch):
-        # levels near 1e-171 on a 6.45e109 m region: an inversion's bracket spans
+        # levels near 1e-47 on a 6.45e109 m region: an inversion's bracket spans
         # about 1 100 binades of r^2, where arithmetic midpoints took up to 92 592
-        # evaluations in one root (and this solve 6 s)
+        # evaluations in one root. At beta = 0 no root saturates, so every one runs
+        # _bracket_root, on its Bessel-band lanes
         runs, real = [], outage._bracket_root
 
         def counted(g, *args):
@@ -535,35 +595,50 @@ class TestWarmStart:
                 runs.append(calls)
 
         monkeypatch.setattr(outage, "_bracket_root", counted)
-        bundle = parse_scenario_dict(binade_spanning_doc(np.random.default_rng(278)))
+        doc = binade_spanning_doc(np.random.default_rng(278), beta=0.0, epsilon=0.1)
+        bundle = parse_scenario_dict(doc)
         sol = solve_outage(bundle.scenario, bundle.outage, bundle.tol)
         fixed = fixed_antenna_outage_baseline(bundle.scenario, bundle.outage)
-        assert len(runs) > 3000 and max(runs) <= 130
+        assert len(runs) > 2000 and max(runs) <= 130
         assert 0.0 < sol.meta["bracket_lo"] <= sol.t_star <= sol.meta["bracket_hi"]
         assert 0.0 < fixed.t_star <= sol.t_star
+        t_opt = shared_channel_optimum(bundle.scenario, bundle.outage).t_star
+        assert sol.meta["bracket_lo"] <= t_opt * (1.0 + 2e-12) and t_opt <= sol.meta["bracket_hi"]
+
+    def test_a_joint_optimum_below_the_least_double_is_an_anomaly(self):
+        # the same region at beta 4.8e-136 and eps 5.5e-299: each far user needs
+        # t ~ 4e-453 at the minimax distance (P_out >= q (-expm1(-k y)) there), so no
+        # positive double serves every user. Compared against 1 - eps, this drop
+        # reported 4.08e-171, where P_out exceeds eps by a factor of 1e282
+        bundle = parse_scenario_dict(binade_spanning_doc(np.random.default_rng(278)))
+        with pytest.raises(SolverAnomaly):
+            solve_outage(bundle.scenario, bundle.outage, bundle.tol)
+        assert shared_channel_optimum(bundle.scenario, bundle.outage).t_star <= 1e-322
 
     def test_active_set_cuts_ccdf_calls(self, monkeypatch):
         rng = np.random.Generator(np.random.Philox(63))
         calls = 0
-        real = outage.ccdf_inst_snr
+        real = outage.outage_prob
 
         def counted(*args):
             nonlocal calls
             calls += 1
             return real(*args)
 
-        monkeypatch.setattr(outage, "ccdf_inst_snr", counted)
+        monkeypatch.setattr(outage, "outage_prob", counted)
         for _ in range(10):
             solve_outage(random_scenario(rng, 32), OutageSpec.shared(0.1, 32))
-        # every user probed at every level and checked in the finish took 2 982 here,
-        # and inverting the dropped users again after the loop 1 068; this takes 873.2
-        assert calls / 10 < 950
+        # every user probed at every level and checked in the finish took 2 982 CCDF
+        # calls here, inverting the dropped users again after the loop 1 068, and
+        # Illinois roots on every inversion and threshold 873.2; with the saturated
+        # closed forms this takes 108.6 outage_prob calls
+        assert calls / 10 < 300
 
     def test_outage_solve_stays_out_of_the_bessel_band(self, monkeypatch):
         rng = np.random.Generator(np.random.Philox(62))
         counts = {"ccdf": 0, "finish band": 0}
         in_finish = False
-        real_ccdf, real_min, real_band = (outage.ccdf_inst_snr, outage._min_threshold,
+        real_ccdf, real_min, real_band = (outage.outage_prob, outage._min_threshold,
                                           kernels._marcum_band)
 
         def ccdf(*args):
@@ -582,7 +657,7 @@ class TestWarmStart:
             counts["finish band"] += in_finish
             return real_band(*args)
 
-        monkeypatch.setattr(outage, "ccdf_inst_snr", ccdf)
+        monkeypatch.setattr(outage, "outage_prob", ccdf)
         monkeypatch.setattr(outage, "_min_threshold", objective)
         monkeypatch.setattr(kernels, "_marcum_band", band)
         for _ in range(5):

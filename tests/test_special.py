@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pinchopt import ccdf_inst_snr, ccdf_inst_snr_batch, kernels, marcum_q1
+from pinchopt.special import outage_prob
 
 from conftest import ETA_28GHZ, make_params
 from oracles import (
@@ -12,6 +13,7 @@ from oracles import (
     bessel_i0_scaled_quad,
     bessel_i0_series,
     marcum_q1_quad,
+    outage_prob_mp,
 )
 
 
@@ -270,3 +272,63 @@ class TestCcdfInstSnr:
         out = ccdf_inst_snr_batch(params, 150.0, np.array([0.0, 1e3, 1e4]))
         assert out.shape == (3,)
         assert out[0] == 1.0
+
+
+def _lane(a: float, b: float, beta: float, r_sq: float = 150.0):
+    """(params, t) at which Q1's arguments are (a, b) at squared distance r_sq."""
+    params = make_params(beta=beta, mu_sq=2.0 * ETA_28GHZ / (a * a))
+    return params, (b * params.mu) ** 2 * params.rho / (2.0 * r_sq)
+
+
+class TestOutageProb:
+    @pytest.mark.parametrize("a,b", [(15.0, 1e-3), (15.0, 0.5), (20.0, 5.0), (40.0, 25.0),
+                                     (300.0, 280.0)])
+    @pytest.mark.parametrize("beta", [0.0, 1e-52, 1e-45, 0.01])
+    def test_is_an_upper_bound_where_q1_saturates(self, a, b, beta):
+        # the kernel reads Q1 = 1 there; P1 <= e^{-(a-b)^2/2} min(1/2, b^2/2) stands in
+        params, t = _lane(a, b, beta)
+        assert kernels.marcum_q1_scalar(params.marcum_a, b) == 1.0
+        value, exact = outage_prob(params, 150.0, t), outage_prob_mp(params, 150.0, t)
+        slack = math.exp(-beta * 150.0 - 0.5 * (a - b) ** 2) * 0.5
+        assert exact * (1.0 - 1e-14) <= value <= (exact + slack) * (1.0 + 1e-14)
+
+    @pytest.mark.parametrize("a,b", [(15.0, 1e-3), (15.0, 1e-9), (40.0, 1e-4)])
+    def test_small_b_keeps_the_los_share_within_e_to_the_ab(self, a, b):
+        # beta = 0: all of P_out is the LoS share, which the bound holds to about e^{a b}
+        params, t = _lane(a, b, 0.0)
+        value, exact = outage_prob(params, 150.0, t), outage_prob_mp(params, 150.0, t)
+        assert exact <= value <= exact * math.exp(a * b) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("a,b", [(0.5, 0.3), (3.0, 2.0), (8.0, 9.0), (40.0, 35.0)])
+    @pytest.mark.parametrize("beta", [0.0, 0.01])
+    def test_matches_the_50_digit_value_inside_the_gap(self, a, b, beta):
+        # P1 = 1 - Q1 keeps the kernel's absolute error there, a few ulps of 1
+        params, t = _lane(a, b, beta)
+        value, exact = outage_prob(params, 150.0, t), outage_prob_mp(params, 150.0, t)
+        assert value == pytest.approx(exact, rel=1e-12, abs=1e-15)
+        assert value == pytest.approx(1.0 - ccdf_inst_snr(params, 150.0, t), abs=4e-16)
+
+    @pytest.mark.parametrize("a", [0.5, 4.3, 40.0])
+    def test_a_target_one_ulp_below_one_is_decided_on_the_ccdf(self, a):
+        # P_out near 1 is 1 - CCDF rounded up, so P_out <= 1 - 2^-53 where the CCDF
+        # reaches 2^-53; formed as p (1 - Q1) + q nlos it held only its absolute rounding
+        eps, params = 1.0 - 2.0 ** -53, _lane(a, 1.0, 0.01)[0]
+        lo, hi = 0.0, 1e3 * params.rho_mu_sq / 150.0  # the CCDF crosses 2^-53 in between
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if ccdf_inst_snr(params, 150.0, mid) >= 2.0 ** -53 else (lo, mid)
+        for t in lo * np.linspace(0.9, 1.1, 401):  # the CCDF from about 2^-58 to 2^-48
+            ccdf = ccdf_inst_snr(params, 150.0, float(t))
+            assert (outage_prob(params, 150.0, float(t)) <= eps) == (ccdf >= 2.0 ** -53)
+
+    @given(y1=st.floats(1.0, 1e4), y2=st.floats(1.0, 1e4), multiple=st.floats(0.0, 2.0),
+           beta_exp=st.floats(-60.0, -2.0))
+    @settings(max_examples=300)
+    def test_nondecreasing_in_distance_where_q1_saturates(self, y1, y2, multiple, beta_exp):
+        # a = 16 and b^2/2 = t y / (rho mu^2) <= 2, so a - b >= 14 on all of [1, 1e4]; over
+        # this beta range the bound's share, whose p = e^{-beta y} falls with y, runs from
+        # all of P_out to none of it
+        params = make_params(beta=10.0 ** beta_exp, mu_sq=2.0 * ETA_28GHZ / 256.0)
+        t = multiple * params.rho_mu_sq / 1e4
+        if y1 < y2:
+            assert outage_prob(params, y1, t) <= outage_prob(params, y2, t) * (1.0 + 1e-14)
