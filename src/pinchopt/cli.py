@@ -309,13 +309,13 @@ def cmd_sweep(args) -> int:
     if len(args.axis) == 0:
         raise ScenarioFormatError("sweep needs at least one --axis")
     if len(args.axis) > 2:
-        raise ScenarioFormatError("sweep supports at most two axes")
+        raise ScenarioFormatError(f"--axis given {len(args.axis)} times; sweep takes at most two")
     if args.drops < 1:
         raise ScenarioFormatError("--drops must be >= 1")
     axes = [_parse_axis(text) for text in args.axis]
-    if len({name for name, _ in axes}) != len(axes):
-        raise ScenarioFormatError("sweep axes must be distinct")
     names = [name for name, _ in axes]
+    if len(set(names)) != len(names):
+        raise ScenarioFormatError(f"axis '{names[0]}' given twice")
     redraw = args.drops > 1 or "m" in names or "dx" in names
     tasks = []
     for point_index, values in enumerate(itertools.product(*(grid for _, grid in axes))):
@@ -356,7 +356,7 @@ def cmd_ccdf(args) -> int:
 
     scenario = load_scenario(args.scenario).scenario
     if not 0 <= args.user < scenario.n_users:
-        raise ScenarioFormatError(f"user index {args.user} out of range")
+        raise ScenarioFormatError(f"--user {args.user} outside [0, {scenario.n_users - 1}]")
     if not 0.0 <= args.x_pin <= scenario.dx:
         raise ScenarioFormatError(f"--x-pin {args.x_pin} outside [0, {scenario.dx}]")
     if args.t_points < 1:

@@ -32,15 +32,16 @@ saturated root is the root:
 
 Everywhere else (beta = 0, band and series lanes) _bracket_root, one
 Illinois root finder that bisects at the geometric mean past a binade,
-runs on the closed-form bracket intersected with the warm one: U_m is
-monotone in t, so a user's earlier inversions in a solve bracket the next,
-and the finish's threshold roots start inside the certified [t_lo, t_hi].
-There each inversion stops at _INVERSION_REL_TOL of its r^2 scale and each
-threshold root at _THRESHOLD_REL_TOL (1e-12). A probe gets both ends of
-every inversion, so its verdict is a proof (maxmin._feasible_set); a probe
-the ends cannot decide ends the bisection. A miss is a proof only as far as
-outage_prob is exact: where Q1 saturates short of gap_m, it is a miss of
-the bound, and the optimum may lie above the bracket.
+runs on the closed-form bracket alone, so an inversion depends only on
+the user, the level and the target, never on the order of the probes;
+only the finish's threshold roots start from what the solve has found,
+inside the certified [t_lo, t_hi]. There each inversion stops at
+_INVERSION_REL_TOL of its r^2 scale and each threshold root at
+_THRESHOLD_REL_TOL (1e-12). A probe gets both ends of every inversion, so
+its verdict is a proof (maxmin._feasible_set); a probe the ends cannot
+decide ends the bisection. A miss is a proof only as far as outage_prob is
+exact: where Q1 saturates short of gap_m, it is a miss of the bound, and
+the optimum may lie above the bracket.
 
 The per-position objective is the smallest of the users' threshold roots,
 but only the users that bind need one: users are visited farthest first,
@@ -60,7 +61,6 @@ its upper end.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from . import kernels
@@ -232,8 +232,7 @@ def _saturated_inversion(params, t: float, epsilon: float,
     return None
 
 
-def invert_ccdf(params, t: float, epsilon: float, y_min: float, y_max: float,
-                bracket: tuple[float, float] | None = None) -> float | None:
+def invert_ccdf(params, t: float, epsilon: float, y_min: float, y_max: float) -> float | None:
     """Largest y in [y_min, y_max] with outage_prob(y, t) <= epsilon.
 
     None marks infeasibility (even y_min misses the target); y_max means
@@ -243,11 +242,8 @@ def invert_ccdf(params, t: float, epsilon: float, y_min: float, y_max: float,
     form, a lower bound on P_out, misses the target at y plus the width,
     _INVERSION_REL_TOL times min(y_min, y_max - y_min). Elsewhere the root
     is bracketed to that width and its conservative (lower) end returned,
-    from [NLoS root, past the saturated root] intersected with bracket
-    (y_lo, y_hi), an earlier feasible and infeasible y. A y_lo that misses
-    the target or a y_hi that meets it gives None or y_max when it is the
-    range's end; anywhere else the search falls back to the closed-form
-    bracket, then to the whole range.
+    from [NLoS root, past the saturated root], or from the whole range where
+    that bracket does not hold the root.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -282,13 +278,7 @@ def invert_ccdf(params, t: float, epsilon: float, y_min: float, y_max: float,
     def g(y):
         return epsilon - outage_prob(params, y, t)
 
-    brackets = [(cold_lo, cold_hi), (y_min, y_max)]
-    if bracket is not None:
-        lo, hi = bracket
-        lo, hi = (lo if lo > cold_lo else cold_lo), (hi if hi < cold_hi else cold_hi)
-        if lo < hi:
-            brackets.insert(0, (lo, hi))
-    for lo, hi in brackets:  # the whole range, tried last, always returns
+    for lo, hi in ((cold_lo, cold_hi), (y_min, y_max)):  # the whole range always returns
         if (g_lo := g(lo)) < 0.0:
             if lo == y_min:
                 return None
@@ -304,26 +294,16 @@ def _outage_bound(scenario: Scenario, epsilons):
     target missed everywhere): an inversion that returned y is infeasible
     from y plus the inversion width on, so the pair is (y, y + width), and
     an end at the user's y_max is math.inf (met everywhere).
-
-    U_m is nonincreasing in t, so each user's earlier inversions in this
-    solve bracket the next: a y feasible at the nearest probe t' >= t is
-    feasible at t, and one infeasible at the nearest probe t' <= t is
-    infeasible at t.
     """
-    # per user: probed thresholds, ascending, and at each (feasible y, infeasible y),
-    # where the range's ends stand in for "none known", and the inversion width
-    probes = [([], [], _INVERSION_REL_TOL * min(lo, hi - lo))
-              for lo, hi in zip(scenario.c, scenario.y_max)]
+    widths = [_INVERSION_REL_TOL * min(lo, hi - lo) for lo, hi in zip(scenario.c, scenario.y_max)]
 
     def bound(m: int, t: float) -> tuple[float, float] | None:
-        (ts, ends, width), y_min, y_max = probes[m], scenario.c[m], scenario.y_max[m]
-        i, j = bisect_left(ts, t), bisect_right(ts, t)
-        bracket = (ends[i][0] if i < len(ts) else y_min, ends[j - 1][1] if j else y_max)
-        y = invert_ccdf(scenario.channels[m], t, epsilons[m], y_min, y_max, bracket)
-        pair = None if y is None else (y, min(y + width, y_max))
-        ts.insert(i, t)
-        ends.insert(i, pair or (y_min, y_min))
-        return pair if pair is None or pair[1] < y_max else (y if y < y_max else math.inf, math.inf)
+        y_max = scenario.y_max[m]
+        y = invert_ccdf(scenario.channels[m], t, epsilons[m], scenario.c[m], y_max)
+        if y is None:
+            return None
+        outer = y + widths[m]
+        return (y, outer) if outer < y_max else (y if y < y_max else math.inf, math.inf)
 
     return bound
 
@@ -438,8 +418,9 @@ def solve_outage(
     meets that level at no position, by Markov's inequality. x_star comes
     from bisection on x toward the worst user; t_star is the exact
     per-position threshold there. A user meets a level where
-    outage_prob <= eps_m. Each user's inversions start from its earlier
-    probes, and the finish's threshold roots from the certified bracket.
+    outage_prob <= eps_m. Each user's inversions start from their
+    closed-form brackets alone; only the finish's threshold roots still
+    start from the certified bracket.
     """
     tol = tol or SolverTolerances()
     spec = spec.for_scenario(scenario)

@@ -416,6 +416,13 @@ class TestSweep:
         assert f"axis '{name}'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_log_axis_is_geometric(self, two_user_file, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", str(two_user_file), "--metric", "avg-snr", "--axis",
+                         "beta=0.001:0.01:3:log", "--drops", "1", "--out", str(out)]) == cli.EXIT_OK
+        column = cli.SWEEP_COLUMNS.index("value1")
+        assert [float(row[column]) for row in _csv(out)[1:]] == np.geomspace(0.001, 0.01, 3).tolist()
+
 
 def test_ccdf_table(two_user_file, tmp_path):
     out = tmp_path / "ccdf.csv"
@@ -437,6 +444,51 @@ def test_ccdf_bad_flag_is_invalid_input(two_user_file, tmp_path, capsys, flags, 
                    str(tmp_path / "ccdf.csv")] + flags)
     assert rc == cli.EXIT_INVALID
     assert capsys.readouterr().err.startswith(f"error: {named} ")
+
+
+def test_ccdf_log_scale_is_geometric(two_user_file, tmp_path):
+    out = tmp_path / "ccdf.csv"
+    assert cli.main(["ccdf", str(two_user_file), "--x-pin", "6.0", "--t-scale", "log",
+                     "--t-min", "1e3", "--t-max", "1e9", "--t-points", "7", "--samples", "1000",
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert [float(row[0]) for row in _csv(out)[1:]] == np.geomspace(1e3, 1e9, 7).tolist()
+
+
+AXIS = ["--axis", "beta=0.01:0.02:2"]
+
+
+@pytest.mark.parametrize("command, flags, named", [
+    ("sweep", ["--axis", "beta=0.01:0.02"], "axis spec 'beta=0.01:0.02'"),
+    ("sweep", ["--axis", "beta=a:0.02:3"], "axis spec 'beta=a:0.02:3'"),
+    ("sweep", ["--axis", "beta=0.01:0.02:0"], "axis 'beta'"),
+    ("sweep", ["--axis", "beta=0:0.02:3:log"], "axis 'beta'"),
+    ("sweep", [], "--axis"),
+    ("sweep", AXIS + ["--axis", "dx=10:20:2", "--axis", "m=2:3:2"], "--axis"),
+    ("sweep", AXIS + ["--drops", "0"], "--drops"),
+    ("sweep", AXIS + ["--axis", "beta=0.03:0.04:2"], "axis 'beta'"),
+    ("sweep-outage", AXIS, "epsilon axis"),  # the file has no outage section
+    ("ccdf", ["--user", "2"], "--user"),
+    ("ccdf", ["--x-pin", "31"], "--x-pin"),
+    ("ccdf", ["--t-points", "0"], "--t-points"),
+    ("ccdf", ["--t-scale", "log", "--t-min", "0"], "--t-scale log"),
+    ("verify", ["--samples", "999"], "--samples"),
+], ids=["axis-shape", "axis-number", "axis-points", "log-axis-bound", "no-axis", "three-axes",
+        "drops", "repeated-axis", "outage-target", "user", "x-pin", "t-points", "log-t-min",
+        "samples"])
+def test_usage_check_is_invalid_input(two_user_file, tmp_path, capsys, monkeypatch, command,
+                                      flags, named):
+    monkeypatch.setattr(cli, "_sweep_point", lambda task: pytest.fail("a point was solved"))
+    monkeypatch.setattr(cli, "_verify_checks", lambda *args: pytest.fail("a check ran"))
+    path, out = str(two_user_file), tmp_path / "out"
+    argv = {
+        "sweep": ["sweep", path, "--metric", "avg-snr", "--out", str(out)],
+        "sweep-outage": ["sweep", path, "--metric", "outage", "--out", str(out)],
+        "ccdf": ["ccdf", path, "--x-pin", "6.0", "--samples", "1000", "--out", str(out)],
+        "verify": ["verify", path, "--report", str(out)],
+    }[command]
+    assert cli.main(argv + flags) == cli.EXIT_INVALID
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_closed_form(two_user_file, capsys):

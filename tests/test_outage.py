@@ -483,43 +483,37 @@ class TestPrunedObjective:
         assert calls <= 3 * root_calls + 32
 
 
-def _interior_root_case(rng):
-    """(params, t, epsilon, (y_min, y_max), inversion width) of a one-user drop whose
-    bound lies inside the range."""
-    sc, spec = heterogeneous_drop(rng, 1)
-    params, y_min, y_max = sc.channels[0], sc.c[0], sc.y_max[0]
-    y = float(rng.uniform(y_min, y_max))
-    t = outage._threshold_root(params, y, spec.epsilons[0])
-    return params, t, spec.epsilons[0], (y_min, y_max), outage._INVERSION_REL_TOL * y_min
-
-
 class TestWarmStart:
-    """Roots started from brackets the solver already has, and the root finder they share."""
+    """The root finder every outage root shares, the closed-form brackets the
+    inversions start from, and the finish's start inside the certified bracket."""
 
-    def test_any_valid_bracket_gives_the_cold_bound(self):
-        rng = np.random.Generator(np.random.Philox(60))
+    @pytest.mark.parametrize("drop", [beta0_drop, heterogeneous_drop], ids=lambda f: f.__name__)
+    def test_bounds_do_not_depend_on_probe_order(self, drop):
+        # at beta = 0 no root saturates, so every inversion runs _bracket_root, whose last
+        # bits depend on the bracket it starts from: that must not come from earlier probes.
+        # Each bound is also a certificate: y meets the target and y + width misses it
+        rng = np.random.Generator(np.random.Philox(64))
         for _ in range(20):
-            params, t, eps, (y_min, y_max), width = _interior_root_case(rng)
-            cold = invert_ccdf(params, t, eps, y_min, y_max)
-            assert y_min < cold < y_max
-            for _ in range(5):
-                # every y <= cold meets the target, every y >= cold + width misses it
-                bracket = (float(rng.uniform(y_min, cold)),
-                           float(rng.uniform(cold + width, y_max)))
-                warm = invert_ccdf(params, t, eps, y_min, y_max, bracket)
-                assert abs(warm - cold) <= width
-                assert outage.outage_prob(params, warm, t) <= eps
-                assert outage.outage_prob(params, warm + width, t) > eps
-
-    def test_non_bracketing_hint_falls_back_to_cold(self):
-        rng = np.random.Generator(np.random.Philox(61))
-        for _ in range(10):
-            params, t, eps, (y_min, y_max), width = _interior_root_case(rng)
-            cold = invert_ccdf(params, t, eps, y_min, y_max)
-            above = 0.5 * (cold + width + y_max)  # misses the target
-            below = 0.5 * (y_min + cold)  # meets it
-            for hint in ((above, y_max), (y_min, below), (above, below)):
-                assert invert_ccdf(params, t, eps, y_min, y_max, hint) == cold
+            sc, spec = drop(rng, 4)
+            levels = [float(t) for t in solve_outage(sc, spec).t_star * np.geomspace(0.8, 1.25, 12)]
+            pairs = []
+            for order in (levels, levels[::-1], [levels[i] for i in rng.permutation(12)]):
+                bound = outage._outage_bound(sc, spec.epsilons)
+                pairs.append({(m, t): bound(m, t) for t in order for m in range(sc.n_users)})
+            assert pairs[0] == pairs[1] == pairs[2]
+            for (m, t), pair in pairs[0].items():
+                y_min, y_max = sc.c[m], sc.y_max[m]
+                y = invert_ccdf(sc.channels[m], t, spec.epsilons[m], y_min, y_max)
+                if y is None:
+                    assert pair is None
+                    assert outage.outage_prob(sc.channels[m], y_min, t) > spec.epsilons[m]
+                    continue
+                outer = y + outage._INVERSION_REL_TOL * min(y_min, y_max - y_min)
+                assert pair == ((y, outer) if outer < y_max else
+                                (y if y < y_max else math.inf, math.inf))
+                assert outage.outage_prob(sc.channels[m], y, t) <= spec.epsilons[m]
+                if outer < y_max:
+                    assert outage.outage_prob(sc.channels[m], outer, t) > spec.epsilons[m]
 
     @pytest.mark.parametrize("steps, root_step, width", [
         (7, 4, 1e-12), (1000, 1, 1e-9), (1000, 999, 1e-9), (3, 1, 1e-15),
