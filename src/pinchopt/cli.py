@@ -466,7 +466,8 @@ def _verify_checks(bundle: ScenarioBundle, samples: int, seed: int, eta_scale: f
                    "detail": f"shortfall {shortfall:.3e} vs allowed {allowed:.3e}"})
 
     # Determinism: identical seeds reproduce estimates bit for bit, over two
-    # whole blocks and a ragged one, so a multi-CPU host runs them on its pool.
+    # whole blocks and a ragged one, so a multi-CPU host draws them on the
+    # calling thread and the sampler's pool.
     params = scenario.channels[0]
     r_sq = scenario.r_sq(0, 0.5 * scenario.dx)
     cfg = McConfig(samples=2 * _BATCH + 1, seed=seed)

@@ -4,12 +4,13 @@ Two inner loops dominate the package's runtime and live here: the
 Monte-Carlo channel-power map (millions of samples per estimate) and the
 Marcum-Q evaluation (tens of millions of calls inside the solvers and
 grid oracles). The map runs in place over the caller's draws (two normals
-per LoS lane, one exponential per blocked lane), once per sample block on
-the sampler's worker threads: it keeps no state, and its numpy ufuncs
-release the GIL, so blocks map concurrently. Q1 is one scalar kernel on
-plain floats, and importing this module loads no numpy; marcum_q1_batch maps
-Q1 over array lanes, so a lane and a scalar call agree bit for bit. Q1 is
-deterministic for a given Python build, the map for a given numpy build too.
+per LoS lane, one exponential per blocked lane), once per sample block, on
+the calling thread or the sampler's pool threads: it keeps no state, and its
+numpy ufuncs release the GIL, so blocks map concurrently. Q1 is one scalar
+kernel on plain floats, and importing this module loads no numpy;
+marcum_q1_batch maps Q1 over array lanes, so a lane and a scalar call agree
+bit for bit. Q1 is deterministic for a given Python build, the map for a
+given numpy build too.
 
 Q1 has three regimes, tested in this order, each with bounded work:
 

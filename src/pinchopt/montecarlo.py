@@ -21,16 +21,21 @@ values[k:]. Two identities make this exact in distribution:
   exponential with mean 2. So the lane is 2 s^2 = mu^2 / r^2 times one
   standard exponential.
 
-The blocks of one call run on a thread pool with one worker per CPU the
-process may use (its affinity mask where the platform has one), at most
-one per block; a call of one block, or on one CPU, runs inline. numpy's
-draws, sort, searchsorted and array arithmetic release the GIL, so the
-blocks overlap. At most one block per worker is in flight, so memory is
-O(workers x block) at any sample count. Each block's partials depend only
-on the seed and the block index, and they are reduced in block order: CCDF
-hit counts are integer sums, and the average-SNR sums use numpy's
-pairwise summation over the per-block partials. So estimates are
-reproducible bit for bit per seed, whatever the number of CPUs.
+The blocks of one call are drawn in groups of `workers` consecutive
+blocks, workers being the number of CPUs the process may use (its affinity
+mask where the platform has one), at most one per block. The calling
+thread draws the first block of each group, and one process-wide pool of
+workers - 1 threads draws the rest. The pool is made on the first call
+that needs it, grows when a later call reports more CPUs, and is dropped
+in a fork child, whose copy of it has no threads. A call of one block, or
+on one CPU, runs inline and starts no thread. numpy's draws, sort,
+searchsorted and array arithmetic release the GIL, so the blocks overlap.
+At most `workers` blocks are in flight, so memory is O(workers x block) at
+any sample count. Each block's partials depend only on the seed and the
+block index, and they are reduced in block order: CCDF hit counts are
+integer sums, and the average-SNR sums use numpy's pairwise summation over
+the per-block partials. So estimates are reproducible bit for bit per
+seed, whatever the number of CPUs.
 
 The grid searches are the independent optimality oracles for both
 solvers; they evaluate the analytic objectives exhaustively and report
@@ -41,10 +46,11 @@ exact one for both metrics at any number of users.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import os
-from collections import deque
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -58,7 +64,7 @@ from .special import outage_prob
 
 
 # Samples drawn and reduced per block; the block index seeds its generator.
-# The default 200 000-sample ccdf/verify call is four blocks, one per worker
+# The default 200 000-sample ccdf/verify call is four blocks, one per thread
 # on up to four CPUs.
 _BATCH = 50_000
 
@@ -132,28 +138,54 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# The sampler's process-wide thread pool and its max_workers, made on first use.
+_pool = None
+_pool_size = 0
+_pool_lock = threading.Lock()
+
+
+def _drop_pool():
+    """Forget the pool: in a fork child its threads do not exist, and a block
+    submitted to it would never run."""
+    global _pool, _pool_size, _pool_lock
+    _pool, _pool_size, _pool_lock = None, 0, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _shared_pool(threads: int) -> ThreadPoolExecutor | None:
+    """The process-wide pool, grown to at least `threads` threads; None
+    while no call has needed a thread.
+
+    A pool that is outgrown is only dropped, not shut down: a call still
+    drawing on it keeps it, and its threads end once it is collected.
+    """
+    global _pool, _pool_size
+    with _pool_lock:
+        if _pool_size < threads:
+            _pool, _pool_size = ThreadPoolExecutor(max_workers=threads), threads
+        return _pool
+
+
 def _map_blocks(block, cfg: McConfig):
     """Yield block(index, n) for each of cfg's blocks, in block order.
 
-    Workers: one per available CPU, at most one per block; one worker runs
-    inline. A block is submitted only once the oldest one in flight has
-    been collected (Executor.map would queue every block at once), so at
-    most `workers` blocks are in flight.
+    workers is the number of available CPUs, at most one per block. The
+    blocks go in groups of `workers` consecutive ones: the calling thread
+    runs the first of a group and the shared pool the rest, and the next
+    group starts once this one has been collected. So at most `workers`
+    blocks are in flight, and a call with one worker runs inline.
     """
     blocks = _batches(cfg)
     workers = min(_available_cpus(), -(-cfg.samples // _BATCH))
-    if workers == 1:
-        for index, n in blocks:
-            yield block(index, n)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        in_flight = deque()
-        for index, n in blocks:
-            if len(in_flight) == workers:
-                yield in_flight.popleft().result()
-            in_flight.append(pool.submit(block, index, n))
-        while in_flight:
-            yield in_flight.popleft().result()
+    pool = _shared_pool(workers - 1)
+    while group := list(itertools.islice(blocks, workers)):
+        futures = [pool.submit(block, index, n) for index, n in group[1:]]
+        yield block(*group[0])
+        for future in futures:
+            yield future.result()
 
 
 def estimate_avg_snr(params: ChannelParams, r_sq: float, cfg: McConfig,

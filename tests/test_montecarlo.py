@@ -1,5 +1,8 @@
+import itertools
 import math
+import multiprocessing
 import sys
+import threading
 import time
 
 import numpy as np
@@ -268,8 +271,15 @@ class TestEstimateCcdf:
             assert est == single  # same draws, same counts
 
 
+def _ccdf_to_pipe(conn, params, ts, cfg):
+    conn.send(estimate_ccdf_curve(params, 150.0, ts, cfg))
+    conn.close()
+
+
 class TestBlockPool:
-    """Blocks run on one worker per available CPU; the output does not depend on it."""
+    """Blocks are drawn `workers` at a time, one per available CPU: the calling
+    thread draws the first of each group and one process-wide pool the rest.
+    The output does not depend on the CPU count."""
 
     @pytest.mark.parametrize("cpus", [2, 3, 8])
     def test_any_cpu_count_gives_the_one_cpu_result(self, monkeypatch, cpus):
@@ -306,6 +316,98 @@ class TestBlockPool:
             assert len(started) <= len(collected) + workers - 1
         assert collected == list(range(blocks))
         assert sorted(started) == collected
+
+    @pytest.mark.parametrize("cpus, most", [(1, 0), (2, 1)])
+    def test_calls_share_one_pool(self, monkeypatch, cpus, most):
+        monkeypatch.setattr(montecarlo, "_pool", None)  # a fresh pool
+        monkeypatch.setattr(montecarlo, "_pool_size", 0)
+        monkeypatch.setattr(montecarlo, "_BATCH", 10)
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: cpus)
+        started = []
+        start = threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        for _ in range(2):
+            blocks = list(montecarlo._map_blocks(lambda index, n: index, McConfig(samples=40)))
+            assert blocks == [0, 1, 2, 3]
+        assert len(started) <= most
+
+    @pytest.mark.parametrize("failing", [0, 1])  # the caller's block, a pool block
+    def test_a_failed_block_reaches_the_consumer_and_spares_the_pool(self, monkeypatch, failing):
+        monkeypatch.setattr(montecarlo, "_BATCH", RAGGED_BATCH)
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+
+        def block(index, n):
+            if index == failing:
+                raise RuntimeError(f"block {index} failed")
+            return index
+
+        with pytest.raises(RuntimeError, match=f"block {failing} failed"):
+            list(montecarlo._map_blocks(block, McConfig(samples=4 * RAGGED_BATCH)))
+        pool = montecarlo._pool
+        params, cfg = make_params(beta=0.004), McConfig(samples=sum(RAGGED_SIZES), seed=5)
+        ts = np.geomspace(1e2, 3e4, 6)
+        pooled = estimate_ccdf_curve(params, 150.0, ts, cfg)
+        assert montecarlo._pool is pool
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 1)
+        assert pooled == estimate_ccdf_curve(params, 150.0, ts, cfg)
+
+    def test_concurrent_callers_growing_the_pool_get_the_one_cpu_result(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_pool", None)  # a fresh pool
+        monkeypatch.setattr(montecarlo, "_pool_size", 0)
+        monkeypatch.setattr(montecarlo, "_BATCH", RAGGED_BATCH)
+        params, cfg = make_params(beta=0.004), McConfig(samples=8 * RAGGED_BATCH + 1, seed=13)
+        ts = np.geomspace(1e2, 3e4, 6)
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 1)
+        expected = estimate_ccdf_curve(params, 150.0, ts, cfg)
+        cpus = itertools.cycle([2, 3, 5, 8])  # the pool grows while other calls draw on it
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: next(cpus))
+        results = []
+
+        def caller():
+            for _ in range(5):
+                results.append(estimate_ccdf_curve(params, 150.0, ts, cfg))
+
+        callers = [threading.Thread(target=caller) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert results == [expected] * 30
+
+    def test_a_fork_child_draws_the_parent_result(self, monkeypatch):
+        # the child inherits the pool object but not its threads: on that pool
+        # its blocks would never run
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        ctx = multiprocessing.get_context("fork")
+        monkeypatch.setattr(montecarlo, "_BATCH", RAGGED_BATCH)
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+        params, cfg = make_params(beta=0.004), McConfig(samples=sum(RAGGED_SIZES), seed=11)
+        ts = np.geomspace(1e2, 3e4, 6)
+        expected = estimate_ccdf_curve(params, 150.0, ts, cfg)
+        assert montecarlo._pool is not None
+        reader, writer = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_ccdf_to_pipe, args=(writer, params, ts, cfg))
+        child.start()
+        writer.close()
+        child.join(timeout=20)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("the fork child did not finish its draws within 20 s")
+        assert child.exitcode == 0
+        assert reader.recv() == expected
 
 
 class TestGridSearchMaxmin:
